@@ -313,8 +313,29 @@ def _bc_from(pair):
         raise ConfigError(str(exc)) from exc
 
 
-def _build_pencil(cfg):
-    """Assembled or scalar pencil from a validated config."""
+def _pencil_spec(cfg):
+    """Profile, grid and boundary pair of the config's pencil section.
+
+    Assembly applies the same q checks on the grid nodes; running them here
+    makes a bad profile a configuration error on every pencil route.
+    """
+    pc = cfg["pencil"]
+    profile = _profile_from(pc)
+    bc = _bc_from(pc["bc"])
+    try:
+        grid = make_grid(*pc["interval"], pc["n_pts"])
+        profile.values(grid.nodes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return profile, grid, bc
+
+
+def _build_pencil(cfg, solve=False):
+    """Scalar or assembled pencil from a validated config, and its solution.
+
+    With solve=True a pencil section is solved by _solve_from and the
+    solution's base-grid pencil is returned; otherwise the solution is None.
+    """
     if "scalar" in cfg and "pencil" in cfg:
         raise ConfigError("give either a pencil section or a scalar fixture, not both")
     if "scalar" in cfg:
@@ -322,44 +343,24 @@ def _build_pencil(cfg):
         return DiscretePencil.from_matrices([[a0]], [[a1]], [[a2]]), None
     if "pencil" not in cfg:
         raise ConfigError("config needs a pencil section or a scalar fixture")
-    pc = cfg["pencil"]
-    a, b = pc["interval"]
-    if not a < b:
-        raise ConfigError("interval must satisfy a < b")
-    profile = _profile_from(pc)
-    bc = _bc_from(pc["bc"])
-    grid = make_grid(a, b, pc["n_pts"])
-    try:
-        pencil = assemble_pencil(profile, grid, bc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    meta = {"profile": profile, "bc": bc, "a": a, "b": b, "n_pts": pc["n_pts"]}
-    return pencil, meta
+    if solve:
+        sol = _solve_from(cfg)
+        return sol.pencil, sol
+    return assemble_pencil(*_pencil_spec(cfg)), None
 
 
 def _solve_from(cfg, refine=True):
-    pc = cfg["pencil"]
-    a, b = pc["interval"]
-    if not a < b:
-        raise ConfigError("interval must satisfy a < b")
-    profile = _profile_from(pc)
-    bc = _bc_from(pc["bc"])
+    profile, grid, bc = _pencil_spec(cfg)
     lp = cfg.get("lambda_prime", "auto")
     if lp != "auto":
         lp = _l2c(lp)
     if refine:
         return sp.solve_spectrum(
-            profile, a, b, pc["n_pts"], bc,
+            profile, grid.a, grid.b, grid.n_pts, bc,
             refine_increment=cfg.get("refine_increment", 8),
             lambda_prime=lp,
         )
-    grid = make_grid(a, b, pc["n_pts"])
-    pencil = assemble_pencil(profile, grid, bc)
-    comp = sp.linearize(pencil)
-    eig = sp.eigen(comp)
-    if lp == "auto":
-        lp = sp.find_reference_point(eig.eigenvalues)
-    return sp.eigen(comp, lambda_prime=lp)
+    return sp.eigen(sp.linearize(assemble_pencil(profile, grid, bc)), lambda_prime=lp)
 
 
 def cmd_check_ellipticity(cfg, args, out):
@@ -491,7 +492,7 @@ def cmd_spectrum(cfg, args, out):
 
 
 def cmd_resolvent_scan(cfg, args, out):
-    pencil, _ = _build_pencil(cfg)
+    pencil, sol = _build_pencil(cfg, solve="circles" in cfg)
     rmin, rmax, count = cfg["radii"]
     if not rmin < rmax:
         raise ConfigError("radii must satisfy r_min < r_max")
@@ -521,8 +522,7 @@ def cmd_resolvent_scan(cfg, args, out):
         cc = cfg["circles"]
         if not cc["r_min"] < cc["r_max"]:
             raise ConfigError("circles need r_min < r_max")
-        if "pencil" in cfg:
-            sol = _solve_from(cfg)
+        if sol is not None:
             eigs = sol.trusted_eigenvalues
         else:
             eigs = sp.eigen(sp.linearize(pencil)).eigenvalues
@@ -675,14 +675,15 @@ def cmd_oracle(cfg, args, out):
 
 
 def cmd_laurent(cfg, args, out):
-    pencil, _meta = _build_pencil(cfg)
+    pencil, sol = _build_pencil(
+        cfg, solve="eigenvalues" not in cfg and cfg["use_trusted"]
+    )
     lam0 = _l2c(cfg["lambda0"])
     eigs = None
     if "eigenvalues" in cfg:
         eigs = np.array([_l2c(v) for v in cfg["eigenvalues"]])
     elif cfg["use_trusted"]:
-        if "pencil" in cfg:
-            sol = _solve_from(cfg)
+        if sol is not None:
             eigs = sol.trusted_eigenvalues
         else:
             eigs = sp.eigen(sp.linearize(pencil)).eigenvalues

@@ -131,35 +131,6 @@ class MediumProfile:
         return qv
 
 
-def _trace_rows(grid, bc, orders=None):
-    """Boundary trace rows (one per order per endpoint), rows normalized."""
-    if orders is None:
-        orders = (bc.m1, bc.m2)
-    n = grid.n_pts
-    rows = []
-    mats = {0: np.eye(n)}
-    for m in sorted(set(orders)):
-        if m not in mats:
-            mats[m] = np.linalg.matrix_power(grid.diff, m)
-    for m in orders:
-        rows.append(mats[m][0])
-        rows.append(mats[m][-1])
-    B = np.array(rows)
-    scale = np.linalg.norm(B, axis=1, keepdims=True)
-    return B / scale
-
-
-def _nullspace_basis(B, expected_rank):
-    """Orthonormal basis of null(B); B rows are expected to be independent."""
-    _, sv, Vh = np.linalg.svd(B, full_matrices=True)
-    rank = int(np.sum(sv > 1e-10 * sv[0]))
-    if rank != expected_rank:
-        raise ValueError(
-            f"boundary trace rows are rank deficient (rank {rank}, expected {expected_rank})"
-        )
-    return Vh[rank:].conj().T
-
-
 def _endpoint_trace(k, m):
     """m-th derivative of the degree-k Chebyshev polynomial at +1."""
     v = 1.0

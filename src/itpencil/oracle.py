@@ -214,7 +214,7 @@ def _newton_polish(cf, z0, mult=1, tol=1e-10, max_iter=60):
 
 
 def _contour_clear(cf, rect, pts_per_side=128):
-    z = _rect_boundary(cf_rect := rect, pts_per_side)
+    z = _rect_boundary(rect, pts_per_side)
     vals = np.abs(char_det(cf, z))
     return vals.min() > 1e-13 * vals.max()
 

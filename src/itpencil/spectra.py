@@ -115,29 +115,21 @@ def _pencil_residual(pencil, lam, u):
     return r / (nu * pencil.coefficient_scale(lam))
 
 
-def eigen(comp, lambda_prime=0.0, reference=None, trust_rtol=_TRUST_RTOL,
-          residual_tol=_RESIDUAL_TOL):
-    """Dense eigendecomposition of the companion operator with trust flags.
+def _eig_residuals(comp):
+    """The one dense eigensolve of a companion operator, in LAPACK order.
 
-    reference, when given, is a refined-grid eigenvalue array (or another
-    EigenSolution); an eigenvalue is trusted when it has a reference partner
-    within trust_rtol relative distance and its own pencil residual is small.
-    Without a reference only the residual filter applies.
+    Returns the eigenvalues, the pencil-space components scaled to unit
+    weighted norm (one column per eigenvalue) and each eigenvalue's pencil
+    residual relative to the coefficient scale.
     """
     pencil = comp.source
-    A = comp.matrix
     try:
-        lam, W = scipy.linalg.eig(A)
+        lam, W = scipy.linalg.eig(comp.matrix)
     except Exception as exc:  # LAPACK non-convergence
         raise EigensolverError(str(exc)) from exc
     if not np.all(np.isfinite(lam)):
         raise EigensolverError("eigensolver returned non-finite eigenvalues")
-
-    order = np.argsort(np.abs(lam - lambda_prime), kind="stable")
-    lam = lam[order]
-    W = W[:, order]
-    n = pencil.dim
-    U = W[:n, :].copy()
+    U = W[: pencil.dim, :].copy()
     # eigenvectors can concentrate in the v block; rescale u when usable
     residuals = np.empty(lam.shape[0])
     for j in range(lam.shape[0]):
@@ -147,11 +139,32 @@ def eigen(comp, lambda_prime=0.0, reference=None, trust_rtol=_TRUST_RTOL,
             residuals[j] = _pencil_residual(pencil, lam[j], U[:, j])
         else:
             residuals[j] = np.inf
+    return lam, U, residuals
 
+
+def eigen(comp, lambda_prime=0.0, reference=None, trust_rtol=_TRUST_RTOL,
+          residual_tol=_RESIDUAL_TOL):
+    """Dense eigendecomposition of the companion operator with trust flags.
+
+    reference, when given, is a refined-grid eigenvalue array (or another
+    EigenSolution, whose trusted eigenvalues are used); an eigenvalue is
+    trusted when it has a reference partner within trust_rtol relative
+    distance and its own pencil residual is small.  Without a reference only
+    the residual filter applies.
+
+    lambda_prime="auto" picks the reference point with find_reference_point
+    over this solution's own trusted eigenvalues; the result is then sorted
+    by distance to that point.  Either way the companion operator is
+    eigensolved once, and clusters and chains are built once, on the
+    returned solution.
+    """
+    pencil = comp.source
+    lam, U, residuals = _eig_residuals(comp)
     trust = residuals <= residual_tol
+    ref = None
     if reference is not None:
         ref = np.asarray(
-            reference.eigenvalues[reference.trust_mask]
+            reference.trusted_eigenvalues
             if isinstance(reference, EigenSolution)
             else reference
         )
@@ -160,30 +173,30 @@ def eigen(comp, lambda_prime=0.0, reference=None, trust_rtol=_TRUST_RTOL,
             trust &= dist <= trust_rtol * (1.0 + np.abs(lam))
         else:
             trust[:] = False
+    if lambda_prime == "auto":
+        lambda_prime = find_reference_point(lam[trust])
 
-    clusters = _build_clusters(comp, pencil, lam, trust, trust_rtol)
-    ref_eigs = None
-    if reference is not None:
-        ref_eigs = np.asarray(
-            reference.eigenvalues[reference.trust_mask]
-            if isinstance(reference, EigenSolution)
-            else reference
-        )
+    order = np.argsort(np.abs(lam - lambda_prime), kind="stable")
+    lam, U, residuals, trust = lam[order], U[:, order], residuals[order], trust[order]
     return EigenSolution(
         eigenvalues=lam,
         right_u=U,
         residuals=residuals,
         trust_mask=trust,
-        clusters=clusters,
+        clusters=_build_clusters(comp, pencil, lam, U, trust, trust_rtol),
         lambda_prime=complex(lambda_prime),
         pencil=pencil,
         companion=comp,
-        reference_eigenvalues=ref_eigs,
+        reference_eigenvalues=ref,
     )
 
 
-def _build_clusters(comp, pencil, lam, trust, rtol):
-    """Union-find clustering of trusted eigenvalues, plus chain construction."""
+def _build_clusters(comp, pencil, lam, U, trust, rtol):
+    """Union-find clustering of trusted eigenvalues, plus chain construction.
+
+    A simple eigenvalue's chain is its normalized companion eigenvector
+    block U[:, i]; only multiple clusters need a Schur decomposition.
+    """
     idx = [int(i) for i in np.flatnonzero(trust)]
     parent = {i: i for i in idx}
 
@@ -208,8 +221,13 @@ def _build_clusters(comp, pencil, lam, trust, rtol):
     for members in groups.values():
         vals = lam[members]
         center = complex(vals.mean())
-        diam = float(np.abs(vals - center).max()) if len(members) > 1 else 0.0
-        chains = _cluster_chains(comp, pencil, center, len(members), diam, rtol)
+        if len(members) == 1:
+            chain = KeldyshChain(lambda0=center, vectors=[U[:, members[0]]])
+            chain.residuals = verify_chain(pencil, chain)
+            chains = [chain]
+        else:
+            diam = float(np.abs(vals - center).max())
+            chains = _cluster_chains(comp, pencil, center, len(members), diam, rtol)
         clusters.append(
             Cluster(center=center, indices=sorted(members),
                     multiplicity=len(members), chains=chains)
@@ -263,19 +281,8 @@ def _nilpotent_chains(G, tol):
 
 
 def _cluster_chains(comp, pencil, center, size, diam, rtol):
-    """Keldysh chains spanning a trusted cluster's invariant subspace."""
-    n = pencil.dim
+    """Keldysh chains spanning a multiple trusted cluster's invariant subspace."""
     A = comp.matrix
-    if size == 1:
-        # simple eigenvalue: one SVD gives the pencil eigenvector directly
-        T = pencil.T(center)
-        _, _, Vh = np.linalg.svd(T)
-        u0 = Vh[-1].conj()
-        u0 = u0 / pencil.vector_norm(u0)
-        chain = KeldyshChain(lambda0=center, vectors=[u0])
-        chain.residuals = verify_chain(pencil, chain)
-        return [chain]
-
     capture = max(10.0 * diam, rtol * (1.0 + abs(center)))
     Tm, Z, sdim = scipy.linalg.schur(
         A, output="complex", sort=lambda z: abs(z - center) <= capture
@@ -527,31 +534,33 @@ def find_reference_point(eigenvalues, candidates=None):
     return complex(best)
 
 
+def _two_grid(base, fine, lambda_prime, trust_rtol, residual_tol):
+    """Trusted eigensolve of base against the refined pencil fine.
+
+    The refined grid gets one eigensolve and the residual filter only; its
+    residual-trusted eigenvalues are the reference for the one eigen call on
+    the base grid, which alone builds clusters and chains.
+    """
+    lam, _, residuals = _eig_residuals(linearize(fine))
+    return eigen(linearize(base), lambda_prime=lambda_prime,
+                 reference=lam[residuals <= residual_tol],
+                 trust_rtol=trust_rtol, residual_tol=residual_tol)
+
+
 def solve_spectrum(profile, a, b, n_pts, bc, refine_increment=8,
                    lambda_prime="auto", trust_rtol=_TRUST_RTOL,
                    residual_tol=_RESIDUAL_TOL):
     """Two-grid trusted eigensolve of the 1D pencil.
 
-    Assembles at n_pts and n_pts + refine_increment, eigensolves both, and
-    trusts base-grid eigenvalues reproduced on the refined grid.  With
-    lambda_prime="auto" the reference point comes from the invertibility scan
-    over the positive reals.
+    Assembles at n_pts and n_pts + refine_increment, eigensolves each grid
+    once, and trusts base-grid eigenvalues reproduced on the refined grid.
+    lambda_prime="auto" is resolved by eigen from the trusted spectrum.
     """
     from .discretize import assemble_pencil, make_grid
 
     base = assemble_pencil(profile, make_grid(a, b, n_pts), bc)
     fine = assemble_pencil(profile, make_grid(a, b, n_pts + refine_increment), bc)
-    comp_fine = linearize(fine)
-    sol_fine = eigen(comp_fine, lambda_prime=0.0, residual_tol=residual_tol)
-    comp_base = linearize(base)
-    lp = 0.0 if lambda_prime == "auto" else lambda_prime
-    sol = eigen(comp_base, lambda_prime=lp, reference=sol_fine,
-                trust_rtol=trust_rtol, residual_tol=residual_tol)
-    if lambda_prime == "auto":
-        lp = find_reference_point(sol)
-        sol = eigen(comp_base, lambda_prime=lp, reference=sol_fine,
-                    trust_rtol=trust_rtol, residual_tol=residual_tol)
-    return sol
+    return _two_grid(base, fine, lambda_prime, trust_rtol, residual_tol)
 
 
 def solve_spectrum_2d(profile, rect, n_x, n_y, bc, refine_increment=4,
@@ -570,6 +579,4 @@ def solve_spectrum_2d(profile, rect, n_x, n_y, bc, refine_increment=4,
         make_grid(y0, y1, n_y + refine_increment),
         bc,
     )
-    sol_fine = eigen(linearize(fine), lambda_prime=0.0, residual_tol=residual_tol)
-    return eigen(linearize(base), lambda_prime=lambda_prime, reference=sol_fine,
-                 trust_rtol=trust_rtol, residual_tol=residual_tol)
+    return _two_grid(base, fine, lambda_prime, trust_rtol, residual_tol)

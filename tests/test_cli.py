@@ -127,6 +127,54 @@ def test_spectrum_small_grid(tmp_path):
     ] == pytest.approx(-9.5566231218 + 13.0585180527j, rel=1e-4)
 
 
+def test_spectrum_single_grid(tmp_path):
+    code, out = _run(
+        tmp_path,
+        "spectrum",
+        {
+            "pencil": {
+                "kind": "helmholtz",
+                "q": {"type": "constant", "data": 1.0},
+                "interval": [0.0, 1.0],
+                "n_pts": 48,
+                "bc": [0, 1],
+            }
+        },
+        "--no-refine",
+    )
+    assert code == 0
+    res = json.loads((out / "spectrum_manifest.json").read_text())["results"]
+    assert res["n_trusted"] > 0
+    lp = complex(*res["lambda_prime"])
+    assert lp.imag == 0.0 and 1.0 <= lp.real <= 100.0
+
+
+_NEGATIVE_Q_PENCIL = {
+    "kind": "helmholtz",
+    "q": {"type": "constant", "data": -1.0},
+    "interval": [0.0, 1.0],
+    "n_pts": 24,
+    "bc": [0, 1],
+}
+
+
+# required keys besides the pencil section, per subcommand that takes one
+_PENCIL_COMMANDS = {
+    "spectrum": {},
+    "resolvent-scan": {"radii": [10.0, 1000.0, 7]},
+    "counting": {"p": 1.0, "t_values": [3.0]},
+    "completeness": {},
+    "laurent": {"lambda0": [1.0, 0.0], "radius": 0.5},
+}
+
+
+@pytest.mark.parametrize("command", list(_PENCIL_COMMANDS))
+def test_negative_q_is_config_error(tmp_path, command):
+    payload = {"pencil": _NEGATIVE_Q_PENCIL, **_PENCIL_COMMANDS[command]}
+    code, _ = _run(tmp_path, command, payload)
+    assert code == 2
+
+
 def test_spectrum_rejects_tiny_grid(tmp_path):
     code, _ = _run(
         tmp_path,

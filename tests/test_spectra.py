@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from itpencil import MediumProfile, PencilKind, solve_spectrum
-from itpencil.discretize import DiscretePencil
+from itpencil.discretize import DiscretePencil, assemble_pencil, make_grid
 from itpencil.exceptions import SingularAtLambdaError, SingularPencilError
 from itpencil.spectra import (
     KeldyshChain,
@@ -110,6 +111,41 @@ def test_spectrum_equivalence_small_pencils():
         C = np.abs(roots[:, None] - ev[None, :])
         r, c = linear_sum_assignment(C)
         assert (C[r, c] / (1.0 + np.abs(ev[c]))).max() <= 1e-8
+
+
+@pytest.mark.parametrize("lambda_prime", ["auto", 3.0])
+def test_solve_spectrum_one_eig_per_grid(monkeypatch, lambda_prime):
+    calls = []
+    eig = scipy.linalg.eig
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eig(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig", counted)
+    profile = MediumProfile.constant(PencilKind.HELMHOLTZ, 1.0)
+    sol = solve_spectrum(profile, 0.0, 1.0, 24, (0, 1), lambda_prime=lambda_prime)
+    assert len(calls) == 2
+    assert sol.trust_mask.any()
+
+
+def test_eigen_auto_equals_explicit_reference_point():
+    profile = MediumProfile.constant(PencilKind.SCHRODINGER, 1.5)
+    comp = linearize(assemble_pencil(profile, make_grid(0.0, 1.0, 32), (1, 3)))
+    auto = eigen(comp, lambda_prime="auto")
+    explicit = eigen(comp, lambda_prime=find_reference_point(eigen(comp)))
+    assert auto.lambda_prime == explicit.lambda_prime
+    assert np.array_equal(auto.eigenvalues, explicit.eigenvalues)
+    assert np.array_equal(auto.trust_mask, explicit.trust_mask)
+
+
+def test_simple_cluster_chain_is_right_u_column(h48):
+    simple = [cl for cl in h48.clusters if cl.multiplicity == 1]
+    assert len(simple) >= 20
+    for cl in simple:
+        (chain,) = cl.chains
+        assert np.array_equal(chain.vectors[0], h48.right_u[:, cl.indices[0]])
+        assert max(chain.residuals) <= 1e-10
 
 
 def test_keldysh_from_eigenpair(h48):
