@@ -258,7 +258,6 @@ def _write_manifest(out, command, cfg, args, files, results):
         "version": __version__,
         "resolved_config": cfg,
         "seed": args.seed,
-        "threads": args.threads,
         "files": sorted(files),
         "results": results,
     }
@@ -350,6 +349,9 @@ def _build_pencil(cfg, solve=False):
 
 
 def _solve_from(cfg, refine=True):
+    if refine and cfg["pencil"]["q"]["type"] == "samples":
+        raise ConfigError("q samples fit the base grid only; sampled q needs "
+                          "spectrum --no-refine (no two-grid solve)")
     profile, grid, bc = _pencil_spec(cfg)
     lp = cfg.get("lambda_prime", "auto")
     if lp != "auto":
@@ -502,9 +504,7 @@ def cmd_resolvent_scan(cfg, args, out):
     slopes = []
     code = 0
     for i, frac in enumerate(cfg["rays"]):
-        scan = rv.ray_scan(
-            pencil, np.exp(1j * np.pi * frac), radii, threads=args.threads
-        )
+        scan = rv.ray_scan(pencil, np.exp(1j * np.pi * frac), radii)
         name = f"ray_{i}.csv"
         _write_csv(out / name, ["radius", "norm"], list(zip(scan.radii, scan.norms)))
         files.append(name)
@@ -532,7 +532,6 @@ def cmd_resolvent_scan(cfg, args, out):
             epsilon=cc.get("epsilon", 0.1),
             n_theta=cc.get("n_theta", 64),
             eigenvalues=eigs,
-            threads=args.threads,
         )
         name = "circles.csv"
         _write_csv(
@@ -691,7 +690,7 @@ def cmd_laurent(cfg, args, out):
     data = rv.laurent_coefficients(
         pencil, lam0, cfg["radius"],
         n_coeffs=cfg["n_coeffs"], n_quad=cfg["n_quad"],
-        eigenvalues=eigs, threads=args.threads,
+        eigenvalues=eigs,
     )
 
     files = []
@@ -738,7 +737,7 @@ def _build_parser():
     common.add_argument("--config", required=True, help="JSON config path")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument("--threads", type=int, default=1, help="sample-evaluation threads")
+    common.add_argument("--threads", type=int, default=1, help="ignored (deprecated)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name, parents=[common])

@@ -470,31 +470,3 @@ def assemble_pencil_2d(profile, grid_x, grid_y, bc):
         basis=V,
         mass=mass,
     )
-
-
-def export_pencil(pencil, out_dir):
-    """Write A0, A1, A2 as CSV (row-major, re/im interleaved) plus a manifest."""
-    import json
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    names = []
-    for name, M in (("A0", pencil.A0), ("A1", pencil.A1), ("A2", pencil.A2)):
-        M = np.asarray(M, dtype=complex)
-        flat = np.empty((M.shape[0], 2 * M.shape[1]))
-        flat[:, 0::2] = M.real
-        flat[:, 1::2] = M.imag
-        path = os.path.join(out_dir, f"{name}.csv")
-        with open(path, "w", newline="\n") as fh:
-            for row in flat:
-                fh.write(",".join(f"{v:.16e}" for v in row) + "\n")
-        names.append(f"{name}.csv")
-    manifest = {
-        "layout": "row-major, re/im interleaved",
-        "dim": pencil.dim,
-        "files": names,
-    }
-    with open(os.path.join(out_dir, "pencil_manifest.json"), "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return names

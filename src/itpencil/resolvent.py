@@ -1,13 +1,12 @@
 """Resolvent diagnostics: ray decay, block inverses, regularized products, contours.
 
 Everything here consumes a DiscretePencil (or its companion form) and a list of
-trusted eigenvalues produced by the spectra module.  All circle and ray sample
-evaluations are independent; pass threads > 1 to fan them out.  Reductions use
-a fixed summation order, so results do not depend on the thread count.
+trusted eigenvalues produced by the spectra module.  Every sampled T(lam)^{-1}
+or (A - lam)^{-1} passes the one conditioning check in _sigma_min first, and
+samples are evaluated in order in the calling thread.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,13 +24,6 @@ from .spectra import linearize, pencil_derivatives
 _COND_CAP = 1e14
 
 
-def _run_samples(fn, items, threads):
-    if threads is None or threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _dual_scaled(pencil, M):
     # T(lam) is a weak-form matrix (coefficients in, mass-multiplied vectors
     # out), so its solution operator carries sqrt-mass factors on both sides.
@@ -41,6 +33,24 @@ def _dual_scaled(pencil, M):
     return Sinv @ M @ Sinv
 
 
+def _sigma_min(X, where):
+    """Smallest singular value of X, which must be finite, positive and at
+    most a factor 1e14 below the largest; else SingularAtLambdaError at `where`.
+    """
+    sv = np.linalg.svd(X, compute_uv=False)
+    if not np.all(np.isfinite(sv)) or sv[-1] <= 0 or sv[0] / sv[-1] > _COND_CAP:
+        raise SingularAtLambdaError(f"matrix is singular or near singular at {where}")
+    return float(sv[-1])
+
+
+def _checked_inverse(X, where, pencil=None):
+    """LU inverse of X and its checked sigma_min; with a pencil, X is a weak-form
+    T(lam) and the check runs on its mass-scaled form, _dual_scaled(pencil, X).
+    """
+    smin = _sigma_min(X if pencil is None else _dual_scaled(pencil, X), where)
+    return np.linalg.inv(X), smin
+
+
 def resolvent_norm(pencil, lam):
     """Operator 2-norm of the solution map f -> u of T(lam) u = f.
 
@@ -48,11 +58,7 @@ def resolvent_norm(pencil, lam):
     matrix; this is the quadrature L2 operator norm of the inverse and is
     stable under grid refinement.
     """
-    Ts = _dual_scaled(pencil, pencil.T(lam))
-    sv = np.linalg.svd(Ts, compute_uv=False)
-    if not np.all(np.isfinite(sv)) or sv[-1] <= 0 or sv[0] / sv[-1] > _COND_CAP:
-        raise SingularAtLambdaError(f"pencil is singular or near singular at {lam}")
-    return float(1.0 / sv[-1])
+    return 1.0 / _sigma_min(_dual_scaled(pencil, pencil.T(lam)), lam)
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,7 @@ class RayScan:
     fitted_slope: float
 
 
-def ray_scan(pencil, direction, radii, threads=1):
+def ray_scan(pencil, direction, radii):
     """Sample ||T(r d)^{-1}|| along the ray r -> r*direction.
 
     fitted_slope is the least squares slope of log norm against log radius
@@ -88,7 +94,7 @@ def ray_scan(pencil, direction, radii, threads=1):
         except SingularAtLambdaError as exc:
             raise PoleOnRayError(f"pole on ray at radius {r}") from exc
 
-    norms = np.array(_run_samples(one, radii, threads))
+    norms = np.array([one(r) for r in radii])
     top = radii >= radii[-1] / 10.0
     if top.sum() < 2:
         top = np.ones_like(top)
@@ -104,13 +110,10 @@ def companion_block_inverse_check(pencil, lam, slack=1e-12):
                          [ A2 - lam A2 T^{-1}(A1 + lam A2) -lam A2 T^{-1} ]
     multiplies it against (A - lam), and returns the max entrywise error
     relative to the factor magnitudes.  Also checks the norm inequality
-    ||T(lam)^{-1}|| <= ||(A - lam)^{-1}|| in the weighted norms.
+    ||T(lam)^{-1}|| <= ||(A - lam)^{-1}|| in the weighted norms, where
+    ||S T^{-1} S|| = 1/sigma_min(S^{-1} T S^{-1}) comes from the check itself.
     """
-    Ts = _dual_scaled(pencil, pencil.T(lam))
-    sv = np.linalg.svd(Ts, compute_uv=False)
-    if not np.all(np.isfinite(sv)) or sv[-1] <= 0 or sv[0] / sv[-1] > _COND_CAP:
-        raise SingularAtLambdaError(f"pencil is singular or near singular at {lam}")
-    Tinv = np.linalg.inv(pencil.T(lam))
+    Tinv, smin = _checked_inverse(pencil.T(lam), lam, pencil)
     A1 = pencil.A1.astype(complex)
     A2 = pencil.A2.astype(complex)
     B = A1 + lam * A2
@@ -120,10 +123,7 @@ def companion_block_inverse_check(pencil, lam, slack=1e-12):
     M = comp.matrix - lam * np.eye(2 * pencil.dim)
     E = M @ block - np.eye(2 * pencil.dim)
     err = float(np.abs(E).max() / (1.0 + np.abs(M).max() * np.abs(block).max()))
-    S, _ = pencil._scaling()
-    tnorm = float(np.linalg.norm(S @ Tinv @ S, 2)) if S is not None else float(
-        np.linalg.norm(Tinv, 2)
-    )
+    tnorm = 1.0 / smin
     anorm = pencil.companion_norm(block)
     if tnorm > anorm * (1.0 + slack) + slack:
         raise BoundViolationError(
@@ -140,16 +140,10 @@ def resolvent_identity_check(comp, lam, lam_prime):
     M = comp.matrix if hasattr(comp, "matrix") else np.asarray(comp)
     n = M.shape[0]
     eye = np.eye(n)
-
-    def inv(X, where):
-        sv = np.linalg.svd(X, compute_uv=False)
-        if not np.all(np.isfinite(sv)) or sv[-1] <= 0 or sv[0] / sv[-1] > _COND_CAP:
-            raise SingularAtLambdaError(f"singular matrix at {where}")
-        return np.linalg.inv(X)
-
-    R = inv(M - lam * eye, lam)
-    Rp = inv(M - lam_prime * eye, lam_prime)
-    rhs = Rp @ inv(eye - (lam - lam_prime) * Rp, f"expansion from {lam_prime} to {lam}")
+    R, _ = _checked_inverse(M - lam * eye, lam)
+    Rp, _ = _checked_inverse(M - lam_prime * eye, lam_prime)
+    where = f"expansion from {lam_prime} to {lam}"
+    rhs = Rp @ _checked_inverse(eye - (lam - lam_prime) * Rp, where)[0]
     return float(np.linalg.norm(R - rhs, 2) / np.linalg.norm(R, 2))
 
 
@@ -212,7 +206,7 @@ def phi_eval(wp, lam):
     return complex(np.exp(lg))
 
 
-def carleman_check(comp, wp, circle_radius, n_samples=64, threads=1):
+def carleman_check(comp, wp, circle_radius, n_samples=64):
     """Bound check for phi(lam) (Id - K(lam))^{-1} with K = (lam-lam')(A-lam')^{-1}.
 
     Samples the circle |lam - lambda_prime| = circle_radius plus probe points
@@ -229,10 +223,7 @@ def carleman_check(comp, wp, circle_radius, n_samples=64, threads=1):
     n = M.shape[0]
     eye = np.eye(n)
     lamp = wp.lambda_prime
-    sv = np.linalg.svd(M - lamp * eye, compute_uv=False)
-    if sv[-1] <= 0 or sv[0] / sv[-1] > _COND_CAP:
-        raise SingularAtLambdaError("lambda_prime sits on the spectrum")
-    Rp = np.linalg.inv(M - lamp * eye)
+    Rp, _ = _checked_inverse(M - lamp * eye, f"lambda_prime {lamp}")
 
     r = float(circle_radius)
     if r < 0:
@@ -256,7 +247,7 @@ def carleman_check(comp, wp, circle_radius, n_samples=64, threads=1):
         nrm = pencil.companion_norm(Ainv) if pencil is not None else np.linalg.norm(Ainv, 2)
         return lg.real + math.log(nrm)
 
-    logs = _run_samples(one, samples + probes, threads)
+    logs = [one(lam) for lam in samples + probes]
     circle_logs = logs[: len(samples)]
     probe_logs = logs[len(samples) :]
     s_p = wp.zero_sum()
@@ -310,7 +301,7 @@ class CircleGrowthReport:
     epsilon: float
 
 
-def circle_growth_scan(pencil, radii, p, epsilon=0.1, n_theta=64, eigenvalues=None, threads=1):
+def circle_growth_scan(pencil, radii, p, epsilon=0.1, n_theta=64, eigenvalues=None):
     """Max of log ||T^{-1}|| on pole-avoiding circles, with a growth exponent fit.
 
     The fit regresses log(max log norm, clamped below at 1e-6) on log radius;
@@ -333,7 +324,7 @@ def circle_growth_scan(pencil, radii, p, epsilon=0.1, n_theta=64, eigenvalues=No
         except SingularAtLambdaError as exc:
             raise PoleOnRayError(f"circle of radius {r} touches a pole") from exc
 
-    max_logs = np.array(_run_samples(one, radii, threads))
+    max_logs = np.array([one(r) for r in radii])
     if moduli is not None and moduli.size:
         dists = np.min(np.abs(moduli[:, None] - radii[None, :]), axis=0)
     else:
@@ -366,7 +357,7 @@ class LaurentData:
 
 
 def laurent_coefficients(pencil, lambda0, radius, n_coeffs=4, n_quad=256,
-                         eigenvalues=None, threads=1):
+                         eigenvalues=None):
     """Contour coefficients of T(lam)^{-1} around lambda0.
 
     C_n = (1/2 pi i) contour integral of T(lam)^{-1} (lam - lambda0)^{-n-1},
@@ -408,16 +399,9 @@ def laurent_coefficients(pencil, lambda0, radius, n_coeffs=4, n_quad=256,
     theta = 2 * np.pi * np.arange(M) / M
     ring = r * np.exp(1j * theta)
 
-    def one(w):
-        lam = lam0 + w
-        Ts = _dual_scaled(pencil, pencil.T(lam))
-        sv = np.linalg.svd(Ts, compute_uv=False)
-        if sv[-1] <= 0 or sv[0] / sv[-1] > _COND_CAP:
-            raise SingularAtLambdaError(f"contour sample at {lam} is near a pole")
-        return np.linalg.inv(pencil.T(lam))
-
-    invs = _run_samples(one, ring, threads)
-    invs = np.array(invs)
+    invs = np.array(
+        [_checked_inverse(pencil.T(lam), lam, pencil)[0] for lam in lam0 + ring]
+    )
 
     orders = np.arange(-(n_coeffs + 1), n_coeffs + 1)
     coeffs = {}
@@ -472,7 +456,7 @@ def laurent_coefficients(pencil, lambda0, radius, n_coeffs=4, n_quad=256,
 
 
 def t_infinity_estimate(pencil, radius, n_samples=256, eigenvalues=None,
-                        zero_tol=1e-8, threads=1):
+                        zero_tol=1e-8):
     """Circle average of ln+ ||T^{-1}|| plus the pole-counting term.
 
     The average runs over |lam| = radius; samples where the pencil is near
@@ -492,7 +476,7 @@ def t_infinity_estimate(pencil, radius, n_samples=256, eigenvalues=None,
         except SingularAtLambdaError:
             return None
 
-    vals = _run_samples(one, ring, threads)
+    vals = [one(lam) for lam in ring]
     good = [v for v in vals if v is not None]
     masked = len(vals) - len(good)
     if masked > 0.05 * len(vals):

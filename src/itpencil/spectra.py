@@ -361,14 +361,15 @@ def pencil_derivatives(pencil, lam0):
 def verify_chain(pencil, chain):
     """Residual of each cascaded equation sum_{j<=k} B_{k-j} u_j = 0.
 
-    Residuals are measured against the largest chain vector and the largest
-    Taylor block so that well-separated scales (fourth-order stiffness on
+    Residuals are measured against the largest chain vector and the cached
+    coefficient scale |lam|^2 ||A2|| + |lam| ||A1|| + ||A0|| (the scale of the
+    eigen residuals), so that well-separated scales (fourth-order stiffness on
     fine grids) do not drown legitimate chains.
     """
     if not chain.vectors:
         raise ValueError("empty chain")
     B = pencil_derivatives(pencil, chain.lambda0)
-    bscale = max(max(pencil.operator_norm(M) for M in B), 1e-300)
+    bscale = pencil.coefficient_scale(chain.lambda0)
     uscale = max(pencil.vector_norm(u) for u in chain.vectors)
     if uscale == 0.0:
         raise ValueError("chain of zero vectors")

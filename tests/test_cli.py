@@ -175,6 +175,52 @@ def test_negative_q_is_config_error(tmp_path, command):
     assert code == 2
 
 
+def test_sampled_q_needs_single_grid(tmp_path):
+    # samples match the base grid; the refined grid of the two-grid solve
+    # has more nodes, so only --no-refine can use them
+    pencil = {
+        "kind": "helmholtz",
+        "q": {"type": "samples", "data": [1.0 + 0.02 * k for k in range(24)]},
+        "interval": [0.0, 1.0],
+        "n_pts": 24,
+        "bc": [0, 1],
+    }
+    code, _ = _run(tmp_path, "spectrum", {"pencil": pencil})
+    assert code == 2
+    code, out = _run(tmp_path, "spectrum", {"pencil": pencil}, "--no-refine")
+    assert code == 0
+    assert (out / "spectrum_eigenvalues.csv").exists()
+
+
+_THREADS_CASES = {
+    "resolvent-scan": {
+        "pencil": {
+            "kind": "helmholtz",
+            "q": {"type": "constant", "data": 1.0},
+            "interval": [0.0, 1.0],
+            "n_pts": 24,
+            "bc": [0, 1],
+        },
+        "radii": [10.0, 1000.0, 7],
+        "circles": {"r_min": 8.0, "r_max": 64.0, "p": 1.0, "n_theta": 16},
+    },
+    "laurent": {"scalar": [0.0, 1.0, 1.0], "lambda0": [0.0, 0.0], "radius": 0.5},
+}
+
+
+@pytest.mark.parametrize("command", list(_THREADS_CASES))
+def test_threads_flag_is_ignored(tmp_path, command):
+    cfg = _write(tmp_path / f"{command}.json", _THREADS_CASES[command])
+    outputs = []
+    for threads in ("4", "1"):
+        out = tmp_path / f"out{threads}"
+        code = cli.main([command, "--config", cfg, "--out", str(out), "--threads", threads])
+        assert code == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) > 1
+    assert outputs[0] == outputs[1]
+
+
 def test_spectrum_rejects_tiny_grid(tmp_path):
     code, _ = _run(
         tmp_path,

@@ -256,6 +256,36 @@ def test_laurent_two_clusters_rejected():
         laurent_coefficients(pen, 0.0, 2.0, eigenvalues=np.array([0.0, -1.0]))
 
 
+# each entry point at a point where the matrix it factors is singular
+_SINGULAR_CASES = {
+    "resolvent_norm": lambda: resolvent_norm(_scalar(0.0, 1.0, 1.0), -1.0),
+    "companion_block_inverse_check": lambda: companion_block_inverse_check(
+        _scalar(0.0, 1.0, 1.0), -1.0
+    ),
+    "resolvent_identity_check": lambda: resolvent_identity_check(
+        np.diag([2.0 + 0j, -2.0 + 0j]), 2.0, 0.5
+    ),
+    "carleman_check": lambda: carleman_check(
+        np.diag([2.0 + 0j, -2.0 + 0j]),
+        WeierstrassProduct(lambda_prime=2.0, zeros=np.array([-2.0]), p=1.0),
+        1.0,
+    ),
+    # T(lam) = diag(lam, 1); the contour |lam - 1| = 1 has a node at lam = 0
+    "laurent_coefficients": lambda: laurent_coefficients(
+        DiscretePencil.from_matrices(
+            np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), np.zeros((2, 2))
+        ),
+        1.0, 1.0, n_quad=16,
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(_SINGULAR_CASES))
+def test_singular_sample_raises(entry):
+    with pytest.raises(SingularAtLambdaError):
+        _SINGULAR_CASES[entry]()
+
+
 def test_t_infinity_scalar_pole_term():
     # |T^{-1}| < 1 everywhere on |lam| = 10, so only the pole term remains:
     # ln r for the zero at the origin plus ln(r/1) for the root at -1

@@ -148,6 +148,19 @@ def test_simple_cluster_chain_is_right_u_column(h48):
         assert max(chain.residuals) <= 1e-10
 
 
+def test_simple_chain_residual_is_eigen_residual(h48):
+    # verify_chain scales by the same coefficient scale as eigen's residuals,
+    # so a simple cluster's one chain residual is its eigenvalue's residual
+    for cl in (c for c in h48.clusters if c.multiplicity == 1):
+        (chain,) = cl.chains
+        (res,) = chain.residuals
+        ref = h48.residuals[cl.indices[0]]
+        if ref == 0.0:
+            assert res == 0.0
+        else:
+            assert res == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_keldysh_from_eigenpair(h48):
     pen, comp = h48.pencil, h48.companion
     j = int(np.flatnonzero(h48.trust_mask)[0])
