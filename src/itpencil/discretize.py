@@ -1,15 +1,17 @@
-"""Chebyshev collocation assembly of the quadratic transmission pencils.
+"""Chebyshev spectral-Galerkin assembly of the quadratic transmission pencils.
 
 Grids are Chebyshev-Gauss-Lobatto points with Clenshaw-Curtis quadrature
 weights.  The four homogeneous boundary traces are absorbed by basis
-recombination: the pencil matrices are compressed onto an orthonormal basis V
-of the nullspace of the boundary trace rows, so a 1D grid with n points yields
-square matrices of size n - 4.  The quadrature weights induce the discrete
-L2 inner product used for all norms downstream.
+recombination: each axis has a degree-graded stencil basis V whose columns
+satisfy the traces and have unit Euclidean norm (they are not orthogonal), so
+a 1D grid with n points yields square matrices of size n - 4.  A 2D pencil
+uses the tensor product of the axis bases.  The quadrature weights induce the
+discrete L2 inner product used for all norms downstream.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,23 +181,14 @@ def _stencil_coeffs(n_pts, bc):
     return coeffs
 
 
-def _constrained_basis(grid, bc):
-    """Node values of the degree-graded constrained basis, unit columns."""
-    coeffs = _stencil_coeffs(grid.n_pts, bc)
-    tmat = _cheb_node_values(grid.n_pts)
-    V = tmat.T @ coeffs
-    V /= np.linalg.norm(V, axis=0, keepdims=True)
-    return V
-
-
 @dataclass
 class DiscretePencil:
     """Recombined quadratic pencil T(lam) = A0 + lam A1 + lam^2 A2.
 
-    basis maps recombined coefficients to grid values (columns orthonormal);
-    mass is the Gram matrix of the quadrature inner product in recombined
-    coordinates.  Raw pencils built from explicit matrices carry an identity
-    mass and no grid.
+    basis maps recombined coefficients to grid values (unit-norm stencil
+    columns, not orthogonal); mass is the Gram matrix of the quadrature inner
+    product in recombined coordinates.  Raw pencils built from explicit
+    matrices carry an identity mass and no grid.
     """
 
     A0: np.ndarray
@@ -300,65 +293,15 @@ class DiscretePencil:
         return np.linalg.solve(self.mass, rhs)
 
 
-def apply_pencil(pencil, lam, u):
-    """Evaluate T(lam) u for a recombined coefficient vector u."""
-    u = np.asarray(u)
-    if u.shape[0] != pencil.dim:
-        raise ValueError(f"vector has length {u.shape[0]}, pencil has size {pencil.dim}")
-    return pencil.T(lam) @ u
+def _axis_blocks(grid, bc):
+    """Weak-form blocks of one axis, all formed in Chebyshev coefficient space.
 
-
-def _full_operators(kind, D2, qv, n):
-    Q = np.diag(qv)
-    I = np.eye(n)
-    D2Q = D2 @ Q
-    QD2 = Q @ D2
-    if kind is PencilKind.HELMHOLTZ:
-        A0 = D2Q @ D2
-        A1 = -(D2Q + QD2 + D2)
-        A2 = I + Q
-    elif kind is PencilKind.SCHRODINGER:
-        A0 = D2Q @ D2 + D2
-        A1 = -(D2Q + QD2 + I)
-        A2 = Q
-    else:
-        raise ValueError(f"unknown pencil kind: {kind!r}")
-    return A0, A1, A2
-
-
-def _boundary_q_slopes(profile, grid, qv):
-    """(q'(a), q'(b)); samples fall back to spectral differentiation."""
-    if profile.q_type == "constant":
-        return 0.0, 0.0
-    if profile.q_type == "polynomial":
-        dcoef = np.polynomial.polynomial.polyder(np.asarray(profile.q_data, dtype=float))
-        return (
-            float(np.polynomial.polynomial.polyval(grid.a, dcoef)),
-            float(np.polynomial.polynomial.polyval(grid.b, dcoef)),
-        )
-    dq = grid.diff @ qv
-    return float(dq[0]), float(dq[-1])
-
-
-def assemble_pencil(profile, grid, bc):
-    """Assemble the recombined 1D pencil on a Lobatto grid.
-
-    Fourth-order terms are integrated by parts once, so the quadratures only
-    ever square second derivatives and the surviving boundary terms are added
-    from endpoint traces of the recombined basis.  Everything derivative-like
-    is produced in Chebyshev coefficient space; forming D^2 q D^2 with the
-    physical differentiation matrix instead amplifies roundoff by n^8, which
-    at n = 96 wipes out six digits of every eigenvalue whose boundary pair
-    does not pin the function values down at the endpoints.
+    Returns the node values V of the unit-column stencil basis, the node
+    values Z of its second derivatives, and the endpoint traces G[m] of its
+    m-th derivatives for m = 0..3 (row 0 at a, row 1 at b).
     """
-    if isinstance(bc, tuple):
-        bc = BoundaryPair(*bc)
     n = grid.n_pts
-    qv = profile.values(grid.nodes)
-    dq_a, dq_b = _boundary_q_slopes(profile, grid, qv)
-    q_a, q_b = float(qv[0]), float(qv[-1])
     zeta = 2.0 / (grid.b - grid.a)
-
     coeffs = _stencil_coeffs(n, bc)
     tmat = _cheb_node_values(n)
     V = tmat.T @ coeffs
@@ -371,25 +314,91 @@ def assemble_pencil(profile, grid, bc):
     for m in range(3):
         deriv.append(cheb.chebder(deriv[-1], 1, axis=0))
     Z = zeta**2 * (tmat[: n - 2].T @ deriv[2])
-    # endpoint traces per derivative order: row 0 at a, row 1 at b
     G = []
     for m, cm in enumerate(deriv):
         alt = np.where(np.arange(cm.shape[0]) % 2 == 0, 1.0, -1.0)
         G.append(zeta**m * np.vstack([alt @ cm, cm.sum(axis=0)]))
+    return V, Z, G
 
-    w = grid.weights
+
+def _q_slope(profile, grid, qg, axis, side):
+    """Slope of q along an axis on its side (0 at a, -1 at b), per edge node.
+
+    Polynomial q depends on x alone; samples fall back to spectral
+    differentiation along the axis.
+    """
+    if profile.q_type == "samples":
+        return np.tensordot(grid.diff, qg, axes=(1, axis))[side].reshape(-1)
+    n_edge = qg.size // grid.n_pts
+    if profile.q_type == "polynomial" and axis == 0:
+        dcoef = np.polynomial.polynomial.polyder(np.asarray(profile.q_data, dtype=float))
+        return np.full(n_edge, np.polynomial.polynomial.polyval((grid.a, grid.b)[side], dcoef))
+    return np.zeros(n_edge)
+
+
+def _assemble(profile, grids, bc):
+    """Weak-form pencil on the tensor grid of one or two axes.
+
+    Fourth-order terms are integrated by parts once (Green's second identity
+    on the box), so the quadratures only ever square second derivatives and
+    the surviving boundary terms come from edge traces of the basis.  Every
+    tensor matrix is a Kronecker product of the per-axis blocks, in the
+    manner of Shen's tensor-product spectral-Galerkin method.
+    """
+    if isinstance(bc, tuple):
+        bc = BoundaryPair(*bc)
+    shape = tuple(g.n_pts for g in grids)
+    n_unknowns = int(np.prod([n - 4 for n in shape]))
+    if len(grids) > 1 and n_unknowns > MAX_UNKNOWNS_2D:
+        raise ValueError(f"2D problem has {n_unknowns} unknowns, cap is {MAX_UNKNOWNS_2D}")
+    # x-coordinate of every tensor node; samples must come in this shape
+    x = np.broadcast_to(grids[0].nodes.reshape((-1,) + (1,) * (len(grids) - 1)), shape)
+    qg = profile.values(x)
+    qv = qg.reshape(-1)
+    blocks = [_axis_blocks(g, bc) for g in grids]
+    axes = range(len(grids))
+
+    def tensor(sub):
+        """Kronecker product of the axis bases, with sub[j] in place of axis j's."""
+        return functools.reduce(np.kron, [sub.get(j, blocks[j][0]) for j in axes])
+
+    V = tensor({})
+    Z = sum(tensor({i: blocks[i][1]}) for i in axes)
+    w = functools.reduce(np.kron, [g.weights for g in grids])
 
     def gram(X, Y, d=None):
         wd = w if d is None else w * d
         return X.T @ (wd[:, None] * Y)
 
-    # [v (q g)' - v' (q g)] at b minus at a, for g = u'' (order 2) or u (order 0)
+    def edge_trace(k, side, m, order):
+        """Edge values of d_k^m g for g = Delta u (order 2) or u (order 0)."""
+        G = blocks[k][2]
+        subs = [{k: G[m + order][[side]]}]
+        if order:
+            subs += [{k: G[m][[side]], i: blocks[i][1]} for i in axes if i != k]
+        return sum(tensor(s) for s in subs)
+
+    def side_terms(k, side, order):
+        """Edge integrals of v d_k(q g) and of d_k v (q g) on one side of axis k."""
+        w_edge = functools.reduce(
+            np.kron, [np.ones(1) if j == k else g.weights for j, g in enumerate(grids)]
+        )
+        wq = w_edge * np.take(qg, [side], axis=k).reshape(-1)
+        wdq = w_edge * _q_slope(profile, grids[k], qg, k, side)
+        g0, g1 = edge_trace(k, side, 0, order), edge_trace(k, side, 1, order)
+        flux = wdq[:, None] * g0 + wq[:, None] * g1
+        return edge_trace(k, side, 0, 0).T @ flux, edge_trace(k, side, 1, 0).T @ (wq[:, None] * g0)
+
+    # sum over axes and sides of sign * [v d_k(q g) - d_k v (q g)]; flux terms
+    # are accumulated before value terms, which fixes the 1D rounding
     def parts_terms(order):
-        Gg, Gg1 = G[order], G[order + 1]
-        out = np.outer(G[0][1], dq_b * Gg[1] + q_b * Gg1[1])
-        out -= np.outer(G[0][0], dq_a * Gg[0] + q_a * Gg1[0])
-        out -= np.outer(G[1][1], q_b * Gg[1])
-        out += np.outer(G[1][0], q_a * Gg[0])
+        out = 0.0
+        for k in axes:
+            sides = [(sign, *side_terms(k, side, order)) for side, sign in ((-1, 1.0), (0, -1.0))]
+            for sign, flux_term, _ in sides:
+                out = out + sign * flux_term
+            for sign, _, value_term in sides:
+                out = out - sign * value_term
         return out
 
     lap_q_lap = gram(Z, Z, qv) + parts_terms(2)  # v -> div(q grad(grad u)) twice
@@ -416,57 +425,31 @@ def assemble_pencil(profile, grid, bc):
         A2=A2,
         kind=profile.kind,
         bc=bc,
-        grid=grid,
-        weights=grid.weights,
+        grid=grids[0] if len(grids) == 1 else grids,
+        weights=w,
         basis=V,
         mass=ident,
     )
 
 
+def assemble_pencil(profile, grid, bc):
+    """Assemble the recombined 1D pencil on a Lobatto grid.
+
+    Everything derivative-like is produced in Chebyshev coefficient space;
+    forming D^2 q D^2 with the physical differentiation matrix instead
+    amplifies roundoff by n^8, which at n = 96 wipes out six digits of every
+    eigenvalue whose boundary pair does not pin the function values down at
+    the endpoints.
+    """
+    return _assemble(profile, (grid,), bc)
+
+
 def assemble_pencil_2d(profile, grid_x, grid_y, bc):
     """Assemble the recombined pencil on a tensor grid over a rectangle.
 
-    The Laplacian is the Kronecker sum of the 1D second-derivative blocks and
-    the boundary traces act in the normal direction on all four sides; the
-    recombination basis is the tensor product of the 1D nullspace bases, so
-    the matrices have size (nx - 4)(ny - 4).
+    The same weak form as in 1D, with the tensor-product basis of the 1D
+    stencil bases and the boundary traces taken in the normal direction on
+    all four sides, so the matrices have size (nx - 4)(ny - 4).  q is
+    constant, polynomial in x, or samples of shape (nx, ny).
     """
-    if isinstance(bc, tuple):
-        bc = BoundaryPair(*bc)
-    nx, ny = grid_x.n_pts, grid_y.n_pts
-    if (nx - 4) * (ny - 4) > MAX_UNKNOWNS_2D:
-        raise ValueError(
-            f"2D problem has {(nx - 4) * (ny - 4)} unknowns, cap is {MAX_UNKNOWNS_2D}"
-        )
-    X = np.repeat(grid_x.nodes, ny)
-    if profile.q_type == "samples":
-        qv = np.asarray(profile.q_data, dtype=float)
-        if qv.shape != (nx, ny):
-            raise ValueError(f"2D q samples must have shape {(nx, ny)}")
-        qv = qv.reshape(-1)
-        lo = profile.q_min if profile.q_min is not None else float(qv.min())
-        if lo <= 0.0 or qv.min() <= 0.0:
-            raise ValueError("q must be positive everywhere")
-    else:
-        # constant or polynomial-in-x profile evaluated on the tensor grid
-        qv = profile.values(X)
-    D2x = grid_x.diff @ grid_x.diff
-    D2y = grid_y.diff @ grid_y.diff
-    L = np.kron(D2x, np.eye(ny)) + np.kron(np.eye(nx), D2y)
-    A0f, A1f, A2f = _full_operators(profile.kind, L, qv, nx * ny)
-    Vx = _constrained_basis(grid_x, bc)
-    Vy = _constrained_basis(grid_y, bc)
-    V = np.kron(Vx, Vy)
-    w = np.kron(grid_x.weights, grid_y.weights)
-    mass = V.T @ (w[:, None] * V)
-    return DiscretePencil(
-        A0=V.T @ A0f @ V,
-        A1=V.T @ A1f @ V,
-        A2=V.T @ A2f @ V,
-        kind=profile.kind,
-        bc=bc,
-        grid=(grid_x, grid_y),
-        weights=w,
-        basis=V,
-        mass=mass,
-    )
+    return _assemble(profile, (grid_x, grid_y), bc)

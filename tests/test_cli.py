@@ -1,6 +1,8 @@
 """End-to-end command line checks over small configurations."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,3 +336,17 @@ def test_ellipticity_rerun_byte_identical(tmp_path):
     assert cli.main(["check-ellipticity", "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second
+
+
+def _readme_configs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("Subcommands and minimal configs:", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^- `([a-z-]+)`:.*?```json\n(.*?)```", section, re.M | re.S)
+
+
+def test_readme_configs_run(tmp_path):
+    configs = _readme_configs()
+    assert len(configs) == 7
+    for name, block in configs:
+        code, _ = _run(tmp_path, name, json.loads(block))
+        assert code == 0, name

@@ -5,7 +5,6 @@ from itpencil import (
     DiscretePencil,
     MediumProfile,
     PencilKind,
-    apply_pencil,
     assemble_pencil,
     assemble_pencil_2d,
     eigen,
@@ -56,7 +55,7 @@ def test_helmholtz_q1_factorization():
     for lam in (2.3 - 1.1j, -7.0 + 4.0j):
         fac = _apply_factored(pencil, lam, u)
         lhs = np.vdot(pencil.prolong(w) * grid.weights, fac)
-        rhs = np.vdot(w, apply_pencil(pencil, lam, u))
+        rhs = np.vdot(w, pencil.T(lam) @ u)
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
@@ -84,7 +83,7 @@ def test_schrodinger_q1_factorization():
     u, w = _smooth_members(pencil)
     fac = _apply_factored(pencil, lam, u, shifts=(-lam, 1.0 - lam))
     lhs = np.vdot(pencil.prolong(w) * grid.weights, fac)
-    rhs = np.vdot(w, apply_pencil(pencil, lam, u))
+    rhs = np.vdot(w, pencil.T(lam) @ u)
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
@@ -106,24 +105,13 @@ def test_apply_pencil_quadratic_in_lambda():
     v = rng.standard_normal(pencil.dim)
     lam, h = 0.7 + 0.2j, 0.5
     assert np.allclose(
-        apply_pencil(pencil, lam, u + v),
-        apply_pencil(pencil, lam, u) + apply_pencil(pencil, lam, v),
-        rtol=1e-12,
+        pencil.T(lam) @ (u + v), pencil.T(lam) @ u + pencil.T(lam) @ v, rtol=1e-12
     )
     second = (
-        apply_pencil(pencil, lam + h, u)
-        - 2 * apply_pencil(pencil, lam, u)
-        + apply_pencil(pencil, lam - h, u)
+        pencil.T(lam + h) @ u - 2 * pencil.T(lam) @ u + pencil.T(lam - h) @ u
     ) / h**2
     assert np.allclose(second, 2 * pencil.A2 @ u, rtol=1e-9)
-    assert np.allclose(apply_pencil(pencil, 0.0, u), pencil.A0 @ u, rtol=1e-12)
-
-
-def test_apply_pencil_dimension_mismatch():
-    grid = make_grid(0.0, 1.0, 16)
-    pencil = assemble_pencil(MediumProfile.constant(H, 1.0), grid, (0, 1))
-    with pytest.raises(ValueError):
-        apply_pencil(pencil, 1.0, np.ones(pencil.dim + 1))
+    assert np.allclose(pencil.T(0.0) @ u, pencil.A0 @ u, rtol=1e-12)
 
 
 def test_bc_traces_vanish_on_recombined_basis():
@@ -181,13 +169,14 @@ def test_grid_refinement_stability():
 
 
 def test_2d_assembly_separates():
-    # q=1 Helmholtz tensor square: spectrum contains 1D-separable predictions
+    # q=1 Helmholtz tensor square: size of the tensor basis and a mass-weighted A2
     profile = MediumProfile.constant(H, 1.0)
     gx = make_grid(0.0, 1.0, 12)
     gy = make_grid(0.0, 1.0, 12)
     p2 = assemble_pencil_2d(profile, gx, gy, (0, 1))
     assert p2.dim == (12 - 4) * (12 - 4)
-    assert np.min(np.abs(np.diag(p2.A2))) >= 2.0 - 1e-12
+    # A2 = (1 + q) times the quadrature mass of the tensor basis
+    assert np.allclose(p2.A2, 2.0 * p2.mass, rtol=0.0, atol=1e-14 * np.abs(p2.A2).max())
 
 
 def test_2d_size_cap():
@@ -196,6 +185,90 @@ def test_2d_size_cap():
     gy = make_grid(0.0, 1.0, 80)
     with pytest.raises(ValueError):
         assemble_pencil_2d(profile, gx, gy, (0, 1))
+
+
+P = np.polynomial.polynomial
+
+
+def _bc_poly(bc, a, b, base):
+    """base plus the minimal-norm quintic correction meeting the bc traces at a and b."""
+    traces = [(m, x) for m in bc for x in (a, b)]
+    rows = [[P.polyval(x, P.polyder(np.eye(6)[k], m)) for k in range(6)] for m, x in traces]
+    rhs = [-P.polyval(x, P.polyder(base, m)) for m, x in traces]
+    return P.polyadd(base, np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)[0])
+
+
+def _strong_blocks(kind, q, p, r, x, y):
+    """Strong-form A0, A1, A2 applied to u = p(x) r(y) with q = q(x), on the tensor nodes."""
+    px = [P.polyval(x, P.polyder(p, m))[:, None] for m in range(5)]
+    ry = [P.polyval(y, P.polyder(r, m))[None, :] for m in range(5)]
+    q0, q1, q2 = (P.polyval(x, P.polyder(q, m))[:, None] for m in range(3))
+    u, ux = px[0] * ry[0], px[1] * ry[0]
+    lap = px[2] * ry[0] + px[0] * ry[2]
+    lap_x = px[3] * ry[0] + px[1] * ry[2]
+    bilap = px[4] * ry[0] + 2 * px[2] * ry[2] + px[0] * ry[4]
+    lap_q_lap = q2 * lap + 2 * q1 * lap_x + q0 * bilap
+    lap_q = q2 * u + 2 * q1 * ux + q0 * lap
+    if kind is H:
+        return lap_q_lap, -(lap_q + q0 * lap + lap), (1 + q0) * u
+    return lap_q_lap + lap, -(lap_q + q0 * lap + u), q0 * u
+
+
+@pytest.mark.parametrize("q", [[1.3], [1.3, 0.4, 0.2]], ids=["constant", "polynomial"])
+@pytest.mark.parametrize("bc", [(0, 1), (0, 2), (1, 3), (2, 3)], ids=lambda bc: "bc%d%d" % bc)
+@pytest.mark.parametrize("kind", [H, S], ids=lambda k: k.value)
+def test_2d_manufactured_weak_form(kind, bc, q):
+    # product polynomials u, w that satisfy the bc: the assembled w^H T(lam) u
+    # must equal the quadrature of w (T u) in strong form, which is exact for
+    # these degrees on 28 x 24 points (distinct sizes catch swapped axes)
+    x0, x1, y0, y1 = 0.0, 1.0, -0.5, 0.7
+    gx, gy = make_grid(x0, x1, 28), make_grid(y0, y1, 24)
+    q = np.array(q)
+    if q.size == 1:
+        profile = MediumProfile.constant(kind, q[0])
+    else:
+        profile = MediumProfile.polynomial(kind, q)
+    pencil = assemble_pencil_2d(profile, gx, gy, bc)
+    u_x = _bc_poly(bc, x0, x1, np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.2, 0.7]))
+    u_y = _bc_poly(bc, y0, y1, np.array([-0.1, 0.4, 0.2, -0.3, 0.1, 0.5, 0.3]))
+    w_x = _bc_poly(bc, x0, x1, np.array([0.2, 0.1, -0.3, 0.6, 0.2, -0.5, 0.4]))
+    w_y = _bc_poly(bc, y0, y1, np.array([0.5, -0.2, 0.1, 0.3, -0.6, 0.2, -0.3]))
+    x, y = gx.nodes, gy.nodes
+    u_grid = np.outer(P.polyval(x, u_x), P.polyval(y, u_y)).ravel()
+    w_grid = np.outer(P.polyval(x, w_x), P.polyval(y, w_y)).ravel()
+    u, w = pencil.project(u_grid), pencil.project(w_grid)
+    assert np.allclose(pencil.prolong(u), u_grid, rtol=0.0, atol=1e-12)
+    strong = _strong_blocks(kind, q, u_x, u_y, x, y)
+    lam = 0.8 - 1.7j
+    t_u = (strong[0] + lam * strong[1] + lam**2 * strong[2]).ravel()
+    exact = np.sum(pencil.weights * w_grid * t_u)
+    assert np.vdot(w, pencil.T(lam) @ u) == pytest.approx(exact, rel=1e-8)
+
+
+def test_2d_samples_respect_declared_bounds():
+    # a sample above the declared q_max is rejected in 2D as in 1D
+    gx, gy = make_grid(0.0, 1.0, 10), make_grid(0.0, 2.0, 12)
+    samples = np.full((10, 12), 1.5)
+    samples[3, 4] = 2.5
+    with pytest.raises(ValueError, match="out of declared bounds"):
+        assemble_pencil_2d(MediumProfile(H, "samples", samples, q_max=2.0), gx, gy, (0, 1))
+    with pytest.raises(ValueError, match="out of declared bounds"):
+        assemble_pencil(MediumProfile(H, "samples", samples[:, 4], q_max=2.0), gx, (0, 1))
+    within = MediumProfile(H, "samples", samples, q_max=3.0)
+    assert assemble_pencil_2d(within, gx, gy, (0, 1)).dim == 6 * 8
+
+
+def test_2d_samples_match_polynomial_q():
+    # samples of a quadratic q(x): spectral edge slopes along either axis are
+    # exact, so the pencil equals the polynomial-q one up to roundoff
+    gx, gy = make_grid(0.0, 1.0, 12), make_grid(-0.5, 0.7, 10)
+    coeffs = [1.3, 0.4, 0.2]
+    samples = np.repeat(P.polyval(gx.nodes, coeffs)[:, None], gy.n_pts, axis=1)
+    for kind in (H, S):
+        exact = assemble_pencil_2d(MediumProfile.polynomial(kind, coeffs), gx, gy, (2, 3))
+        sampled = assemble_pencil_2d(MediumProfile.sampled(kind, samples), gx, gy, (2, 3))
+        for A, B in ((exact.A0, sampled.A0), (exact.A1, sampled.A1), (exact.A2, sampled.A2)):
+            assert np.max(np.abs(A - B)) <= 1e-10 * np.max(np.abs(A))
 
 
 def test_from_matrices_and_norms():

@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from itpencil import MediumProfile, PencilKind, solve_spectrum
-from itpencil.discretize import DiscretePencil, assemble_pencil, make_grid
+from itpencil import MediumProfile, PencilKind, ray_scan, solve_spectrum, solve_spectrum_2d
+from itpencil.discretize import DiscretePencil, assemble_pencil, assemble_pencil_2d, make_grid
 from itpencil.exceptions import SingularAtLambdaError, SingularPencilError
 from itpencil.spectra import (
     KeldyshChain,
@@ -368,3 +368,21 @@ def test_find_reference_point_all_candidates_blocked():
     cands = np.geomspace(1.0, 100.0, 13)
     with pytest.raises(SingularAtLambdaError):
         find_reference_point(cands.astype(complex), candidates=cands)
+
+
+def test_solve_spectrum_2d_trusts_low_spectrum():
+    profile = MediumProfile.constant(PencilKind.HELMHOLTZ, 1.3)
+    sol = solve_spectrum_2d(profile, (0.0, 1.0, 0.0, 1.0), 12, 12, (1, 3))
+    assert sol.eigenvalues.size == 2 * 8 * 8
+    assert np.count_nonzero(sol.trust_mask) >= 8
+
+
+def test_2d_ray_decay():
+    # ||T(lam)^{-1}|| decays like |lam|^{-2} along rays, as in 1D
+    profile = MediumProfile.constant(PencilKind.HELMHOLTZ, 1.3)
+    grid = make_grid(0.0, 1.0, 12)
+    pencil = assemble_pencil_2d(profile, grid, grid, (0, 1))
+    radii = np.geomspace(10.0, 1e4, 13)
+    for frac in (0.0, 0.5):
+        scan = ray_scan(pencil, np.exp(1j * np.pi * frac), radii)
+        assert abs(scan.fitted_slope + 2.0) <= 0.15
