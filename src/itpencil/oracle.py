@@ -49,6 +49,9 @@ class CharacteristicFunction:
 def _ce(s, x):
     """c(s;x) = cosh(sqrt(s) x) and e(s;x) = sinh(sqrt(s) x)/sqrt(s), entire in s."""
     s = np.asarray(s, dtype=complex)
+    if x == 0.0:
+        # what the series branch gives exactly at the left endpoint
+        return np.ones(s.shape, dtype=complex), np.zeros(s.shape, dtype=complex)
     small = np.abs(s) * x * x < _SERIES_CUT
     out_c = np.empty(s.shape, dtype=complex)
     out_e = np.empty(s.shape, dtype=complex)
@@ -68,6 +71,8 @@ def _ce_ds(s, x):
     """s-derivatives of c and e; dc = (x/2) e, de has a removable 0/0 at s = 0."""
     s = np.asarray(s, dtype=complex)
     c, e = _ce(s, x)
+    if x == 0.0:
+        return c, e, e, e  # e = dc = de = 0 at the left endpoint
     dc = (x / 2.0) * e
     de = np.empty(s.shape, dtype=complex)
     small = np.abs(s) * x * x < _SERIES_CUT
@@ -81,13 +86,12 @@ def _ce_ds(s, x):
     return c, e, dc, de
 
 
-def _trace_cols(m, x, s):
-    """Traces of order m at x of the basis pair (c, e) with squared exponent s.
+def _trace_cols(m, s, c, e):
+    """Traces of order m of the basis pair with squared exponent s, given (c, e) there.
 
     d/dx maps (c, e) to (s e, c), so even orders give s^(m/2) (c, e) and odd
     orders give (s^((m+1)/2) e, s^((m-1)/2) c).
     """
-    c, e = _ce(s, x)
     if m % 2 == 0:
         k = m // 2
         return s**k * c, s**k * e
@@ -95,9 +99,8 @@ def _trace_cols(m, x, s):
     return s**k * e, s ** (k - 1) * c
 
 
-def _trace_cols_ds(m, x, s):
-    """s-derivatives of the order-m traces of the basis pair (c, e)."""
-    c, e, dc, de = _ce_ds(s, x)
+def _trace_cols_ds(m, s, c, e, dc, de):
+    """s-derivatives of the order-m traces, given (c, e) and their s-derivatives."""
     if m % 2 == 0:
         k = m // 2
         lead_c = k * s ** (k - 1) * c if k > 0 else np.zeros_like(c)
@@ -134,28 +137,29 @@ def char_det(cf, lam):
     gap = np.abs(s1 - s2) / (np.sqrt(np.abs(s1)) + np.sqrt(np.abs(s2)) + 1e-300)
     confluent = gap < _CONFLUENT_GAP * np.sqrt(1.0 + np.abs(lam_arr))
 
-    rows = [
-        (cf.bc.m1, 0.0),
-        (cf.bc.m2, 0.0),
-        (cf.bc.m1, cf.length),
-        (cf.bc.m2, cf.length),
-    ]
     M = np.empty(lam_arr.shape + (4, 4), dtype=complex)
     dist = ~confluent
-    for i, (m, x) in enumerate(rows):
-        c1, e1 = _trace_cols(m, x, s1)
-        M[..., i, 0] = c1
-        M[..., i, 1] = e1
-        if np.any(dist):
-            c2, e2 = _trace_cols(m, x, s2[dist])
-            ds = s2[dist] - s1[dist]
-            M[dist, i, 2] = (c2 - c1[dist]) / ds
-            M[dist, i, 3] = (e2 - e1[dist]) / ds
-        if np.any(confluent):
-            sbar = 0.5 * (s1[confluent] + s2[confluent])
-            dcol1, dcol2 = _trace_cols_ds(m, x, sbar)
-            M[confluent, i, 2] = dcol1
-            M[confluent, i, 3] = dcol2
+    any_dist, any_conf = np.any(dist), np.any(confluent)
+    s2d = s2[dist]
+    ds = s2d - s1[dist]
+    sbar = 0.5 * (s1[confluent] + s2[confluent])
+    # rows 0, 1 trace orders m1, m2 at x = 0; rows 2, 3 the same at x = length
+    for x, i0 in ((0.0, 0), (cf.length, 2)):
+        ce1 = _ce(s1, x)
+        ce2 = _ce(s2d, x) if any_dist else None
+        ce_ds = _ce_ds(sbar, x) if any_conf else None
+        for i, m in ((i0, cf.bc.m1), (i0 + 1, cf.bc.m2)):
+            c1, e1 = _trace_cols(m, s1, *ce1)
+            M[..., i, 0] = c1
+            M[..., i, 1] = e1
+            if any_dist:
+                c2, e2 = _trace_cols(m, s2d, *ce2)
+                M[dist, i, 2] = (c2 - c1[dist]) / ds
+                M[dist, i, 3] = (e2 - e1[dist]) / ds
+            if any_conf:
+                dcol1, dcol2 = _trace_cols_ds(m, sbar, *ce_ds)
+                M[confluent, i, 2] = dcol1
+                M[confluent, i, 3] = dcol2
     det = np.linalg.det(M)
     if np.isscalar(lam) or np.asarray(lam).ndim == 0:
         return complex(det[0])
@@ -176,12 +180,19 @@ def winding_number(cf, rect, pts_per_side=128, max_pts=4096):
     """Winding number of char_det along the rectangle boundary.
 
     Sampling doubles when a phase step is too large to be trusted; raises
-    WindingNumberError if the count never settles to an integer.
+    WindingNumberError if the count never settles to an integer.  Inside
+    find_roots the first pass reuses the boundary values of the clear check,
+    so each contour sample is evaluated once.
     """
+    return _winding(cf, rect, pts_per_side, max_pts)
+
+
+def _winding(cf, rect, pts_per_side, max_pts=4096, vals=None):
+    """winding_number, with vals (if given) the char_det values at pts_per_side."""
     pts = pts_per_side
     while pts <= max_pts:
-        z = _rect_boundary(rect, pts)
-        vals = char_det(cf, z)
+        if vals is None:
+            vals = char_det(cf, _rect_boundary(rect, pts))
         if np.any(vals == 0.0) or np.any(np.abs(vals) < 1e-280):
             raise WindingNumberError("determinant vanishes on the contour")
         ratios = np.empty_like(vals)
@@ -192,6 +203,7 @@ def winding_number(cf, rect, pts_per_side=128, max_pts=4096):
         if np.max(np.abs(dphi)) < 2.5 and abs(total - round(total)) < 0.2:
             return int(round(total))
         pts *= 2
+        vals = None
     raise WindingNumberError(f"winding number did not settle on rect {rect}")
 
 
@@ -213,10 +225,11 @@ def _newton_polish(cf, z0, mult=1, tol=1e-10, max_iter=60):
     return z, last
 
 
-def _contour_clear(cf, rect, pts_per_side=128):
-    z = _rect_boundary(rect, pts_per_side)
-    vals = np.abs(char_det(cf, z))
-    return vals.min() > 1e-13 * vals.max()
+def _clear_values(cf, rect, pts_per_side):
+    """char_det on the rectangle boundary, or None if a sample is a near-zero."""
+    vals = char_det(cf, _rect_boundary(rect, pts_per_side))
+    mag = np.abs(vals)
+    return vals if mag.min() > 1e-13 * mag.max() else None
 
 
 def _nudge_rect(rect, k):
@@ -233,15 +246,18 @@ def find_roots(cf, rect, max_roots=200, pts_per_side=128):
     rect is (re_min, re_max, im_min, im_max).  Returns a list of
     (root, multiplicity, newton_step) sorted by real part; the sum of
     multiplicities equals the winding number of the rectangle boundary.
+    Each contour sample is evaluated once: the values that show a boundary
+    clear of zeros are the first pass of its winding count.
     """
     for k in range(6):
-        if _contour_clear(cf, rect, pts_per_side):
+        vals = _clear_values(cf, rect, pts_per_side)
+        if vals is not None:
             break
         rect = _nudge_rect(rect, k)
     else:
         raise WindingNumberError("could not clear the search rectangle boundary")
 
-    total = winding_number(cf, rect, pts_per_side)
+    total = _winding(cf, rect, pts_per_side, vals=vals)
     if total > max_roots:
         raise WindingNumberError(f"{total} roots exceed max_roots={max_roots}")
     roots = []
@@ -289,11 +305,13 @@ def _split_once(cf, rect, w, pts_per_side):
                 continue
             ra = (re0, re1, im0, cut)
             rb = (re0, re1, cut, im1)
+        va = _clear_values(cf, ra, pts_per_side)
+        vb = None if va is None else _clear_values(cf, rb, pts_per_side)
+        if vb is None:
+            continue
         try:
-            if not (_contour_clear(cf, ra, pts_per_side) and _contour_clear(cf, rb, pts_per_side)):
-                continue
-            wa = winding_number(cf, ra, pts_per_side)
-            wb = winding_number(cf, rb, pts_per_side)
+            wa = _winding(cf, ra, pts_per_side, vals=va)
+            wb = _winding(cf, rb, pts_per_side, vals=vb)
         except WindingNumberError:
             continue
         if wa + wb == w:

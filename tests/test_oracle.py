@@ -7,8 +7,10 @@ from itpencil import (
     PencilKind,
     char_det,
     find_roots,
+    oracle,
     winding_number,
 )
+from itpencil.exceptions import WindingNumberError
 
 H = PencilKind.HELMHOLTZ
 S = PencilKind.SCHRODINGER
@@ -103,3 +105,96 @@ def test_q1_helmholtz_exponents():
     cf = _cf()
     lam = complex(-9.556623121614386, 13.058518053159935)
     assert abs(char_det(cf, lam)) < 1e-8
+
+
+CENSUS_RECT = (-230.0, 8.0, -105.0, 105.0)
+
+
+def test_find_roots_samples_each_contour_once(monkeypatch):
+    # the clear check's boundary values are the winding count's first pass;
+    # sampling every contour twice costs 191,614 points on this census
+    points = [0]
+    inner = oracle.char_det
+
+    def counted(cf, lam):
+        points[0] += np.size(lam)
+        return inner(cf, lam)
+
+    monkeypatch.setattr(oracle, "char_det", counted)
+    cf = _cf()
+    roots = find_roots(cf, CENSUS_RECT)
+    assert points[0] <= 100_000
+    assert sum(m for _r, m, _s in roots) == winding_number(cf, CENSUS_RECT)
+
+
+@pytest.mark.parametrize(
+    "kind,q,bc",
+    [
+        pytest.param(H, 0.5625, (0, 1), id="helmholtz-0.5625-bc01"),
+        pytest.param(H, 0.5625, (2, 3), id="helmholtz-0.5625-bc23"),
+        pytest.param(S, 0.8125, (2, 3), id="schrodinger-0.8125-bc23"),
+        pytest.param(S, 1.125, (2, 3), id="schrodinger-1.125-bc23"),
+    ],
+)
+@pytest.mark.xfail(strict=True, raises=WindingNumberError,
+                   reason="known: no consistent split of a tiny box on the real axis")
+def test_find_roots_known_split_failures(kind, q, bc):
+    find_roots(_cf(kind, q, 1.0, bc), CENSUS_RECT)
+
+
+def _mp_char_det(mp, cf, lam):
+    """char_det at 50 digits: closed-form traces, exact divided differences."""
+    with mp.workdps(50):
+        lam = mp.mpc(lam.real, lam.imag)
+        q = mp.mpf(cf.q_val)
+        s1 = lam
+        s2 = lam * (1 + 1 / q) if cf.kind is H else lam - 1 / q
+
+        def traces(m, s, x):
+            # order-m x-derivatives of cosh(r x) and sinh(r x)/r, r = sqrt(s)
+            r = mp.sqrt(s)
+            ch, sh = mp.cosh(r * x), mp.sinh(r * x)
+            if m % 2 == 0:
+                return r**m * ch, r ** (m - 1) * sh
+            return r**m * sh, r ** (m - 1) * ch
+
+        M = mp.matrix(4, 4)
+        rows = [(cf.bc.m1, 0), (cf.bc.m2, 0), (cf.bc.m1, cf.length), (cf.bc.m2, cf.length)]
+        for i, (m, x) in enumerate(rows):
+            c1, e1 = traces(m, s1, mp.mpf(x))
+            c2, e2 = traces(m, s2, mp.mpf(x))
+            M[i, 0], M[i, 1] = c1, e1
+            M[i, 2], M[i, 3] = (c2 - c1) / (s2 - s1), (e2 - e1) / (s2 - s1)
+        return complex(mp.det(M))
+
+
+@pytest.mark.parametrize("kind", [H, S], ids=lambda k: k.value)
+@pytest.mark.parametrize("bc", [(0, 1), (0, 2), (1, 3), (2, 3)], ids=lambda bc: f"bc{bc[0]}{bc[1]}")
+@pytest.mark.parametrize("q", [0.7, 1.3])
+def test_char_det_matches_mpmath(kind, bc, q):
+    mp = pytest.importorskip("mpmath")
+    cf = _cf(kind, q, 1.0, bc)
+    rng = np.random.default_rng(11)
+    lam = np.exp(rng.uniform(0.0, np.log(250.0), 8) + 1j * rng.uniform(-np.pi, np.pi, 8))
+    got = char_det(cf, lam)
+    ref = np.array([_mp_char_det(mp, cf, z) for z in lam])
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "kind,lam,rtol",
+    [
+        pytest.param(H, 1e-14 * (1 + 1j), 1e-12, id="helmholtz-tiny-lam"),
+        pytest.param(S, -1e6 + 1e-3j, 1e-7, id="schrodinger-large-lam"),
+    ],
+)
+def test_char_det_confluent_branch_matches_mpmath(kind, lam, rtol):
+    # exponent gap far below the confluence threshold: float64 takes the
+    # s-derivative columns, mpmath the exact divided differences
+    mp = pytest.importorskip("mpmath")
+    cf = _cf(kind, 1.3, 1.0, (0, 1))
+    s1, s2 = oracle._factor_params(cf, lam)
+    gap = abs(s1 - s2) / (np.sqrt(abs(s1)) + np.sqrt(abs(s2)))
+    assert gap < oracle._CONFLUENT_GAP * np.sqrt(1.0 + abs(lam))
+    ref = _mp_char_det(mp, cf, lam)
+    assert abs(char_det(cf, lam) - ref) / abs(ref) < rtol
