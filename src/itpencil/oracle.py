@@ -13,6 +13,12 @@ the determinant is a single-valued entire function of lam: no branch cuts
 across the negative axis (where the zeros live) and no spurious zeros at
 exponent collisions, because the divided-difference columns degenerate
 smoothly to s-derivative columns (the confluent t e^{rt} solutions).
+
+find_roots isolates zeros by argument-principle bisection of rectangles.  A
+rectangle of winding number one is not bisected further: the first contour
+moment (1/2 pi i) contour integral of z f'/f dz, computed from the boundary
+values its winding count already has, is the zero up to quadrature error
+and starts Newton (Delves & Lyness, Math. Comp. 21, 1967).
 """
 
 from __future__ import annotations
@@ -195,16 +201,41 @@ def _winding(cf, rect, pts_per_side, max_pts=4096, vals=None):
             vals = char_det(cf, _rect_boundary(rect, pts))
         if np.any(vals == 0.0) or np.any(np.abs(vals) < 1e-280):
             raise WindingNumberError("determinant vanishes on the contour")
-        ratios = np.empty_like(vals)
-        ratios[:-1] = vals[1:] / vals[:-1]
-        ratios[-1] = vals[0] / vals[-1]
-        dphi = np.angle(ratios)
+        dphi = np.angle(_ratios(vals))
         total = dphi.sum() / (2.0 * np.pi)
         if np.max(np.abs(dphi)) < 2.5 and abs(total - round(total)) < 0.2:
             return int(round(total))
         pts *= 2
         vals = None
     raise WindingNumberError(f"winding number did not settle on rect {rect}")
+
+
+def _ratios(vals):
+    """f(z_{k+1}) / f(z_k) around the closed contour; their angles are the phase steps."""
+    ratios = np.empty_like(vals)
+    ratios[:-1] = vals[1:] / vals[:-1]
+    ratios[-1] = vals[0] / vals[-1]
+    return ratios
+
+
+def _first_moment(z, vals):
+    """(1/2 pi i) contour integral of z f'/f dz for a contour of winding one.
+
+    z are the contour points in order, vals the values of f there.  By parts,
+    the moment is z_0 - (1/2 pi i) contour integral of log f dz, with log f
+    unwrapped from the phase steps and closed with log f(z_0) + 2 pi i; the
+    trapezoid rule runs over the polygon.  For one simple zero the moment is
+    the zero.  Returns None when a phase step fails the unwrap test of
+    _winding.
+    """
+    ratios = _ratios(vals)
+    if np.max(np.abs(np.angle(ratios))) >= 2.5:
+        return None
+    # log f - log f(z_0) at z_0..z_{N-1}, then closed by the winding
+    logf = np.concatenate(([0.0], np.cumsum(np.log(ratios[:-1])), [2j * np.pi]))
+    dz = np.diff(np.append(z, z[0]))
+    integral = np.sum(0.5 * (logf[:-1] + logf[1:]) * dz)
+    return complex(z[0] - integral / (2j * np.pi))
 
 
 def _newton_polish(cf, z0, mult=1, tol=1e-10, max_iter=60):
@@ -247,7 +278,13 @@ def find_roots(cf, rect, max_roots=200, pts_per_side=128):
     (root, multiplicity, newton_step) sorted by real part; the sum of
     multiplicities equals the winding number of the rectangle boundary.
     Each contour sample is evaluated once: the values that show a boundary
-    clear of zeros are the first pass of its winding count.
+    clear of zeros are the first pass of its winding count.  A box of
+    winding one goes straight to Newton, started from its first contour
+    moment on those values.  The root is kept if every phase step passes the
+    unwrap test, Newton converges and the root lies in the box; otherwise the
+    box is split like any other.  Boxes of winding two or more are split
+    until they fall below the floor diameter, then polished with a
+    multiplicity-corrected Newton step.
     """
     for k in range(6):
         vals = _clear_values(cf, rect, pts_per_side)
@@ -261,7 +298,7 @@ def find_roots(cf, rect, max_roots=200, pts_per_side=128):
     if total > max_roots:
         raise WindingNumberError(f"{total} roots exceed max_roots={max_roots}")
     roots = []
-    _subdivide(cf, rect, total, roots, pts_per_side)
+    _subdivide(cf, rect, total, roots, pts_per_side, vals)
     roots = _merge_close(roots)
     roots.sort(key=lambda r: (r[0].real, r[0].imag))
     return roots
@@ -290,7 +327,10 @@ _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39, 0.55, 0.45, 0.635, 
 
 
 def _split_once(cf, rect, w, pts_per_side):
-    """Split a rectangle so that child windings sum to the parent's."""
+    """Split a rectangle so that child windings sum to the parent's.
+
+    Returns (rect, winding, boundary values) for each child.
+    """
     re0, re1, im0, im1 = rect
     wide = (re1 - re0) >= (im1 - im0)
     for frac in _SPLIT_FRACTIONS:
@@ -315,29 +355,39 @@ def _split_once(cf, rect, w, pts_per_side):
         except WindingNumberError:
             continue
         if wa + wb == w:
-            return (ra, wa), (rb, wb)
+            return (ra, wa, va), (rb, wb, vb)
     raise WindingNumberError(f"could not split rectangle {rect} consistently")
 
 
-def _subdivide(cf, rect, w, roots, pts_per_side):
+def _inside(rect, z):
+    re0, re1, im0, im1 = rect
+    return re0 - 1e-12 <= z.real <= re1 + 1e-12 and im0 - 1e-12 <= z.imag <= im1 + 1e-12
+
+
+def _subdivide(cf, rect, w, roots, pts_per_side, vals):
+    """Isolate and polish the w zeros in rect; vals are its boundary values."""
     if w == 0:
         return
+    if w == 1:
+        # one simple zero: Newton from the first moment, no new contour samples
+        z0 = _first_moment(_rect_boundary(rect, pts_per_side), vals)
+        if z0 is not None:
+            root, step = _newton_polish(cf, z0)
+            if step <= 1e-10 * (1.0 + abs(root)) and _inside(rect, root):
+                roots.append((root, 1, step))
+                return
     re0, re1, im0, im1 = rect
     center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
     diam = max(re1 - re0, im1 - im0)
     floor = diam <= 1e-5 * (1.0 + abs(center))
     if floor or (w == 1 and diam <= 0.05 * (1.0 + abs(center))):
         root, step = _newton_polish(cf, center, mult=w)
-        inside = (
-            re0 - 1e-12 <= root.real <= re1 + 1e-12
-            and im0 - 1e-12 <= root.imag <= im1 + 1e-12
-        )
-        if inside:
+        if _inside(rect, root):
             roots.append((root, w, step))
             return
         if floor:
             # Newton refuses to stay in an already tiny box
             raise WindingNumberError(f"root escaped its isolating box near {center}")
-    (ra, wa), (rb, wb) = _split_once(cf, rect, w, pts_per_side)
-    _subdivide(cf, ra, wa, roots, pts_per_side)
-    _subdivide(cf, rb, wb, roots, pts_per_side)
+    (ra, wa, va), (rb, wb, vb) = _split_once(cf, rect, w, pts_per_side)
+    _subdivide(cf, ra, wa, roots, pts_per_side, va)
+    _subdivide(cf, rb, wb, roots, pts_per_side, vb)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,10 +33,13 @@ class CompanionOperator:
     blocks: tuple
     source: DiscretePencil
 
-    @property
+    @functools.cached_property
     def matrix(self):
+        """The block matrix, built on first access and shared read-only after."""
         (b00, b01), (b10, b11) = self.blocks
-        return np.block([[b00, b01], [b10, b11]])
+        A = np.block([[b00, b01], [b10, b11]])
+        A.flags.writeable = False
+        return A
 
     @property
     def dim(self):
@@ -317,8 +321,9 @@ def keldysh_from_jordan(comp, pencil, jordan_chain, lambda0, tol=1e-6):
     anorm = np.linalg.norm(A, ord=np.inf)
     if r0 > tol * scale * max(anorm, 1.0):
         raise ValueError("first vector is not a companion eigenvector")
+    shifted = A - lambda0 * np.eye(2 * n)
     for j in range(1, len(xs)):
-        r = np.linalg.norm((A - lambda0 * np.eye(2 * n)) @ xs[j] - xs[j - 1])
+        r = np.linalg.norm(shifted @ xs[j] - xs[j - 1])
         if r > tol * scale * max(anorm, 1.0):
             raise ValueError(f"Jordan relation violated at position {j}")
     us = [x[:n] for x in xs]

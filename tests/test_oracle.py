@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from itpencil import (
     BoundaryPair,
@@ -59,9 +60,11 @@ def test_scaling_law_interval_length():
     rect_l = (rect[0] / L**2, 5.0, rect[2] / L**2, rect[3] / L**2)
     scaled = find_roots(_cf(length=L), rect_l, max_roots=40)
     assert len(base) == len(scaled)
-    b = np.sort_complex(np.array([r for r, _m, _s in base]))
-    s = np.sort_complex(np.array([r for r, _m, _s in scaled]))
-    assert np.max(np.abs(b / L**2 - s) / (1.0 + np.abs(s))) < 1e-9
+    b = np.array([r for r, _m, _s in base]) / L**2
+    s = np.array([r for r, _m, _s in scaled])
+    # bijective nearest match: sorting swaps conjugates whose real parts tie
+    i, j = linear_sum_assignment(np.abs(b[:, None] - s[None, :]))
+    assert np.max(np.abs(b[i] - s[j]) / (1.0 + np.abs(s[j]))) < 1e-9
 
 
 def test_confluent_fallback_matches_distinct_limit():
@@ -110,9 +113,8 @@ def test_q1_helmholtz_exponents():
 CENSUS_RECT = (-230.0, 8.0, -105.0, 105.0)
 
 
-def test_find_roots_samples_each_contour_once(monkeypatch):
-    # the clear check's boundary values are the winding count's first pass;
-    # sampling every contour twice costs 191,614 points on this census
+def _count_points(monkeypatch):
+    """Route oracle.char_det through a counter of evaluated points."""
     points = [0]
     inner = oracle.char_det
 
@@ -121,10 +123,29 @@ def test_find_roots_samples_each_contour_once(monkeypatch):
         return inner(cf, lam)
 
     monkeypatch.setattr(oracle, "char_det", counted)
+    return points
+
+
+def test_find_roots_samples_each_contour_once(monkeypatch):
+    # the clear check's boundary values are the winding count's first pass,
+    # and a box of winding one starts Newton from its first moment on them;
+    # sampling every contour twice costs 191,614 points on this census, and
+    # shrinking single-root boxes to diameter 0.05 (1 + |c|) first 95,870
+    points = _count_points(monkeypatch)
     cf = _cf()
     roots = find_roots(cf, CENSUS_RECT)
-    assert points[0] <= 100_000
+    assert points[0] <= 30_000
     assert sum(m for _r, m, _s in roots) == winding_number(cf, CENSUS_RECT)
+
+
+def test_first_moment_locates_simple_zero():
+    # (1/2 pi i) contour integral of z f'/f dz is the zero itself
+    a = 0.3 + 0.2j
+    rect = (-1.0, 2.0, -1.5, 1.0)
+    diam = 3.0
+    z = oracle._rect_boundary(rect, 128)
+    est = oracle._first_moment(z, (z - a) * np.exp(z / 7.0))
+    assert abs(est - a) < 1e-3 * diam
 
 
 @pytest.mark.parametrize(
@@ -142,30 +163,34 @@ def test_find_roots_known_split_failures(kind, q, bc):
     find_roots(_cf(kind, q, 1.0, bc), CENSUS_RECT)
 
 
+def _mp_det(mp, cf, lam):
+    """char_det at the working precision, for an mpc lam."""
+    q = mp.mpf(cf.q_val)
+    s1 = lam
+    s2 = lam * (1 + 1 / q) if cf.kind is H else lam - 1 / q
+
+    def traces(m, s, x):
+        # order-m x-derivatives of cosh(r x) and sinh(r x)/r, r = sqrt(s)
+        r = mp.sqrt(s)
+        ch, sh = mp.cosh(r * x), mp.sinh(r * x)
+        if m % 2 == 0:
+            return r**m * ch, r ** (m - 1) * sh
+        return r**m * sh, r ** (m - 1) * ch
+
+    M = mp.matrix(4, 4)
+    rows = [(cf.bc.m1, 0), (cf.bc.m2, 0), (cf.bc.m1, cf.length), (cf.bc.m2, cf.length)]
+    for i, (m, x) in enumerate(rows):
+        c1, e1 = traces(m, s1, mp.mpf(x))
+        c2, e2 = traces(m, s2, mp.mpf(x))
+        M[i, 0], M[i, 1] = c1, e1
+        M[i, 2], M[i, 3] = (c2 - c1) / (s2 - s1), (e2 - e1) / (s2 - s1)
+    return mp.det(M)
+
+
 def _mp_char_det(mp, cf, lam):
     """char_det at 50 digits: closed-form traces, exact divided differences."""
     with mp.workdps(50):
-        lam = mp.mpc(lam.real, lam.imag)
-        q = mp.mpf(cf.q_val)
-        s1 = lam
-        s2 = lam * (1 + 1 / q) if cf.kind is H else lam - 1 / q
-
-        def traces(m, s, x):
-            # order-m x-derivatives of cosh(r x) and sinh(r x)/r, r = sqrt(s)
-            r = mp.sqrt(s)
-            ch, sh = mp.cosh(r * x), mp.sinh(r * x)
-            if m % 2 == 0:
-                return r**m * ch, r ** (m - 1) * sh
-            return r**m * sh, r ** (m - 1) * ch
-
-        M = mp.matrix(4, 4)
-        rows = [(cf.bc.m1, 0), (cf.bc.m2, 0), (cf.bc.m1, cf.length), (cf.bc.m2, cf.length)]
-        for i, (m, x) in enumerate(rows):
-            c1, e1 = traces(m, s1, mp.mpf(x))
-            c2, e2 = traces(m, s2, mp.mpf(x))
-            M[i, 0], M[i, 1] = c1, e1
-            M[i, 2], M[i, 3] = (c2 - c1) / (s2 - s1), (e2 - e1) / (s2 - s1)
-        return complex(mp.det(M))
+        return complex(_mp_det(mp, cf, mp.mpc(lam.real, lam.imag)))
 
 
 @pytest.mark.parametrize("kind", [H, S], ids=lambda k: k.value)
@@ -198,3 +223,22 @@ def test_char_det_confluent_branch_matches_mpmath(kind, lam, rtol):
     assert gap < oracle._CONFLUENT_GAP * np.sqrt(1.0 + abs(lam))
     ref = _mp_char_det(mp, cf, lam)
     assert abs(char_det(cf, lam) - ref) / abs(ref) < rtol
+
+
+@pytest.mark.parametrize("kind", [H, S], ids=lambda k: k.value)
+@pytest.mark.parametrize("bc", [(0, 1), (1, 3)], ids=lambda bc: f"bc{bc[0]}{bc[1]}")
+def test_find_roots_match_mpmath_newton(kind, bc):
+    # each simple census root is a fixed point of Newton on the 50-digit
+    # determinant: two steps from it move it by at most 1e-10 relative
+    mp = pytest.importorskip("mpmath")
+    cf = _cf(kind, 1.3, 1.0, bc)
+    simple = [r for r, m, _s in find_roots(cf, CENSUS_RECT) if m == 1 and abs(r) >= 1.0]
+    assert simple
+    with mp.workdps(50):
+        h = mp.mpf("1e-20")
+        for r in simple:
+            z = mp.mpc(r.real, r.imag)
+            for _ in range(2):
+                deriv = (_mp_det(mp, cf, z + h) - _mp_det(mp, cf, z - h)) / (2 * h)
+                z -= _mp_det(mp, cf, z) / deriv
+            assert abs(r - complex(z)) / abs(complex(z)) < 1e-10

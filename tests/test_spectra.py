@@ -70,6 +70,12 @@ def test_linearize_blocks():
     assert np.max(np.abs(G[N:, :N] + A0)) <= 1e-12
 
 
+def test_companion_matrix_built_once():
+    comp = linearize(_scalar(2.0, -3.0, 1.0))
+    assert comp.matrix is comp.matrix
+    assert not comp.matrix.flags.writeable
+
+
 def test_linearize_rejects_singular_a2():
     with pytest.raises(SingularPencilError):
         linearize(
