@@ -348,6 +348,13 @@ def _build_pencil(cfg, solve=False):
     return assemble_pencil(*_pencil_spec(cfg)), None
 
 
+def _poles(pencil, sol):
+    """The solution's trusted eigenvalues, or every eigenvalue of an unsolved pencil."""
+    if sol is not None:
+        return sol.trusted_eigenvalues
+    return sp.eigen(sp.linearize(pencil)).eigenvalues
+
+
 def _solve_from(cfg, refine=True):
     if refine and cfg["pencil"]["q"]["type"] == "samples":
         raise ConfigError("q samples fit the base grid only; sampled q needs "
@@ -522,10 +529,7 @@ def cmd_resolvent_scan(cfg, args, out):
         cc = cfg["circles"]
         if not cc["r_min"] < cc["r_max"]:
             raise ConfigError("circles need r_min < r_max")
-        if sol is not None:
-            eigs = sol.trusted_eigenvalues
-        else:
-            eigs = sp.eigen(sp.linearize(pencil)).eigenvalues
+        eigs = _poles(pencil, sol)
         circle_radii = rv.pole_avoiding_radii(eigs, cc["r_min"], cc["r_max"])
         rep = rv.circle_growth_scan(
             pencil, circle_radii, cc["p"],
@@ -679,10 +683,7 @@ def cmd_laurent(cfg, args, out):
     if "eigenvalues" in cfg:
         eigs = np.array([_l2c(v) for v in cfg["eigenvalues"]])
     elif cfg["use_trusted"]:
-        if sol is not None:
-            eigs = sol.trusted_eigenvalues
-        else:
-            eigs = sp.eigen(sp.linearize(pencil)).eigenvalues
+        eigs = _poles(pencil, sol)
 
     data = rv.laurent_coefficients(
         pencil, lam0, cfg["radius"],

@@ -15,6 +15,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .exceptions import SingularPencilError
 from .symbols import BoundaryPair, PencilKind
@@ -194,12 +195,12 @@ class DiscretePencil:
     A0: np.ndarray
     A1: np.ndarray
     A2: np.ndarray
+    mass: np.ndarray
     kind: PencilKind | None = None
     bc: BoundaryPair | None = None
     grid: object = None
     weights: np.ndarray | None = None
     basis: np.ndarray | None = None
-    mass: np.ndarray | None = None
     _scale_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -213,7 +214,7 @@ class DiscretePencil:
         A0 = np.atleast_2d(np.asarray(A0))
         A1 = np.atleast_2d(np.asarray(A1))
         A2 = np.atleast_2d(np.asarray(A2))
-        return cls(A0=A0, A1=A1, A2=A2)
+        return cls(A0=A0, A1=A1, A2=A2, mass=np.eye(A0.shape[0]))
 
     @property
     def dim(self):
@@ -234,49 +235,35 @@ class DiscretePencil:
         return max(n0 + a * n1 + a * a * n2, 1e-300)
 
     def _scaling(self):
+        """(S, S^{-1}) with S the symmetric square root of the mass."""
         if "sqrt" not in self._scale_cache:
-            if self.mass is None:
-                self._scale_cache["sqrt"] = (None, None)
-            else:
-                vals, vecs = np.linalg.eigh(self.mass)
-                if vals.min() <= 0:
-                    raise SingularPencilError("mass matrix not positive definite")
-                S = (vecs * np.sqrt(vals)) @ vecs.T
-                Sinv = (vecs / np.sqrt(vals)) @ vecs.T
-                self._scale_cache["sqrt"] = (S, Sinv)
+            vals, vecs = np.linalg.eigh(self.mass)
+            if vals.min() <= 0:
+                raise SingularPencilError("mass matrix not positive definite")
+            S = (vecs * np.sqrt(vals)) @ vecs.T
+            Sinv = (vecs / np.sqrt(vals)) @ vecs.T
+            self._scale_cache["sqrt"] = (S, Sinv)
         return self._scale_cache["sqrt"]
+
+    def _companion_scaling(self):
+        """(S2, S2^{-1}) on companion state pairs: S2 = diag(S, S^{-1}).
+
+        The first companion coordinate holds coefficient vectors, the second
+        holds weak-form (mass-multiplied) vectors.
+        """
+        if "companion" not in self._scale_cache:
+            S, Sinv = self._scaling()
+            self._scale_cache["companion"] = (block_diag(S, Sinv), block_diag(Sinv, S))
+        return self._scale_cache["companion"]
 
     def vector_norm(self, u):
         """Quadrature L2 norm of a recombined coefficient vector."""
         u = np.asarray(u)
-        if self.mass is None:
-            return float(np.linalg.norm(u))
         return float(np.sqrt(abs(np.vdot(u, self.mass @ u))))
 
-    def operator_norm(self, G):
-        """Operator norm of G under the quadrature inner product."""
-        S, Sinv = self._scaling()
-        if S is None:
-            return float(np.linalg.norm(G, 2))
-        return float(np.linalg.norm(S @ G @ Sinv, 2))
-
     def companion_norm(self, G):
-        """Operator norm of a 2N x 2N block matrix on companion state pairs.
-
-        The first companion coordinate holds coefficient vectors, the second
-        holds weak-form (mass-multiplied) vectors, so the scaling is S on the
-        first block and S^{-1} on the second.
-        """
-        S, Sinv = self._scaling()
-        if S is None:
-            return float(np.linalg.norm(G, 2))
-        n = self.dim
-        S2 = np.zeros((2 * n, 2 * n))
-        S2inv = np.zeros((2 * n, 2 * n))
-        S2[:n, :n] = S
-        S2[n:, n:] = Sinv
-        S2inv[:n, :n] = Sinv
-        S2inv[n:, n:] = S
+        """Operator norm of a 2N x 2N block matrix on companion state pairs."""
+        S2, S2inv = self._companion_scaling()
         return float(np.linalg.norm(S2 @ G @ S2inv, 2))
 
     def prolong(self, u):

@@ -275,8 +275,10 @@ def find_roots(cf, rect, max_roots=200, pts_per_side=128):
     """All zeros of char_det in a rectangle, by argument principle bisection.
 
     rect is (re_min, re_max, im_min, im_max).  Returns a list of
-    (root, multiplicity, newton_step) sorted by real part; the sum of
-    multiplicities equals the winding number of the rectangle boundary.
+    (root, multiplicity, newton_step) sorted by real part, and by imaginary
+    part among roots whose real parts agree to the Newton tolerance (a
+    conjugate pair); the sum of multiplicities equals the winding number of
+    the rectangle boundary.
     Each contour sample is evaluated once: the values that show a boundary
     clear of zeros are the first pass of its winding count.  A box of
     winding one goes straight to Newton, started from its first contour
@@ -299,9 +301,22 @@ def find_roots(cf, rect, max_roots=200, pts_per_side=128):
         raise WindingNumberError(f"{total} roots exceed max_roots={max_roots}")
     roots = []
     _subdivide(cf, rect, total, roots, pts_per_side, vals)
-    roots = _merge_close(roots)
-    roots.sort(key=lambda r: (r[0].real, r[0].imag))
-    return roots
+    return _sorted_roots(_merge_close(roots))
+
+
+def _sorted_roots(roots, rtol=1e-10):
+    """Roots by real part, runs of real parts within rtol by imaginary part.
+
+    The real parts of a conjugate pair agree only to roundoff, so sorting on
+    them alone lets the last bit decide which partner comes first.
+    """
+    runs = []
+    for r in sorted(roots, key=lambda r: r[0].real):
+        if runs and r[0].real - runs[-1][0][0].real <= rtol * (1.0 + abs(r[0])):
+            runs[-1].append(r)
+        else:
+            runs.append([r])
+    return [r for run in runs for r in sorted(run, key=lambda r: r[0].imag)]
 
 
 def _merge_close(roots, rtol=1e-7):

@@ -2,8 +2,9 @@
 
 Everything here consumes a DiscretePencil (or its companion form) and a list of
 trusted eigenvalues produced by the spectra module.  Every sampled T(lam)^{-1}
-or (A - lam)^{-1} passes the one conditioning check in _sigma_min first, and
-samples are evaluated in order in the calling thread.
+or (A - lam)^{-1}, the Carleman circle and probe samples included, passes the
+one conditioning check in _sigma_min first, and samples are evaluated in order
+in the calling thread.
 """
 
 import math
@@ -27,9 +28,7 @@ _COND_CAP = 1e14
 def _dual_scaled(pencil, M):
     # T(lam) is a weak-form matrix (coefficients in, mass-multiplied vectors
     # out), so its solution operator carries sqrt-mass factors on both sides.
-    S, Sinv = pencil._scaling()
-    if S is None:
-        return M
+    _, Sinv = pencil._scaling()
     return Sinv @ M @ Sinv
 
 
@@ -61,6 +60,17 @@ def resolvent_norm(pencil, lam):
     return 1.0 / _sigma_min(_dual_scaled(pencil, pencil.T(lam)), lam)
 
 
+def _resolvent_norms(pencil, lams):
+    """resolvent_norm at each sample in order, NaN where the check fails."""
+    norms = np.empty(len(lams))
+    for k, lam in enumerate(lams):
+        try:
+            norms[k] = resolvent_norm(pencil, lam)
+        except SingularAtLambdaError:
+            norms[k] = np.nan
+    return norms
+
+
 @dataclass(frozen=True)
 class RayScan:
     direction: complex
@@ -88,13 +98,9 @@ def ray_scan(pencil, direction, radii):
     if d.real < 0 and abs(d.imag) < 1e-12:
         raise ValueError("ray along the negative real axis hits the pole set")
 
-    def one(r):
-        try:
-            return resolvent_norm(pencil, r * d)
-        except SingularAtLambdaError as exc:
-            raise PoleOnRayError(f"pole on ray at radius {r}") from exc
-
-    norms = np.array([one(r) for r in radii])
+    norms = _resolvent_norms(pencil, [r * d for r in radii])
+    if np.isnan(norms).any():
+        raise PoleOnRayError(f"pole on ray at radius {radii[np.isnan(norms)][0]}")
     top = radii >= radii[-1] / 10.0
     if top.sum() < 2:
         top = np.ones_like(top)
@@ -219,11 +225,14 @@ def carleman_check(comp, wp, circle_radius, n_samples=64):
     rather than asserted.
     """
     M = comp.matrix if hasattr(comp, "matrix") else np.asarray(comp)
-    pencil = getattr(comp, "source", None)
-    n = M.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(M.shape[0])
     lamp = wp.lambda_prime
-    Rp, _ = _checked_inverse(M - lamp * eye, f"lambda_prime {lamp}")
+    # ||(Id - K)^{-1}|| in the companion norm is 1/sigma_min of S2 (Id - K) S2^-1
+    # = Id - (lam - lam') P, so each sample needs one SVD and no inverse
+    P, _ = _checked_inverse(M - lamp * eye, f"lambda_prime {lamp}")
+    if hasattr(comp, "source"):
+        S2, S2inv = comp.source._companion_scaling()
+        P = S2 @ P @ S2inv
 
     r = float(circle_radius)
     if r < 0:
@@ -238,16 +247,11 @@ def carleman_check(comp, wp, circle_radius, n_samples=64):
         if abs(z - lamp) <= r:
             probes.extend([z + 1e-3, z - 1e-3, z + 1e-3j, z - 1e-3j])
 
-    def one(lam):
+    logs = []
+    for lam in samples + probes:
         lg = log_phi(wp, lam)
-        if lg is None:
-            return -np.inf
-        A = eye - (lam - lamp) * Rp
-        Ainv = np.linalg.inv(A)
-        nrm = pencil.companion_norm(Ainv) if pencil is not None else np.linalg.norm(Ainv, 2)
-        return lg.real + math.log(nrm)
-
-    logs = [one(lam) for lam in samples + probes]
+        logs.append(-np.inf if lg is None
+                    else lg.real - math.log(_sigma_min(eye - (lam - lamp) * P, lam)))
     circle_logs = logs[: len(samples)]
     probe_logs = logs[len(samples) :]
     s_p = wp.zero_sum()
@@ -318,13 +322,12 @@ def circle_growth_scan(pencil, radii, p, epsilon=0.1, n_theta=64, eigenvalues=No
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
     ring = np.exp(1j * theta)
 
-    def one(r):
-        try:
-            return max(math.log(resolvent_norm(pencil, r * w)) for w in ring)
-        except SingularAtLambdaError as exc:
-            raise PoleOnRayError(f"circle of radius {r} touches a pole") from exc
-
-    max_logs = np.array([one(r) for r in radii])
+    norms = _resolvent_norms(pencil, [r * w for r in radii for w in ring])
+    norms = norms.reshape(radii.size, n_theta)
+    touching = np.isnan(norms).any(axis=1)
+    if touching.any():
+        raise PoleOnRayError(f"circle of radius {radii[touching][0]} touches a pole")
+    max_logs = np.array([max(math.log(x) for x in row) for row in norms])
     if moduli is not None and moduli.size:
         dists = np.min(np.abs(moduli[:, None] - radii[None, :]), axis=0)
     else:
@@ -470,18 +473,12 @@ def t_infinity_estimate(pencil, radius, n_samples=256, eigenvalues=None,
     theta = 2 * np.pi * np.arange(n_samples) / n_samples
     ring = r * np.exp(1j * theta)
 
-    def one(lam):
-        try:
-            return max(math.log(resolvent_norm(pencil, lam)), 0.0)
-        except SingularAtLambdaError:
-            return None
-
-    vals = [one(lam) for lam in ring]
-    good = [v for v in vals if v is not None]
-    masked = len(vals) - len(good)
-    if masked > 0.05 * len(vals):
+    norms = _resolvent_norms(pencil, ring)
+    good = [max(math.log(x), 0.0) for x in norms[~np.isnan(norms)]]
+    masked = len(norms) - len(good)
+    if masked > 0.05 * len(norms):
         raise MaskedSampleError(
-            f"{masked} of {len(vals)} circle samples sit near poles"
+            f"{masked} of {len(norms)} circle samples sit near poles"
         )
     avg = float(np.mean(good)) if good else 0.0
 

@@ -150,8 +150,7 @@ def eigen(comp, lambda_prime=0.0, reference=None, trust_rtol=_TRUST_RTOL,
           residual_tol=_RESIDUAL_TOL):
     """Dense eigendecomposition of the companion operator with trust flags.
 
-    reference, when given, is a refined-grid eigenvalue array (or another
-    EigenSolution, whose trusted eigenvalues are used); an eigenvalue is
+    reference, when given, is a refined-grid eigenvalue array; an eigenvalue is
     trusted when it has a reference partner within trust_rtol relative
     distance and its own pencil residual is small.  Without a reference only
     the residual filter applies.
@@ -167,11 +166,7 @@ def eigen(comp, lambda_prime=0.0, reference=None, trust_rtol=_TRUST_RTOL,
     trust = residuals <= residual_tol
     ref = None
     if reference is not None:
-        ref = np.asarray(
-            reference.trusted_eigenvalues
-            if isinstance(reference, EigenSolution)
-            else reference
-        )
+        ref = np.asarray(reference)
         if ref.size:
             dist = np.abs(lam[:, None] - ref[None, :]).min(axis=1)
             trust &= dist <= trust_rtol * (1.0 + np.abs(lam))
@@ -504,8 +499,6 @@ def completeness_residual(eig, pencil, f, m):
         raise ValueError(f"only {len(eig.clusters)} trusted clusters available")
     X = chain_matrix(eig, m)
     S, _ = pencil._scaling()
-    if S is None:
-        S = np.eye(pencil.dim)
     fs = S @ np.asarray(f, dtype=complex)
     Xs = S @ X
     sol, res, rank, sv = np.linalg.lstsq(Xs, fs, rcond=None)

@@ -242,6 +242,27 @@ def _confluent_det(m1, m2, r):
     return a1 * b2 - a2 * b1
 
 
+def _decaying_roots(kind, q_val, xi_prime_sq, lam):
+    """Decaying roots (r2, r4), real at lam = 0, and whether they coincide.
+
+    They coincide at lam = 0 for both forms and for every lam in the
+    Schroedinger form, where the confluent basis (c2 + c4 t) e^{r t} applies.
+    """
+    if lam == 0:
+        r2 = -math.sqrt(xi_prime_sq)
+        return r2, r2, True
+    if kind is PencilKind.SCHRODINGER:
+        r2 = complex(-np.sqrt(complex(lam + xi_prime_sq)))
+        return r2, r2, True
+    if kind is PencilKind.HELMHOLTZ:
+        if q_val <= 0.0:
+            raise ValueError("q must be positive")
+        r2 = -np.sqrt(complex(lam + xi_prime_sq))
+        r4 = -np.sqrt(complex(lam * (1.0 + 1.0 / q_val) + xi_prime_sq))
+        return r2, r4, False
+    raise ValueError(f"unknown pencil kind: {kind!r}")
+
+
 def lopatinsky_determinant(kind, bc, q_val, xi_prime_sq, lam):
     """Boundary determinant deciding unique solvability on the half line.
 
@@ -260,19 +281,10 @@ def lopatinsky_determinant(kind, bc, q_val, xi_prime_sq, lam):
     if abs(lam) + xi_prime_sq == 0.0:
         raise DegenerateInputError("(xi', lam) = (0, 0) is excluded")
 
-    if lam == 0:
-        s = math.sqrt(xi_prime_sq)
-        return complex(_confluent_det(m1, m2, -s))
-    if kind is PencilKind.SCHRODINGER:
-        r2 = -np.sqrt(complex(lam + xi_prime_sq))
-        return complex(_confluent_det(m1, m2, complex(r2)))
-    if kind is PencilKind.HELMHOLTZ:
-        if q_val <= 0.0:
-            raise ValueError("q must be positive")
-        r2 = -np.sqrt(complex(lam + xi_prime_sq))
-        r4 = -np.sqrt(complex(lam * (1.0 + 1.0 / q_val) + xi_prime_sq))
-        return complex(r2**m1 * r4**m2 - r2**m2 * r4**m1)
-    raise ValueError(f"unknown pencil kind: {kind!r}")
+    r2, r4, confluent = _decaying_roots(kind, q_val, xi_prime_sq, lam)
+    if confluent:
+        return complex(_confluent_det(m1, m2, r2))
+    return complex(r2**m1 * r4**m2 - r2**m2 * r4**m1)
 
 
 def check_condition2(kind, bc, q_range, cone, samples=2000, seed=0, tolerance=1e-9):
@@ -311,16 +323,8 @@ def check_condition2(kind, bc, q_range, cone, samples=2000, seed=0, tolerance=1e
 
 def _row_scale(kind, bc, q_val, xi_prime_sq, lam):
     """Product of the 2-norms of the two boundary rows at a sample."""
-    if lam == 0:
-        r2 = r4 = complex(-math.sqrt(xi_prime_sq))
-        confluent = True
-    elif kind is PencilKind.SCHRODINGER:
-        r2 = r4 = complex(-np.sqrt(complex(lam + xi_prime_sq)))
-        confluent = True
-    else:
-        r2 = complex(-np.sqrt(complex(lam + xi_prime_sq)))
-        r4 = complex(-np.sqrt(complex(lam * (1.0 + 1.0 / q_val) + xi_prime_sq)))
-        confluent = False
+    r2, r4, confluent = _decaying_roots(kind, q_val, xi_prime_sq, lam)
+    r2, r4 = complex(r2), complex(r4)
 
     def row_norm(m):
         if confluent:

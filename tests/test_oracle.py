@@ -138,6 +138,17 @@ def test_find_roots_samples_each_contour_once(monkeypatch):
     assert sum(m for _r, m, _s in roots) == winding_number(cf, CENSUS_RECT)
 
 
+def test_find_roots_orders_conjugate_pairs_by_imaginary_part():
+    # the partners' real parts differ in the last bits; sorting on (re, im)
+    # put the upper partner first in two of this census's four pairs
+    roots = [r for r, _m, _s in find_roots(_cf(), CENSUS_RECT)]
+    assert np.all(np.diff([r.real for r in roots]) >= -1e-10 * (1.0 + np.abs(roots[1:])))
+    pairs = [(a, b) for a, b in zip(roots, roots[1:])
+             if abs(a.real - b.real) <= 1e-10 * (1.0 + abs(a))]
+    assert len(pairs) == 4
+    assert all(a.imag < b.imag for a, b in pairs)
+
+
 def test_first_moment_locates_simple_zero():
     # (1/2 pi i) contour integral of z f'/f dz is the zero itself
     a = 0.3 + 0.2j

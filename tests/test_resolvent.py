@@ -270,6 +270,18 @@ _SINGULAR_CASES = {
         WeierstrassProduct(lambda_prime=2.0, zeros=np.array([-2.0]), p=1.0),
         1.0,
     ),
+    # the circle |lam| = 2 has its first node at lam = 2, a pole that the
+    # product (zero at -2 only) does not cancel; then the pole 1e-15 off it
+    "carleman_check_circle_on_pole": lambda: carleman_check(
+        np.diag([2.0 + 0j, -2.0 + 0j]),
+        WeierstrassProduct(lambda_prime=0.0, zeros=np.array([-2.0]), p=1.0),
+        2.0,
+    ),
+    "carleman_check_circle_near_pole": lambda: carleman_check(
+        np.diag([2.0 + 1e-15j, -2.0 + 0j]),
+        WeierstrassProduct(lambda_prime=0.0, zeros=np.array([-2.0]), p=1.0),
+        2.0,
+    ),
     # T(lam) = diag(lam, 1); the contour |lam - 1| = 1 has a node at lam = 0
     "laurent_coefficients": lambda: laurent_coefficients(
         DiscretePencil.from_matrices(
