@@ -224,15 +224,15 @@ class DiscretePencil:
         return self.A0 + lam * self.A1 + lam**2 * self.A2
 
     def coefficient_scale(self, lam):
-        """Norm scale of T(lam), used to make residuals relative."""
+        """Norm scale of T(lam), used to make residuals relative; lam may be an array."""
         key = "coeff_norms"
         if key not in self._scale_cache:
             self._scale_cache[key] = tuple(
                 float(np.linalg.norm(M, 2)) for M in (self.A0, self.A1, self.A2)
             )
         n0, n1, n2 = self._scale_cache[key]
-        a = abs(lam)
-        return max(n0 + a * n1 + a * a * n2, 1e-300)
+        a = np.abs(lam)
+        return np.maximum(n0 + a * n1 + a * a * n2, 1e-300)
 
     def _scaling(self):
         """(S, S^{-1}) with S the symmetric square root of the mass."""
@@ -244,6 +244,14 @@ class DiscretePencil:
             Sinv = (vecs / np.sqrt(vals)) @ vecs.T
             self._scale_cache["sqrt"] = (S, Sinv)
         return self._scale_cache["sqrt"]
+
+    def _scaled_T(self, lam):
+        """S^{-1} T(lam) S^{-1}, from the scaled coefficients cached per pencil."""
+        if "scaled" not in self._scale_cache:
+            _, Sinv = self._scaling()
+            self._scale_cache["scaled"] = [Sinv @ M @ Sinv for M in (self.A0, self.A1, self.A2)]
+        B0, B1, B2 = self._scale_cache["scaled"]
+        return B0 + lam * B1 + lam**2 * B2
 
     def _companion_scaling(self):
         """(S2, S2^{-1}) on companion state pairs: S2 = diag(S, S^{-1}).

@@ -4,7 +4,9 @@ Everything here consumes a DiscretePencil (or its companion form) and a list of
 trusted eigenvalues produced by the spectra module.  Every sampled T(lam)^{-1}
 or (A - lam)^{-1}, the Carleman circle and probe samples included, passes the
 one conditioning check in _sigma_min first, and samples are evaluated in order
-in the calling thread.
+in the calling thread.  A pencil sample is checked in mass-scaled form,
+B0 + lam B1 + lam^2 B2 with B_k = S^{-1} A_k S^{-1} cached once per pencil
+(DiscretePencil._scaled_T), so no sample pays for scaling products.
 """
 
 import math
@@ -25,13 +27,6 @@ from .spectra import linearize, pencil_derivatives
 _COND_CAP = 1e14
 
 
-def _dual_scaled(pencil, M):
-    # T(lam) is a weak-form matrix (coefficients in, mass-multiplied vectors
-    # out), so its solution operator carries sqrt-mass factors on both sides.
-    _, Sinv = pencil._scaling()
-    return Sinv @ M @ Sinv
-
-
 def _sigma_min(X, where):
     """Smallest singular value of X, which must be finite, positive and at
     most a factor 1e14 below the largest; else SingularAtLambdaError at `where`.
@@ -42,12 +37,12 @@ def _sigma_min(X, where):
     return float(sv[-1])
 
 
-def _checked_inverse(X, where, pencil=None):
-    """LU inverse of X and its checked sigma_min; with a pencil, X is a weak-form
-    T(lam) and the check runs on its mass-scaled form, _dual_scaled(pencil, X).
+def _checked_inverse(X, where, check=None):
+    """LU inverse of X once `check` (X itself by default) passes _sigma_min;
+    a weak-form T(lam) is checked in mass-scaled form, pencil._scaled_T(lam).
     """
-    smin = _sigma_min(X if pencil is None else _dual_scaled(pencil, X), where)
-    return np.linalg.inv(X), smin
+    _sigma_min(X if check is None else check, where)
+    return np.linalg.inv(X)
 
 
 def resolvent_norm(pencil, lam):
@@ -57,7 +52,7 @@ def resolvent_norm(pencil, lam):
     matrix; this is the quadrature L2 operator norm of the inverse and is
     stable under grid refinement.
     """
-    return 1.0 / _sigma_min(_dual_scaled(pencil, pencil.T(lam)), lam)
+    return 1.0 / _sigma_min(pencil._scaled_T(lam), lam)
 
 
 def _resolvent_norms(pencil, lams):
@@ -119,17 +114,15 @@ def companion_block_inverse_check(pencil, lam, slack=1e-12):
     ||T(lam)^{-1}|| <= ||(A - lam)^{-1}|| in the weighted norms, where
     ||S T^{-1} S|| = 1/sigma_min(S^{-1} T S^{-1}) comes from the check itself.
     """
-    Tinv, smin = _checked_inverse(pencil.T(lam), lam, pencil)
-    A1 = pencil.A1.astype(complex)
-    A2 = pencil.A2.astype(complex)
-    B = A1 + lam * A2
+    tnorm = resolvent_norm(pencil, lam)
+    Tinv = np.linalg.inv(pencil.T(lam))
+    A2 = pencil.A2
+    B = pencil.A1 + lam * A2
     TB = Tinv @ B
     block = np.block([[-TB, -Tinv], [A2 - lam * (A2 @ TB), -lam * (A2 @ Tinv)]])
-    comp = linearize(pencil)
-    M = comp.matrix - lam * np.eye(2 * pencil.dim)
+    M = linearize(pencil).matrix - lam * np.eye(2 * pencil.dim)
     E = M @ block - np.eye(2 * pencil.dim)
     err = float(np.abs(E).max() / (1.0 + np.abs(M).max() * np.abs(block).max()))
-    tnorm = 1.0 / smin
     anorm = pencil.companion_norm(block)
     if tnorm > anorm * (1.0 + slack) + slack:
         raise BoundViolationError(
@@ -146,10 +139,10 @@ def resolvent_identity_check(comp, lam, lam_prime):
     M = comp.matrix if hasattr(comp, "matrix") else np.asarray(comp)
     n = M.shape[0]
     eye = np.eye(n)
-    R, _ = _checked_inverse(M - lam * eye, lam)
-    Rp, _ = _checked_inverse(M - lam_prime * eye, lam_prime)
+    R = _checked_inverse(M - lam * eye, lam)
+    Rp = _checked_inverse(M - lam_prime * eye, lam_prime)
     where = f"expansion from {lam_prime} to {lam}"
-    rhs = Rp @ _checked_inverse(eye - (lam - lam_prime) * Rp, where)[0]
+    rhs = Rp @ _checked_inverse(eye - (lam - lam_prime) * Rp, where)
     return float(np.linalg.norm(R - rhs, 2) / np.linalg.norm(R, 2))
 
 
@@ -229,7 +222,7 @@ def carleman_check(comp, wp, circle_radius, n_samples=64):
     lamp = wp.lambda_prime
     # ||(Id - K)^{-1}|| in the companion norm is 1/sigma_min of S2 (Id - K) S2^-1
     # = Id - (lam - lam') P, so each sample needs one SVD and no inverse
-    P, _ = _checked_inverse(M - lamp * eye, f"lambda_prime {lamp}")
+    P = _checked_inverse(M - lamp * eye, f"lambda_prime {lamp}")
     if hasattr(comp, "source"):
         S2, S2inv = comp.source._companion_scaling()
         P = S2 @ P @ S2inv
@@ -403,7 +396,7 @@ def laurent_coefficients(pencil, lambda0, radius, n_coeffs=4, n_quad=256,
     ring = r * np.exp(1j * theta)
 
     invs = np.array(
-        [_checked_inverse(pencil.T(lam), lam, pencil)[0] for lam in lam0 + ring]
+        [_checked_inverse(pencil.T(lam), lam, pencil._scaled_T(lam)) for lam in lam0 + ring]
     )
 
     orders = np.arange(-(n_coeffs + 1), n_coeffs + 1)

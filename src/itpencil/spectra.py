@@ -28,6 +28,7 @@ class CompanionOperator:
 
     Acting on stacked vectors (u, v) with v = lam * A2 u at an eigenvalue, so
     the ordinary spectrum of the block matrix is exactly the pencil spectrum.
+    The blocks have the pencil's dtype: a real pencil has a real matrix.
     """
 
     blocks: tuple
@@ -47,16 +48,20 @@ class CompanionOperator:
 
 
 def linearize(pencil):
-    """Companion operator of the pencil; requires invertible A2."""
+    """Companion operator of the pencil, in its dtype; requires invertible A2.
+
+    A real pencil is thus eigensolved in real arithmetic, with exact conjugate pairs.
+    """
     n = pencil.dim
     A2 = pencil.A2
     cond = np.linalg.cond(A2)
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularPencilError(f"A2 is numerically singular (cond {cond:.2e})")
+    dtype = np.result_type(pencil.A0, pencil.A1, A2, np.float64)
     A2inv = np.linalg.solve(A2, np.eye(n, dtype=A2.dtype))
     blocks = (
-        (np.zeros((n, n), dtype=complex), A2inv.astype(complex)),
-        ((-pencil.A0).astype(complex), (-pencil.A1 @ A2inv).astype(complex)),
+        (np.zeros((n, n), dtype=dtype), A2inv.astype(dtype)),
+        ((-pencil.A0).astype(dtype), (-pencil.A1 @ A2inv).astype(dtype)),
     )
     return CompanionOperator(blocks=blocks, source=pencil)
 
@@ -111,20 +116,13 @@ class EigenSolution:
         return None
 
 
-def _pencil_residual(pencil, lam, u):
-    nu = pencil.vector_norm(u)
-    if nu == 0.0:
-        return np.inf
-    r = pencil.vector_norm(pencil.T(lam) @ u)
-    return r / (nu * pencil.coefficient_scale(lam))
-
-
 def _eig_residuals(comp):
     """The one dense eigensolve of a companion operator, in LAPACK order.
 
     Returns the eigenvalues, the pencil-space components scaled to unit
-    weighted norm (one column per eigenvalue) and each eigenvalue's pencil
-    residual relative to the coefficient scale.
+    weighted norm (one column per eigenvalue) and each eigenvalue's residual
+    ||T(lam) u||_M / (||u||_M coefficient_scale(lam)), from A0 U + (A1 U) L
+    + (A2 U) L^2 (L = diag(lam)) for all columns at once; inf if u is negligible.
     """
     pencil = comp.source
     try:
@@ -133,17 +131,18 @@ def _eig_residuals(comp):
         raise EigensolverError(str(exc)) from exc
     if not np.all(np.isfinite(lam)):
         raise EigensolverError("eigensolver returned non-finite eigenvalues")
-    U = W[: pencil.dim, :].copy()
+
+    def norms(X):
+        return np.sqrt(np.abs(np.sum(X.conj() * (pencil.mass @ X), axis=0)))
+
+    nu = norms(W[: pencil.dim])
     # eigenvectors can concentrate in the v block; rescale u when usable
-    residuals = np.empty(lam.shape[0])
-    for j in range(lam.shape[0]):
-        nu = pencil.vector_norm(U[:, j])
-        if nu > 1e-12 * np.linalg.norm(W[:, j]):
-            U[:, j] /= nu
-            residuals[j] = _pencil_residual(pencil, lam[j], U[:, j])
-        else:
-            residuals[j] = np.inf
-    return lam, U, residuals
+    usable = nu > 1e-12 * np.linalg.norm(W, axis=0)
+    U = W[: pencil.dim] / np.where(usable, nu, 1.0)
+    R = pencil.A0 @ U + (pencil.A1 @ U) * lam + (pencil.A2 @ U) * lam**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = norms(R) / (norms(U) * pencil.coefficient_scale(lam))
+    return lam, U, np.where(usable, rel, np.inf)
 
 
 def eigen(comp, lambda_prime=0.0, reference=None, trust_rtol=_TRUST_RTOL,
@@ -182,7 +181,7 @@ def eigen(comp, lambda_prime=0.0, reference=None, trust_rtol=_TRUST_RTOL,
         right_u=U,
         residuals=residuals,
         trust_mask=trust,
-        clusters=_build_clusters(comp, pencil, lam, U, trust, trust_rtol),
+        clusters=_build_clusters(comp, pencil, lam, U, residuals, trust, trust_rtol),
         lambda_prime=complex(lambda_prime),
         pencil=pencil,
         companion=comp,
@@ -190,11 +189,12 @@ def eigen(comp, lambda_prime=0.0, reference=None, trust_rtol=_TRUST_RTOL,
     )
 
 
-def _build_clusters(comp, pencil, lam, U, trust, rtol):
+def _build_clusters(comp, pencil, lam, U, residuals, trust, rtol):
     """Union-find clustering of trusted eigenvalues, plus chain construction.
 
     A simple eigenvalue's chain is its normalized companion eigenvector
-    block U[:, i]; only multiple clusters need a Schur decomposition.
+    block U[:, i], whose one chain residual is its eigen residual; only
+    multiple clusters need a Schur decomposition.
     """
     idx = [int(i) for i in np.flatnonzero(trust)]
     parent = {i: i for i in idx}
@@ -221,9 +221,8 @@ def _build_clusters(comp, pencil, lam, U, trust, rtol):
         vals = lam[members]
         center = complex(vals.mean())
         if len(members) == 1:
-            chain = KeldyshChain(lambda0=center, vectors=[U[:, members[0]]])
-            chain.residuals = verify_chain(pencil, chain)
-            chains = [chain]
+            chains = [KeldyshChain(lambda0=center, vectors=[U[:, members[0]]],
+                                   residuals=[float(residuals[members[0]])])]
         else:
             diam = float(np.abs(vals - center).max())
             chains = _cluster_chains(comp, pencil, center, len(members), diam, rtol)

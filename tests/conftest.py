@@ -1,6 +1,14 @@
+import numpy as np
 import pytest
 
 from itpencil import MediumProfile, PencilKind, solve_spectrum
+
+
+def pytest_configure(config):
+    # a real array that silently drops an imaginary part fails the run;
+    # numpy < 1.25 has no numpy.exceptions and keeps the class at top level
+    warning = getattr(np, "exceptions", np).ComplexWarning
+    config.addinivalue_line("filterwarnings", f"error::{warning.__module__}.{warning.__name__}")
 
 
 @pytest.fixture(scope="session")

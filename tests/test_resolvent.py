@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from itpencil import MediumProfile, PencilKind
+from itpencil import MediumProfile, PencilKind, solve_spectrum
 from itpencil.discretize import DiscretePencil, assemble_pencil, make_grid
 from itpencil.exceptions import (
     ClusterAmbiguityError,
@@ -52,6 +52,26 @@ def test_resolvent_norm_blows_up_near_pole():
     seq = [resolvent_norm(pen, -1.0 + 10.0 ** (-k)) for k in (2, 3, 4)]
     assert seq[0] < seq[1] < seq[2]
     assert seq[2] > 1e3
+
+
+def test_cached_scaled_coefficients_match_explicit_scaling():
+    # resolvent_norm samples B0 + lam B1 + lam^2 B2 with B_k = S^-1 A_k S^-1
+    # cached per pencil; the explicit S^-1 T(lam) S^-1 differs by rounding,
+    # which moves sigma_min by at most about eps ||X|| = eps cond(X) sigma_min
+    profile = MediumProfile.constant(PencilKind.HELMHOLTZ, 1.3)
+    sol = solve_spectrum(profile, 0.0, 1.0, 64, (0, 1))
+    pen = sol.pencil
+    _, Sinv = pen._scaling()
+    radii = np.geomspace(10.0, 1000.0, 40)
+    lams = [r * np.exp(1j * np.pi * f) for f in (0.0, 0.25, 0.5, 0.75) for r in radii]
+    ring = np.exp(2j * np.pi * np.arange(64) / 64)
+    circles = pole_avoiding_radii(sol.trusted_eigenvalues, 8.0, 1024.0)
+    lams += [r * w for r in circles for w in ring]
+    eps = np.finfo(float).eps
+    for lam in lams:
+        sv = np.linalg.svd(Sinv @ pen.T(lam) @ Sinv, compute_uv=False)
+        rel = abs(resolvent_norm(pen, lam) * sv[-1] - 1.0)
+        assert rel <= eps * sv[0] / sv[-1], lam
 
 
 def test_resolvent_norm_rejects_singular_point():

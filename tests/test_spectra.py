@@ -167,6 +167,40 @@ def test_simple_chain_residual_is_eigen_residual(h48):
             assert res == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+def test_real_pencil_linearizes_in_real_arithmetic(h48):
+    # a real pencil gets a real companion matrix, so the eigensolve keeps
+    # every conjugate pair exact
+    assert linearize(h48.pencil).matrix.dtype == np.float64
+    lam = h48.eigenvalues
+    assert np.array_equal(np.sort_complex(lam), np.sort_complex(lam.conj()))
+
+
+def test_complex_pencil_linearizes_complex():
+    rng = np.random.default_rng(5)
+    A0, A1 = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2))
+    comp = linearize(DiscretePencil.from_matrices(A0, A1, np.eye(4)))
+    assert comp.matrix.dtype == np.complex128
+
+
+def _columnwise_residuals(sol):
+    pen = sol.pencil
+    return np.array([
+        pen.vector_norm(pen.T(lam) @ u) / (pen.vector_norm(u) * pen.coefficient_scale(lam))
+        for lam, u in zip(sol.eigenvalues, sol.right_u.T)
+    ])
+
+
+@pytest.mark.parametrize("case", ["h48", "2d"])
+def test_batched_residuals_equal_columnwise_formula(case, request):
+    if case == "h48":
+        sol = request.getfixturevalue("h48")
+    else:
+        profile = MediumProfile.constant(PencilKind.HELMHOLTZ, 1.3)
+        sol = solve_spectrum_2d(profile, (0.0, 1.0, 0.0, 1.0), 8, 8, (0, 1))
+    ref = _columnwise_residuals(sol)
+    assert np.abs(sol.residuals - ref).max() <= 1e-12
+
+
 def test_keldysh_from_eigenpair(h48):
     pen, comp = h48.pencil, h48.companion
     j = int(np.flatnonzero(h48.trust_mask)[0])
