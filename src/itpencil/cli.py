@@ -178,7 +178,11 @@ _SCHEMAS = {
             "m_values": {
                 "anyOf": [
                     {"const": "auto"},
-                    {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                    {
+                        "type": "array",
+                        "items": {"type": "integer", "minimum": 1},
+                        "minItems": 1,
+                    },
                 ]
             },
             "residual_tol": {"type": "number", "exclusiveMinimum": 0, "default": 0.1},
@@ -329,47 +333,46 @@ def _pencil_spec(cfg):
     return profile, grid, bc
 
 
-def _build_pencil(cfg, solve=False):
-    """Scalar or assembled pencil from a validated config, and its solution.
+def _given(section, *keys):
+    """The keys a config section sets, passed on so the library keeps its defaults."""
+    return {k: section[k] for k in keys if k in section}
 
-    With solve=True a pencil section is solved by _solve_from and the
-    solution's base-grid pencil is returned; otherwise the solution is None.
+
+def _source(cfg, poles=True, refine=True):
+    """The config's pencil, its EigenSolution or None, and its poles or None.
+
+    Listed "eigenvalues" are the poles as written.  Otherwise, when poles are
+    wanted, a pencil section is solved (on two grids unless refine is off) and
+    gives its trusted eigenvalues, and a scalar fixture gives all of its
+    eigenvalues.  A pencil section that need not be solved is only assembled.
     """
     if "scalar" in cfg and "pencil" in cfg:
         raise ConfigError("give either a pencil section or a scalar fixture, not both")
+    listed = None
+    if "eigenvalues" in cfg:
+        listed = np.array([_l2c(v) for v in cfg["eigenvalues"]])
     if "scalar" in cfg:
         a0, a1, a2 = cfg["scalar"]
-        return DiscretePencil.from_matrices([[a0]], [[a1]], [[a2]]), None
+        pencil = DiscretePencil.from_matrices([[a0]], [[a1]], [[a2]])
+        if poles and listed is None:
+            return pencil, None, sp.eigen(sp.linearize(pencil)).eigenvalues
+        return pencil, None, listed
     if "pencil" not in cfg:
         raise ConfigError("config needs a pencil section or a scalar fixture")
-    if solve:
-        sol = _solve_from(cfg)
-        return sol.pencil, sol
-    return assemble_pencil(*_pencil_spec(cfg)), None
-
-
-def _poles(pencil, sol):
-    """The solution's trusted eigenvalues, or every eigenvalue of an unsolved pencil."""
-    if sol is not None:
-        return sol.trusted_eigenvalues
-    return sp.eigen(sp.linearize(pencil)).eigenvalues
-
-
-def _solve_from(cfg, refine=True):
+    if listed is not None or not poles:
+        return assemble_pencil(*_pencil_spec(cfg)), None, listed
     if refine and cfg["pencil"]["q"]["type"] == "samples":
         raise ConfigError("q samples fit the base grid only; sampled q needs "
                           "spectrum --no-refine (no two-grid solve)")
     profile, grid, bc = _pencil_spec(cfg)
     lp = cfg.get("lambda_prime", "auto")
-    if lp != "auto":
-        lp = _l2c(lp)
+    lp = lp if lp == "auto" else _l2c(lp)
     if refine:
-        return sp.solve_spectrum(
-            profile, grid.a, grid.b, grid.n_pts, bc,
-            refine_increment=cfg.get("refine_increment", 8),
-            lambda_prime=lp,
-        )
-    return sp.eigen(sp.linearize(assemble_pencil(profile, grid, bc)), lambda_prime=lp)
+        sol = sp.solve_spectrum(profile, grid.a, grid.b, grid.n_pts, bc,
+                                lambda_prime=lp, **_given(cfg, "refine_increment"))
+    else:
+        sol = sp.eigen(sp.linearize(assemble_pencil(profile, grid, bc)), lambda_prime=lp)
+    return sol.pencil, sol, sol.trusted_eigenvalues
 
 
 def cmd_check_ellipticity(cfg, args, out):
@@ -415,7 +418,7 @@ def cmd_check_ellipticity(cfg, args, out):
 
 
 def cmd_spectrum(cfg, args, out):
-    sol = _solve_from(cfg, refine=args.refine)
+    _, sol, _ = _source(cfg, refine=args.refine)
 
     mult = {}
     chain_len = {}
@@ -501,10 +504,12 @@ def cmd_spectrum(cfg, args, out):
 
 
 def cmd_resolvent_scan(cfg, args, out):
-    pencil, sol = _build_pencil(cfg, solve="circles" in cfg)
+    pencil, _, eigs = _source(cfg, poles="circles" in cfg)
     rmin, rmax, count = cfg["radii"]
     if not rmin < rmax:
         raise ConfigError("radii must satisfy r_min < r_max")
+    if int(count) < 2:
+        raise ConfigError("radii need a count of at least 2")
     radii = np.geomspace(rmin, rmax, int(count))
 
     files = []
@@ -529,13 +534,10 @@ def cmd_resolvent_scan(cfg, args, out):
         cc = cfg["circles"]
         if not cc["r_min"] < cc["r_max"]:
             raise ConfigError("circles need r_min < r_max")
-        eigs = _poles(pencil, sol)
         circle_radii = rv.pole_avoiding_radii(eigs, cc["r_min"], cc["r_max"])
         rep = rv.circle_growth_scan(
-            pencil, circle_radii, cc["p"],
-            epsilon=cc.get("epsilon", 0.1),
-            n_theta=cc.get("n_theta", 64),
-            eigenvalues=eigs,
+            pencil, circle_radii, cc["p"], eigenvalues=eigs,
+            **_given(cc, "epsilon", "n_theta"),
         )
         name = "circles.csv"
         _write_csv(
@@ -555,21 +557,16 @@ def cmd_resolvent_scan(cfg, args, out):
 
 
 def cmd_counting(cfg, args, out):
-    if "eigenvalues" in cfg:
-        if "pencil" in cfg:
-            raise ConfigError("give either a pencil or an eigenvalue list, not both")
-        eig = np.array([_l2c(v) for v in cfg["eigenvalues"]])
-        lp = cfg.get("lambda_prime", [0.0, 0.0])
-        if lp == "auto":
-            lp = sp.find_reference_point(eig)
-        else:
-            lp = _l2c(lp)
-        report = sp.counting(eig, lp, cfg["p"], cfg["t_values"])
-    elif "pencil" in cfg:
-        sol = _solve_from(cfg)
+    if ("eigenvalues" in cfg) == ("pencil" in cfg):
+        raise ConfigError("give exactly one of a pencil section and an eigenvalue list")
+    if "pencil" in cfg:
+        _, sol, _ = _source(cfg)
         report = sp.counting(sol, sol.lambda_prime, cfg["p"], cfg["t_values"])
     else:
-        raise ConfigError("config needs a pencil section or an eigenvalue list")
+        eig = np.array([_l2c(v) for v in cfg["eigenvalues"]])
+        lp = cfg.get("lambda_prime", [0.0, 0.0])
+        lp = sp.find_reference_point(eig) if lp == "auto" else _l2c(lp)
+        report = sp.counting(eig, lp, cfg["p"], cfg["t_values"])
 
     rows = []
     for i, t in enumerate(report.t_values):
@@ -593,8 +590,7 @@ def cmd_counting(cfg, args, out):
 
 
 def cmd_completeness(cfg, args, out):
-    sol = _solve_from(cfg)
-    pencil = sol.pencil
+    pencil, sol, _ = _source(cfg)
     n_clusters = len(sol.clusters)
     if n_clusters == 0:
         raise PencilError("no trusted clusters to project on")
@@ -675,18 +671,9 @@ def cmd_oracle(cfg, args, out):
 
 
 def cmd_laurent(cfg, args, out):
-    pencil, sol = _build_pencil(
-        cfg, solve="eigenvalues" not in cfg and cfg["use_trusted"]
-    )
-    lam0 = _l2c(cfg["lambda0"])
-    eigs = None
-    if "eigenvalues" in cfg:
-        eigs = np.array([_l2c(v) for v in cfg["eigenvalues"]])
-    elif cfg["use_trusted"]:
-        eigs = _poles(pencil, sol)
-
+    pencil, _, eigs = _source(cfg, poles=cfg["use_trusted"])
     data = rv.laurent_coefficients(
-        pencil, lam0, cfg["radius"],
+        pencil, _l2c(cfg["lambda0"]), cfg["radius"],
         n_coeffs=cfg["n_coeffs"], n_quad=cfg["n_quad"],
         eigenvalues=eigs,
     )

@@ -124,6 +124,8 @@ class MediumProfile:
                 )
         else:
             raise ValueError(f"unknown q type: {self.q_type!r}")
+        if not np.all(np.isfinite(qv)):
+            raise ValueError("q must be finite everywhere")
         lo = self.q_min if self.q_min is not None else float(qv.min())
         hi = self.q_max if self.q_max is not None else float(qv.max())
         if lo <= 0.0:

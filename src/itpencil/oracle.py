@@ -32,6 +32,8 @@ from .symbols import BoundaryPair, PencilKind
 
 _SERIES_CUT = 1e-6  # switch c, e, de to power series below |s| x^2 of this size
 _CONFLUENT_GAP = 1e-6  # exponent-gap threshold for the confluent columns
+_PTS_PER_SIDE = 128  # contour samples per rectangle side on a first pass
+_MAX_PTS = 4096  # cap on the doubled samples per side of a winding count
 
 
 @dataclass(frozen=True)
@@ -182,21 +184,22 @@ def _rect_boundary(rect, pts_per_side):
     return np.concatenate([bottom, right, top, left])
 
 
-def winding_number(cf, rect, pts_per_side=128, max_pts=4096):
+def winding_number(cf, rect):
     """Winding number of char_det along the rectangle boundary.
 
-    Sampling doubles when a phase step is too large to be trusted; raises
+    Sampling starts at _PTS_PER_SIDE (128) points per side and doubles, up to
+    _MAX_PTS (4096), when a phase step is too large to be trusted; raises
     WindingNumberError if the count never settles to an integer.  Inside
     find_roots the first pass reuses the boundary values of the clear check,
     so each contour sample is evaluated once.
     """
-    return _winding(cf, rect, pts_per_side, max_pts)
+    return _winding(cf, rect)
 
 
-def _winding(cf, rect, pts_per_side, max_pts=4096, vals=None):
-    """winding_number, with vals (if given) the char_det values at pts_per_side."""
-    pts = pts_per_side
-    while pts <= max_pts:
+def _winding(cf, rect, vals=None):
+    """winding_number, with vals (if given) the char_det values at _PTS_PER_SIDE."""
+    pts = _PTS_PER_SIDE
+    while pts <= _MAX_PTS:
         if vals is None:
             vals = char_det(cf, _rect_boundary(rect, pts))
         if np.any(vals == 0.0) or np.any(np.abs(vals) < 1e-280):
@@ -256,9 +259,9 @@ def _newton_polish(cf, z0, mult=1, tol=1e-10, max_iter=60):
     return z, last
 
 
-def _clear_values(cf, rect, pts_per_side):
+def _clear_values(cf, rect):
     """char_det on the rectangle boundary, or None if a sample is a near-zero."""
-    vals = char_det(cf, _rect_boundary(rect, pts_per_side))
+    vals = char_det(cf, _rect_boundary(rect, _PTS_PER_SIDE))
     mag = np.abs(vals)
     return vals if mag.min() > 1e-13 * mag.max() else None
 
@@ -271,7 +274,7 @@ def _nudge_rect(rect, k):
     return (re0 - dre, re1 + dre, im0 - dim, im1 + dim)
 
 
-def find_roots(cf, rect, max_roots=200, pts_per_side=128):
+def find_roots(cf, rect, max_roots=200):
     """All zeros of char_det in a rectangle, by argument principle bisection.
 
     rect is (re_min, re_max, im_min, im_max).  Returns a list of
@@ -280,27 +283,28 @@ def find_roots(cf, rect, max_roots=200, pts_per_side=128):
     conjugate pair); the sum of multiplicities equals the winding number of
     the rectangle boundary.
     Each contour sample is evaluated once: the values that show a boundary
-    clear of zeros are the first pass of its winding count.  A box of
-    winding one goes straight to Newton, started from its first contour
-    moment on those values.  The root is kept if every phase step passes the
-    unwrap test, Newton converges and the root lies in the box; otherwise the
-    box is split like any other.  Boxes of winding two or more are split
+    clear of zeros, _PTS_PER_SIDE (128) per side, are the first pass of its
+    winding count, which doubles them up to _MAX_PTS (4096) if needed.  A
+    box of winding one goes straight to Newton, started from its first
+    contour moment on those values.  The root is kept if every phase step
+    passes the unwrap test, Newton converges and the root lies in the box;
+    otherwise the box is split like any other.  Boxes of winding two or more are split
     until they fall below the floor diameter, then polished with a
     multiplicity-corrected Newton step.
     """
     for k in range(6):
-        vals = _clear_values(cf, rect, pts_per_side)
+        vals = _clear_values(cf, rect)
         if vals is not None:
             break
         rect = _nudge_rect(rect, k)
     else:
         raise WindingNumberError("could not clear the search rectangle boundary")
 
-    total = _winding(cf, rect, pts_per_side, vals=vals)
+    total = _winding(cf, rect, vals)
     if total > max_roots:
         raise WindingNumberError(f"{total} roots exceed max_roots={max_roots}")
     roots = []
-    _subdivide(cf, rect, total, roots, pts_per_side, vals)
+    _subdivide(cf, rect, total, roots, vals)
     return _sorted_roots(_merge_close(roots))
 
 
@@ -341,7 +345,7 @@ def _merge_close(roots, rtol=1e-7):
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39, 0.55, 0.45, 0.635, 0.365)
 
 
-def _split_once(cf, rect, w, pts_per_side):
+def _split_once(cf, rect, w):
     """Split a rectangle so that child windings sum to the parent's.
 
     Returns (rect, winding, boundary values) for each child.
@@ -360,13 +364,13 @@ def _split_once(cf, rect, w, pts_per_side):
                 continue
             ra = (re0, re1, im0, cut)
             rb = (re0, re1, cut, im1)
-        va = _clear_values(cf, ra, pts_per_side)
-        vb = None if va is None else _clear_values(cf, rb, pts_per_side)
+        va = _clear_values(cf, ra)
+        vb = None if va is None else _clear_values(cf, rb)
         if vb is None:
             continue
         try:
-            wa = _winding(cf, ra, pts_per_side, vals=va)
-            wb = _winding(cf, rb, pts_per_side, vals=vb)
+            wa = _winding(cf, ra, va)
+            wb = _winding(cf, rb, vb)
         except WindingNumberError:
             continue
         if wa + wb == w:
@@ -379,13 +383,13 @@ def _inside(rect, z):
     return re0 - 1e-12 <= z.real <= re1 + 1e-12 and im0 - 1e-12 <= z.imag <= im1 + 1e-12
 
 
-def _subdivide(cf, rect, w, roots, pts_per_side, vals):
+def _subdivide(cf, rect, w, roots, vals):
     """Isolate and polish the w zeros in rect; vals are its boundary values."""
     if w == 0:
         return
     if w == 1:
         # one simple zero: Newton from the first moment, no new contour samples
-        z0 = _first_moment(_rect_boundary(rect, pts_per_side), vals)
+        z0 = _first_moment(_rect_boundary(rect, _PTS_PER_SIDE), vals)
         if z0 is not None:
             root, step = _newton_polish(cf, z0)
             if step <= 1e-10 * (1.0 + abs(root)) and _inside(rect, root):
@@ -403,6 +407,6 @@ def _subdivide(cf, rect, w, roots, pts_per_side, vals):
         if floor:
             # Newton refuses to stay in an already tiny box
             raise WindingNumberError(f"root escaped its isolating box near {center}")
-    (ra, wa, va), (rb, wb, vb) = _split_once(cf, rect, w, pts_per_side)
-    _subdivide(cf, ra, wa, roots, pts_per_side, va)
-    _subdivide(cf, rb, wb, roots, pts_per_side, vb)
+    (ra, wa, va), (rb, wb, vb) = _split_once(cf, rect, w)
+    _subdivide(cf, ra, wa, roots, va)
+    _subdivide(cf, rb, wb, roots, vb)

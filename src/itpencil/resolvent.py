@@ -103,7 +103,7 @@ def ray_scan(pencil, direction, radii):
     return RayScan(direction=d, radii=radii, norms=norms, fitted_slope=float(slope))
 
 
-def companion_block_inverse_check(pencil, lam, slack=1e-12):
+def companion_block_inverse_check(pencil, lam):
     """Verify the closed-form block inverse of the companion operator.
 
     Assembles
@@ -112,7 +112,8 @@ def companion_block_inverse_check(pencil, lam, slack=1e-12):
     multiplies it against (A - lam), and returns the max entrywise error
     relative to the factor magnitudes.  Also checks the norm inequality
     ||T(lam)^{-1}|| <= ||(A - lam)^{-1}|| in the weighted norms, where
-    ||S T^{-1} S|| = 1/sigma_min(S^{-1} T S^{-1}) comes from the check itself.
+    ||S T^{-1} S|| = 1/sigma_min(S^{-1} T S^{-1}) comes from the check itself,
+    up to a relative and absolute slack of 1e-12.
     """
     tnorm = resolvent_norm(pencil, lam)
     Tinv = np.linalg.inv(pencil.T(lam))
@@ -124,7 +125,7 @@ def companion_block_inverse_check(pencil, lam, slack=1e-12):
     E = M @ block - np.eye(2 * pencil.dim)
     err = float(np.abs(E).max() / (1.0 + np.abs(M).max() * np.abs(block).max()))
     anorm = pencil.companion_norm(block)
-    if tnorm > anorm * (1.0 + slack) + slack:
+    if tnorm > anorm * (1.0 + 1e-12) + 1e-12:
         raise BoundViolationError(
             f"||T^-1|| = {tnorm:.6e} exceeds ||(A-lam)^-1|| = {anorm:.6e}"
         )
@@ -259,12 +260,12 @@ def carleman_check(comp, wp, circle_radius, n_samples=64):
     }
 
 
-def pole_avoiding_radii(eigenvalues, r_min, r_max, n_candidates=128, min_gap_factor=1e-3):
+def pole_avoiding_radii(eigenvalues, r_min, r_max, n_candidates=128):
     """Pick one radius per dyadic band of [r_min, r_max], far from pole moduli.
 
     Within each band the candidate maximizing the distance to every |eigenvalue|
-    wins.  A band whose best candidate still sits closer than min_gap_factor
-    times its radius to a pole modulus has no admissible radius.
+    wins.  A band whose best candidate still sits closer than 1e-3 times its
+    radius to a pole modulus has no admissible radius.
     """
     if r_min <= 0 or r_max <= r_min:
         raise ValueError("need 0 < r_min < r_max")
@@ -280,7 +281,7 @@ def pole_avoiding_radii(eigenvalues, r_min, r_max, n_candidates=128, min_gap_fac
         else:
             score = np.full(cand.shape, np.inf)
         best = int(np.argmax(score))
-        if score[best] < min_gap_factor * cand[best]:
+        if score[best] < 1e-3 * cand[best]:
             raise PoleOnRayError(
                 f"no admissible radius in band [{lo:.3g}, {hi:.3g}]"
             )
@@ -451,14 +452,14 @@ def laurent_coefficients(pencil, lambda0, radius, n_coeffs=4, n_quad=256,
     )
 
 
-def t_infinity_estimate(pencil, radius, n_samples=256, eigenvalues=None,
-                        zero_tol=1e-8):
+def t_infinity_estimate(pencil, radius, n_samples=256, eigenvalues=None):
     """Circle average of ln+ ||T^{-1}|| plus the pole-counting term.
 
     The average runs over |lam| = radius; samples where the pencil is near
     singular are masked, and more than 5% masked samples is an error.  The
     pole term adds ln(radius/|eig|) for trusted eigenvalues inside the circle
-    plus (multiplicity at 0) * ln(radius).  Nondecreasing in the radius.
+    plus (multiplicity at 0) * ln(radius), where |eig| <= 1e-8 counts as 0.
+    Nondecreasing in the radius.
     """
     r = float(radius)
     if r <= 0:
@@ -479,7 +480,7 @@ def t_infinity_estimate(pencil, radius, n_samples=256, eigenvalues=None,
     if eigenvalues is not None:
         ev = np.asarray(eigenvalues, dtype=complex).ravel()
         mods = np.abs(ev)
-        n_zero = int(np.sum(mods <= zero_tol))
-        mid = mods[(mods > zero_tol) & (mods <= r)]
+        n_zero = int(np.sum(mods <= 1e-8))
+        mid = mods[(mods > 1e-8) & (mods <= r)]
         pole_term = float(np.sum(np.log(r / mid))) + n_zero * math.log(r)
     return avg + pole_term

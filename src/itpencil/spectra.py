@@ -42,10 +42,6 @@ class CompanionOperator:
         A.flags.writeable = False
         return A
 
-    @property
-    def dim(self):
-        return 2 * self.source.dim
-
 
 def linearize(pencil):
     """Companion operator of the pencil, in its dtype; requires invertible A2.
@@ -73,9 +69,6 @@ class KeldyshChain:
     lambda0: complex
     vectors: list
     residuals: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.vectors)
 
 
 @dataclass
@@ -109,9 +102,9 @@ class EigenSolution:
     def trusted_eigenvalues(self):
         return self.eigenvalues[self.trust_mask]
 
-    def cluster_of(self, lam, rtol=_TRUST_RTOL):
+    def cluster_of(self, lam):
         for cl in self.clusters:
-            if abs(cl.center - lam) <= rtol * (1.0 + abs(lam)):
+            if abs(cl.center - lam) <= _TRUST_RTOL * (1.0 + abs(lam)):
                 return cl
         return None
 
@@ -145,14 +138,14 @@ def _eig_residuals(comp):
     return lam, U, np.where(usable, rel, np.inf)
 
 
-def eigen(comp, lambda_prime=0.0, reference=None, trust_rtol=_TRUST_RTOL,
-          residual_tol=_RESIDUAL_TOL):
+def eigen(comp, lambda_prime=0.0, reference=None):
     """Dense eigendecomposition of the companion operator with trust flags.
 
-    reference, when given, is a refined-grid eigenvalue array; an eigenvalue is
-    trusted when it has a reference partner within trust_rtol relative
-    distance and its own pencil residual is small.  Without a reference only
-    the residual filter applies.
+    An eigenvalue passes the residual filter when its relative pencil residual
+    is at most _RESIDUAL_TOL (1e-7).  reference, when given, is a refined-grid
+    eigenvalue array, and a filtered eigenvalue is then trusted only with a
+    reference partner within _TRUST_RTOL (1e-6) relative distance.  Without a
+    reference only the residual filter applies.
 
     lambda_prime="auto" picks the reference point with find_reference_point
     over this solution's own trusted eigenvalues; the result is then sorted
@@ -162,13 +155,13 @@ def eigen(comp, lambda_prime=0.0, reference=None, trust_rtol=_TRUST_RTOL,
     """
     pencil = comp.source
     lam, U, residuals = _eig_residuals(comp)
-    trust = residuals <= residual_tol
+    trust = residuals <= _RESIDUAL_TOL
     ref = None
     if reference is not None:
         ref = np.asarray(reference)
         if ref.size:
             dist = np.abs(lam[:, None] - ref[None, :]).min(axis=1)
-            trust &= dist <= trust_rtol * (1.0 + np.abs(lam))
+            trust &= dist <= _TRUST_RTOL * (1.0 + np.abs(lam))
         else:
             trust[:] = False
     if lambda_prime == "auto":
@@ -181,7 +174,7 @@ def eigen(comp, lambda_prime=0.0, reference=None, trust_rtol=_TRUST_RTOL,
         right_u=U,
         residuals=residuals,
         trust_mask=trust,
-        clusters=_build_clusters(comp, pencil, lam, U, residuals, trust, trust_rtol),
+        clusters=_build_clusters(comp, pencil, lam, U, residuals, trust),
         lambda_prime=complex(lambda_prime),
         pencil=pencil,
         companion=comp,
@@ -189,8 +182,8 @@ def eigen(comp, lambda_prime=0.0, reference=None, trust_rtol=_TRUST_RTOL,
     )
 
 
-def _build_clusters(comp, pencil, lam, U, residuals, trust, rtol):
-    """Union-find clustering of trusted eigenvalues, plus chain construction.
+def _build_clusters(comp, pencil, lam, U, residuals, trust):
+    """Union-find clustering of trusted eigenvalues within _TRUST_RTOL, plus chains.
 
     A simple eigenvalue's chain is its normalized companion eigenvector
     block U[:, i], whose one chain residual is its eigen residual; only
@@ -208,7 +201,7 @@ def _build_clusters(comp, pencil, lam, U, residuals, trust, rtol):
     for a in range(len(idx)):
         for b in range(a + 1, len(idx)):
             i, j = idx[a], idx[b]
-            tol = rtol * (1.0 + min(abs(lam[i]), abs(lam[j])))
+            tol = _TRUST_RTOL * (1.0 + min(abs(lam[i]), abs(lam[j])))
             if abs(lam[i] - lam[j]) <= tol:
                 parent[find(i)] = find(j)
 
@@ -225,7 +218,7 @@ def _build_clusters(comp, pencil, lam, U, residuals, trust, rtol):
                                    residuals=[float(residuals[members[0]])])]
         else:
             diam = float(np.abs(vals - center).max())
-            chains = _cluster_chains(comp, pencil, center, len(members), diam, rtol)
+            chains = _cluster_chains(comp, pencil, center, len(members), diam)
         clusters.append(
             Cluster(center=center, indices=sorted(members),
                     multiplicity=len(members), chains=chains)
@@ -278,10 +271,10 @@ def _nilpotent_chains(G, tol):
     return chains
 
 
-def _cluster_chains(comp, pencil, center, size, diam, rtol):
+def _cluster_chains(comp, pencil, center, size, diam):
     """Keldysh chains spanning a multiple trusted cluster's invariant subspace."""
     A = comp.matrix
-    capture = max(10.0 * diam, rtol * (1.0 + abs(center)))
+    capture = max(10.0 * diam, _TRUST_RTOL * (1.0 + abs(center)))
     Tm, Z, sdim = scipy.linalg.schur(
         A, output="complex", sort=lambda z: abs(z - center) <= capture
     )
@@ -300,12 +293,13 @@ def _cluster_chains(comp, pencil, center, size, diam, rtol):
     return chains
 
 
-def keldysh_from_jordan(comp, pencil, jordan_chain, lambda0, tol=1e-6):
+def keldysh_from_jordan(comp, pencil, jordan_chain, lambda0):
     """Extract pencil-space chain vectors from a companion Jordan chain.
 
     jordan_chain holds stacked vectors x_j with (A - lambda0) x_{j+1} = x_j
-    and (A - lambda0) x_0 = 0; the u components alone satisfy the cascaded
-    pencil equations at lambda0.
+    and (A - lambda0) x_0 = 0, each to _TRUST_RTOL relative to the chain and
+    ||A||; the u components alone satisfy the cascaded pencil equations at
+    lambda0.
     """
     A = comp.matrix
     n = pencil.dim
@@ -313,12 +307,13 @@ def keldysh_from_jordan(comp, pencil, jordan_chain, lambda0, tol=1e-6):
     scale = max(np.linalg.norm(x) for x in xs)
     r0 = np.linalg.norm(A @ xs[0] - lambda0 * xs[0])
     anorm = np.linalg.norm(A, ord=np.inf)
-    if r0 > tol * scale * max(anorm, 1.0):
+    tol = _TRUST_RTOL * scale * max(anorm, 1.0)
+    if r0 > tol:
         raise ValueError("first vector is not a companion eigenvector")
     shifted = A - lambda0 * np.eye(2 * n)
     for j in range(1, len(xs)):
         r = np.linalg.norm(shifted @ xs[j] - xs[j - 1])
-        if r > tol * scale * max(anorm, 1.0):
+        if r > tol:
             raise ValueError(f"Jordan relation violated at position {j}")
     us = [x[:n] for x in xs]
     nu = pencil.vector_norm(us[0])
@@ -393,10 +388,6 @@ def schatten_norm(M, p):
 class TorusSum:
     partial: float
     tail_bound: float
-
-    @property
-    def total(self):
-        return self.partial + self.tail_bound
 
 
 def torus_embedding_sum(n, p, cutoff):
@@ -532,7 +523,7 @@ def find_reference_point(eigenvalues, candidates=None):
     return complex(best)
 
 
-def _two_grid(base, fine, lambda_prime, trust_rtol, residual_tol):
+def _two_grid(base, fine, lambda_prime):
     """Trusted eigensolve of base against the refined pencil fine.
 
     The refined grid gets one eigensolve and the residual filter only; its
@@ -541,30 +532,27 @@ def _two_grid(base, fine, lambda_prime, trust_rtol, residual_tol):
     """
     lam, _, residuals = _eig_residuals(linearize(fine))
     return eigen(linearize(base), lambda_prime=lambda_prime,
-                 reference=lam[residuals <= residual_tol],
-                 trust_rtol=trust_rtol, residual_tol=residual_tol)
+                 reference=lam[residuals <= _RESIDUAL_TOL])
 
 
-def solve_spectrum(profile, a, b, n_pts, bc, refine_increment=8,
-                   lambda_prime="auto", trust_rtol=_TRUST_RTOL,
-                   residual_tol=_RESIDUAL_TOL):
+def solve_spectrum(profile, a, b, n_pts, bc, refine_increment=8, lambda_prime="auto"):
     """Two-grid trusted eigensolve of the 1D pencil.
 
-    Assembles at n_pts and n_pts + refine_increment, eigensolves each grid
-    once, and trusts base-grid eigenvalues reproduced on the refined grid.
+    Assembles at n_pts and n_pts + refine_increment and eigensolves each grid
+    once.  A base-grid eigenvalue is trusted when its residual is at most
+    _RESIDUAL_TOL (1e-7) and a refined-grid eigenvalue that passes the same
+    residual filter lies within _TRUST_RTOL (1e-6) relative distance.
     lambda_prime="auto" is resolved by eigen from the trusted spectrum.
     """
     from .discretize import assemble_pencil, make_grid
 
     base = assemble_pencil(profile, make_grid(a, b, n_pts), bc)
     fine = assemble_pencil(profile, make_grid(a, b, n_pts + refine_increment), bc)
-    return _two_grid(base, fine, lambda_prime, trust_rtol, residual_tol)
+    return _two_grid(base, fine, lambda_prime)
 
 
-def solve_spectrum_2d(profile, rect, n_x, n_y, bc, refine_increment=4,
-                      lambda_prime=0.0, trust_rtol=_TRUST_RTOL,
-                      residual_tol=_RESIDUAL_TOL):
-    """Two-grid trusted eigensolve on a rectangle (tensor grids)."""
+def solve_spectrum_2d(profile, rect, n_x, n_y, bc, refine_increment=4, lambda_prime=0.0):
+    """Two-grid trusted eigensolve on a rectangle (tensor grids); trust as in solve_spectrum."""
     from .discretize import assemble_pencil_2d, make_grid
 
     x0, x1, y0, y1 = rect
@@ -577,4 +565,4 @@ def solve_spectrum_2d(profile, rect, n_x, n_y, bc, refine_increment=4,
         make_grid(y0, y1, n_y + refine_increment),
         bc,
     )
-    return _two_grid(base, fine, lambda_prime, trust_rtol, residual_tol)
+    return _two_grid(base, fine, lambda_prime)

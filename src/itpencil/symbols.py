@@ -202,13 +202,14 @@ def check_condition1(kind, q_range, cone, samples=2000, seed=0, tolerance=1e-9):
     )
 
 
-def characteristic_roots(kind, q_val, xi_prime_sq, lam, tol=_ROOT_TOL):
+def characteristic_roots(kind, q_val, xi_prime_sq, lam):
     """Characteristic roots of the half-line ODE at tangential frequency xi'.
 
     r1^2 = r2^2 = lam + xi'^2 and (Helmholtz) r3^2 = r4^2 = lam (1 + 1/q) + xi'^2;
     the Schroedinger form repeats the first pair.  Roots are ordered so that
     Re r1, Re r3 > 0 > Re r2, Re r4; inputs for which a root has vanishing
-    real part (lam on the negative axis with xi' = 0, say) are rejected.
+    real part, below _ROOT_TOL relative (lam on the negative axis with
+    xi' = 0, say), are rejected.
     """
     if q_val <= 0.0:
         raise ValueError("q must be positive")
@@ -222,7 +223,7 @@ def characteristic_roots(kind, q_val, xi_prime_sq, lam, tol=_ROOT_TOL):
     else:
         raise ValueError(f"unknown pencil kind: {kind!r}")
     for r in (r1, r3):
-        if abs(r.real) <= tol * max(1.0, abs(r)):
+        if abs(r.real) <= _ROOT_TOL * max(1.0, abs(r)):
             raise DegenerateInputError(
                 f"characteristic root {r} has no real-part sign at lam={lam}"
             )

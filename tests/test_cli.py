@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from itpencil import cli
+from itpencil.spectra import find_reference_point
 
 
 def _write(path, payload):
@@ -350,3 +351,102 @@ def test_readme_configs_run(tmp_path):
     for name, block in configs:
         code, _ = _run(tmp_path, name, json.loads(block))
         assert code == 0, name
+
+
+def _h1_pencil(n_pts=24, q=None):
+    return {
+        "kind": "helmholtz",
+        "q": q or {"type": "constant", "data": 1.0},
+        "interval": [0.0, 1.0],
+        "n_pts": n_pts,
+        "bc": [0, 1],
+    }
+
+
+def test_spectrum_verify_oracle_constant_q(tmp_path):
+    code, out = _run(tmp_path, "spectrum", {"pencil": _h1_pencil(32)}, "--verify-oracle")
+    assert code == 0
+    oracle = json.loads((out / "spectrum_manifest.json").read_text())["results"]["oracle"]
+    assert oracle["count_match"] is True
+    assert oracle["n_roots_weighted"] == oracle["n_trusted_in_rect"] > 0
+    assert oracle["max_rel_error"] <= oracle["rtol"]
+
+
+def test_spectrum_verify_oracle_rejects_polynomial_q(tmp_path):
+    pencil = _h1_pencil(q={"type": "polynomial", "data": [1.0, 0.3]})
+    code, _ = _run(tmp_path, "spectrum", {"pencil": pencil}, "--verify-oracle")
+    assert code == 2
+
+
+def test_counting_on_pencil_writes_schatten_bound(tmp_path):
+    code, out = _run(
+        tmp_path, "counting", {"pencil": _h1_pencil(), "p": 1.0, "t_values": [10.0, 100.0]}
+    )
+    assert code == 0
+    rows = [r.split(",") for r in (out / "counting.csv").read_text().splitlines()[1:]]
+    bounds = [float(r[3]) for r in rows]
+    assert len(bounds) == 2
+    assert all(np.isfinite(b) and b > 0 for b in bounds)
+    assert bounds[0] < bounds[1]
+
+
+def test_counting_list_with_auto_reference_point(tmp_path):
+    eigs = [[1.0, 0.0], [2.0, 0.0], [4.0, 0.0]]
+    code, out = _run(
+        tmp_path,
+        "counting",
+        {"eigenvalues": eigs, "lambda_prime": "auto", "p": 1.0, "t_values": [3.0]},
+    )
+    assert code == 0
+    res = json.loads((out / "counting_manifest.json").read_text())["results"]
+    expected = find_reference_point(np.array([complex(*v) for v in eigs]))
+    assert complex(*res["lambda_prime"]) == expected
+    assert expected.imag == 0.0 and expected.real not in (1.0, 2.0, 4.0)
+
+
+def test_laurent_uses_listed_eigenvalues(tmp_path):
+    # T(lam) = lam + lam^2 has poles 0 and -1; the list is taken as written
+    base = {"scalar": [0.0, 1.0, 1.0], "lambda0": [0.0, 0.0], "radius": 0.5}
+    code, out = _run(tmp_path, "laurent", {**base, "eigenvalues": [[0.0, 0.0], [-1.0, 0.0]]})
+    assert code == 0
+    assert json.loads((out / "laurent_manifest.json").read_text())["results"]["N"] == 1
+    # a list without the enclosed pole fails the one-cluster check
+    code, _ = _run(tmp_path, "laurent", {**base, "eigenvalues": [[-1.0, 0.0]]})
+    assert code == 1
+
+
+def test_completeness_explicit_m_values(tmp_path):
+    payload = {"pencil": _h1_pencil(), "n_samples": 2, "m_values": [2, 1, 2]}
+    code, out = _run(tmp_path, "completeness", payload)
+    res = json.loads((out / "completeness_manifest.json").read_text())["results"]
+    assert res["m_values"] == [1, 2]
+    ms = [int(r.split(",")[1]) for r in (out / "completeness.csv").read_text().splitlines()[1:]]
+    assert ms == [1, 2, 1, 2]
+    # two clusters of a 24-point grid span too little for the 0.1 threshold
+    assert res["monotone"] is True and res["worst_final_residual"] >= res["residual_tol"]
+    assert code == 1
+    code, _ = _run(tmp_path, "completeness", {**payload, "m_values": [1, 1000]})
+    assert code == 2
+
+
+def test_completeness_empty_m_values_is_config_error(tmp_path):
+    code, _ = _run(tmp_path, "completeness", {"pencil": _h1_pencil(), "m_values": []})
+    assert code == 2
+
+
+def test_resolvent_scan_needs_two_radii(tmp_path):
+    code, _ = _run(
+        tmp_path, "resolvent-scan", {"scalar": [1.0, 1.0, 1.0], "radii": [10.0, 1000.0, 1]}
+    )
+    assert code == 2
+
+
+@pytest.mark.parametrize("command,q,extra", [
+    ("spectrum", {"type": "constant", "data": float("nan")}, {}),
+    ("laurent", {"type": "polynomial", "data": [1.0, float("inf")]},
+     {"lambda0": [1.0, 0.0], "radius": 0.5, "use_trusted": False}),
+])
+def test_non_finite_q_is_config_error(tmp_path, command, q, extra):
+    # json accepts NaN and Infinity literals, and the schema lets them through
+    code, _ = _run(tmp_path, command, {"pencil": _h1_pencil(q=q), **extra})
+    assert code == 2

@@ -153,6 +153,18 @@ def test_variable_q_positivity_enforced():
         assemble_pencil(profile, grid, (0, 1))
 
 
+@pytest.mark.parametrize("profile", [
+    MediumProfile.constant(H, float("nan")),
+    MediumProfile.constant(S, float("inf")),
+    MediumProfile.polynomial(H, [1.0, float("inf")]),
+    MediumProfile.sampled(H, [1.0] * 19 + [float("nan")]),
+])
+def test_non_finite_q_rejected(profile):
+    # NaN compares false against every bound, so it must be caught on its own
+    with pytest.raises(ValueError, match="finite"):
+        profile.values(make_grid(0.0, 1.0, 20).nodes)
+
+
 def test_grid_refinement_stability():
     # first eigenvalues settle between consecutive grids at constant q
     profile = MediumProfile.constant(H, 1.0)

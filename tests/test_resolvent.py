@@ -187,6 +187,18 @@ def test_weierstrass_genus_validation():
         WeierstrassProduct(lambda_prime=2.0, zeros=np.array([2.0]), p=1.0)
 
 
+@pytest.mark.parametrize("p,k", [(1.5, 2), (2.5, 3)])
+def test_phi_higher_genus_matches_direct_product(p, k):
+    lamp = 0.5 - 0.25j
+    zeros = np.array([-1.0 + 0.5j, -1.0 - 0.5j, -3.0, 2.0 + 4.0j, -7.5 + 1.0j])
+    wp = WeierstrassProduct(lambda_prime=lamp, zeros=zeros, p=p)
+    assert wp.k == k
+    for lam in (1.3 + 0.7j, -0.4 - 1.1j, 2.2 - 0.3j, -2.0 + 2.0j):
+        z = (lam - lamp) / (zeros - lamp)
+        direct = np.prod((1 - z) * np.exp(sum(z**m / m for m in range(1, k))))
+        assert abs(phi_eval(wp, lam) - direct) <= 1e-12 * abs(direct)
+
+
 def test_phi_truncation_tail_bound():
     # far-away zeros move log phi by at most twice their inverse-distance sum
     lamp = 1.0
