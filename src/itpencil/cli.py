@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from . import resolvent as rv
 from . import spectra as sp
+from ._blas import single_blas_thread
 from .discretize import DiscretePencil, MediumProfile, assemble_pencil, make_grid
 from .exceptions import ConfigError, PencilError
 from .oracle import CharacteristicFunction, char_det, find_roots
@@ -279,10 +280,14 @@ def _apply_defaults(cfg, schema):
     return cfg
 
 
+def _reject_constant(name):
+    raise ConfigError(f"config is not valid JSON: the literal {name} is not allowed")
+
+
 def _load_config(command, path):
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -737,6 +742,7 @@ def _build_parser():
     return parser
 
 
+@single_blas_thread
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)

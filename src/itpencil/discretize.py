@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import block_diag
 
+from ._blas import single_blas_thread
 from .exceptions import SingularPencilError
 from .symbols import BoundaryPair, PencilKind
 
@@ -429,6 +430,7 @@ def _assemble(profile, grids, bc):
     )
 
 
+@single_blas_thread
 def assemble_pencil(profile, grid, bc):
     """Assemble the recombined 1D pencil on a Lobatto grid.
 
@@ -441,6 +443,7 @@ def assemble_pencil(profile, grid, bc):
     return _assemble(profile, (grid,), bc)
 
 
+@single_blas_thread
 def assemble_pencil_2d(profile, grid_x, grid_y, bc):
     """Assemble the recombined pencil on a tensor grid over a rectangle.
 

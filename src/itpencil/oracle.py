@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .exceptions import WindingNumberError
 from .symbols import BoundaryPair, PencilKind
 
@@ -184,6 +185,7 @@ def _rect_boundary(rect, pts_per_side):
     return np.concatenate([bottom, right, top, left])
 
 
+@single_blas_thread
 def winding_number(cf, rect):
     """Winding number of char_det along the rectangle boundary.
 
@@ -274,6 +276,7 @@ def _nudge_rect(rect, k):
     return (re0 - dre, re1 + dre, im0 - dim, im1 + dim)
 
 
+@single_blas_thread
 def find_roots(cf, rect, max_roots=200):
     """All zeros of char_det in a rectangle, by argument principle bisection.
 

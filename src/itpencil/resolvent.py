@@ -7,6 +7,13 @@ one conditioning check in _sigma_min first, and samples are evaluated in order
 in the calling thread.  A pencil sample is checked in mass-scaled form,
 B0 + lam B1 + lam^2 B2 with B_k = S^{-1} A_k S^{-1} cached once per pencil
 (DiscretePencil._scaled_T), so no sample pays for scaling products.
+
+Each sample is a small dense factorization, where a second BLAS thread costs
+more in hand-off than it gains.  The public functions here therefore run with
+every loaded OpenBLAS at one thread and restore the caller's count on exit
+(itpencil._blas); this also keeps their results independent of the caller's
+thread count.  Looping over samples and stacking them into one batched call
+took the same time at this size, so samples stay in a loop.
 """
 
 import math
@@ -14,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .exceptions import (
     BoundViolationError,
     ClusterAmbiguityError,
@@ -45,6 +53,7 @@ def _checked_inverse(X, where, check=None):
     return np.linalg.inv(X)
 
 
+@single_blas_thread
 def resolvent_norm(pencil, lam):
     """Operator 2-norm of the solution map f -> u of T(lam) u = f.
 
@@ -74,6 +83,7 @@ class RayScan:
     fitted_slope: float
 
 
+@single_blas_thread
 def ray_scan(pencil, direction, radii):
     """Sample ||T(r d)^{-1}|| along the ray r -> r*direction.
 
@@ -103,6 +113,7 @@ def ray_scan(pencil, direction, radii):
     return RayScan(direction=d, radii=radii, norms=norms, fitted_slope=float(slope))
 
 
+@single_blas_thread
 def companion_block_inverse_check(pencil, lam):
     """Verify the closed-form block inverse of the companion operator.
 
@@ -132,6 +143,7 @@ def companion_block_inverse_check(pencil, lam):
     return err
 
 
+@single_blas_thread
 def resolvent_identity_check(comp, lam, lam_prime):
     """Relative discrepancy in the two-point resolvent identity.
 
@@ -206,6 +218,7 @@ def phi_eval(wp, lam):
     return complex(np.exp(lg))
 
 
+@single_blas_thread
 def carleman_check(comp, wp, circle_radius, n_samples=64):
     """Bound check for phi(lam) (Id - K(lam))^{-1} with K = (lam-lam')(A-lam')^{-1}.
 
@@ -299,6 +312,7 @@ class CircleGrowthReport:
     epsilon: float
 
 
+@single_blas_thread
 def circle_growth_scan(pencil, radii, p, epsilon=0.1, n_theta=64, eigenvalues=None):
     """Max of log ||T^{-1}|| on pole-avoiding circles, with a growth exponent fit.
 
@@ -353,6 +367,7 @@ class LaurentData:
     quadrature_error: float
 
 
+@single_blas_thread
 def laurent_coefficients(pencil, lambda0, radius, n_coeffs=4, n_quad=256,
                          eigenvalues=None):
     """Contour coefficients of T(lam)^{-1} around lambda0.
@@ -452,6 +467,7 @@ def laurent_coefficients(pencil, lambda0, radius, n_coeffs=4, n_quad=256,
     )
 
 
+@single_blas_thread
 def t_infinity_estimate(pencil, radius, n_samples=256, eigenvalues=None):
     """Circle average of ln+ ||T^{-1}|| plus the pole-counting term.
 

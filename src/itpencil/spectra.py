@@ -10,6 +10,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
+from ._blas import single_blas_thread
 from .discretize import DiscretePencil
 from .exceptions import (
     ClusterAmbiguityError,
@@ -43,6 +44,7 @@ class CompanionOperator:
         return A
 
 
+@single_blas_thread
 def linearize(pencil):
     """Companion operator of the pencil, in its dtype; requires invertible A2.
 
@@ -138,6 +140,7 @@ def _eig_residuals(comp):
     return lam, U, np.where(usable, rel, np.inf)
 
 
+@single_blas_thread
 def eigen(comp, lambda_prime=0.0, reference=None):
     """Dense eigendecomposition of the companion operator with trust flags.
 
@@ -293,6 +296,7 @@ def _cluster_chains(comp, pencil, center, size, diam):
     return chains
 
 
+@single_blas_thread
 def keldysh_from_jordan(comp, pencil, jordan_chain, lambda0):
     """Extract pencil-space chain vectors from a companion Jordan chain.
 
@@ -352,6 +356,7 @@ def pencil_derivatives(pencil, lam0):
     return B0, B1, B2
 
 
+@single_blas_thread
 def verify_chain(pencil, chain):
     """Residual of each cascaded equation sum_{j<=k} B_{k-j} u_j = 0.
 
@@ -376,6 +381,7 @@ def verify_chain(pencil, chain):
     return out
 
 
+@single_blas_thread
 def schatten_norm(M, p):
     """(sum sigma_j^p)^(1/p) over all singular values."""
     if p < 1:
@@ -436,6 +442,7 @@ class CountingReport:
     lambda_prime: complex
 
 
+@single_blas_thread
 def counting(eig, lambda_prime, p, t_values):
     """Counting function of the trusted spectrum with Chebyshev-style bounds.
 
@@ -483,6 +490,7 @@ def chain_matrix(eig, m):
     return np.column_stack(cols)
 
 
+@single_blas_thread
 def completeness_residual(eig, pencil, f, m):
     """Relative weighted distance from f to the span of the nearest m chains."""
     if m > len(eig.clusters):
@@ -535,6 +543,7 @@ def _two_grid(base, fine, lambda_prime):
                  reference=lam[residuals <= _RESIDUAL_TOL])
 
 
+@single_blas_thread
 def solve_spectrum(profile, a, b, n_pts, bc, refine_increment=8, lambda_prime="auto"):
     """Two-grid trusted eigensolve of the 1D pencil.
 
@@ -551,6 +560,7 @@ def solve_spectrum(profile, a, b, n_pts, bc, refine_increment=8, lambda_prime="a
     return _two_grid(base, fine, lambda_prime)
 
 
+@single_blas_thread
 def solve_spectrum_2d(profile, rect, n_x, n_y, bc, refine_increment=4, lambda_prime=0.0):
     """Two-grid trusted eigensolve on a rectangle (tensor grids); trust as in solve_spectrum."""
     from .discretize import assemble_pencil_2d, make_grid

@@ -1,7 +1,10 @@
 """End-to-end command line checks over small configurations."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -447,6 +450,55 @@ def test_resolvent_scan_needs_two_radii(tmp_path):
      {"lambda0": [1.0, 0.0], "radius": 0.5, "use_trusted": False}),
 ])
 def test_non_finite_q_is_config_error(tmp_path, command, q, extra):
-    # json accepts NaN and Infinity literals, and the schema lets them through
     code, _ = _run(tmp_path, command, {"pencil": _h1_pencil(q=q), **extra})
     assert code == 2
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("counting", {"eigenvalues": [[1.0, 0.0], [2.0, 0.0]], "p": float("nan"), "t_values": [3.0]}),
+    ("laurent", {"scalar": [0.0, 1.0, 1.0], "lambda0": [0.0, 0.0], "radius": float("nan")}),
+    ("resolvent-scan", {"scalar": [1.0, 1.0, 1.0], "radii": [10.0, float("inf"), 7]}),
+])
+def test_non_finite_literal_is_config_error(tmp_path, command, payload):
+    # json.dumps writes NaN and Infinity literals; json.load would accept them
+    # and the schema's numeric bounds let them through
+    code, out = _run(tmp_path, command, payload)
+    assert code == 2
+    assert not out.exists()
+
+
+_THREAD_COUNT_CASES = {
+    "counting": {"p": 1.0, "t_values": [1.0, 10.0, 100.0, 400.0]},
+    "laurent": {"lambda0": [-9.5566231218, 13.0585180527], "radius": 2.0},
+    "resolvent-scan": {
+        "radii": [10.0, 1000.0, 7],
+        "circles": {"r_min": 8.0, "r_max": 256.0, "p": 1.0, "n_theta": 32},
+    },
+}
+
+
+def test_outputs_do_not_depend_on_caller_blas_threads(tmp_path):
+    """The same CSVs under OPENBLAS_NUM_THREADS=1 and =2.
+
+    Each run is a fresh process, because OpenBLAS reads the variable when it
+    loads.  With two threads the n = 48 counting run's schatten_bound used to
+    differ in its last digits.  On a machine with one CPU both runs use one
+    thread, so there this test cannot fail.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    csvs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        files = {}
+        for command, extra in _THREAD_COUNT_CASES.items():
+            cfg = _write(tmp_path / f"{command}.json", {"pencil": _h1_pencil(48), **extra})
+            out = tmp_path / f"{command}_{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "itpencil.cli", command, "--config", cfg, "--out", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            files.update({f"{command}/{p.name}": p.read_bytes() for p in out.glob("*.csv")})
+        csvs.append(files)
+    assert len(csvs[0]) >= 5
+    assert csvs[0] == csvs[1]
