@@ -246,7 +246,13 @@ class DiscretePencil:
             S = (vecs * np.sqrt(vals)) @ vecs.T
             Sinv = (vecs / np.sqrt(vals)) @ vecs.T
             self._scale_cache["sqrt"] = (S, Sinv)
+            self._scale_cache["mass_norm"] = float(vals[-1])
         return self._scale_cache["sqrt"]
+
+    def _mass_norm(self):
+        """||M||_2, the largest mass eigenvalue, cached by _scaling."""
+        self._scaling()
+        return self._scale_cache["mass_norm"]
 
     def _scaled_T(self, lam):
         """S^{-1} T(lam) S^{-1}, from the scaled coefficients cached per pencil."""

@@ -1,12 +1,14 @@
 """Resolvent diagnostics: ray decay, block inverses, regularized products, contours.
 
 Everything here consumes a DiscretePencil (or its companion form) and a list of
-trusted eigenvalues produced by the spectra module.  Every sampled T(lam)^{-1}
-or (A - lam)^{-1}, the Carleman circle and probe samples included, passes the
-one conditioning check in _sigma_min first, and samples are evaluated in order
+trusted eigenvalues produced by the spectra module.  Every sample, the Carleman
+circle and probe samples included, passes one conditioning check: the 2-norm
+condition at most 1e14 (spectra._sigma_min), and samples are evaluated in order
 in the calling thread.  A pencil sample is checked in mass-scaled form,
 B0 + lam B1 + lam^2 B2 with B_k = S^{-1} A_k S^{-1} cached once per pencil
-(DiscretePencil._scaled_T), so no sample pays for scaling products.
+(DiscretePencil._scaled_T), so no sample pays for scaling products.  A sample
+whose result is an inverse is certified from that inverse by a Frobenius bound
+(spectra._checked_inverse), with an SVD only where the bound exceeds 1e12.
 
 Each sample is a small dense factorization, where a second BLAS thread costs
 more in hand-off than it gains.  The public functions here therefore run with
@@ -30,27 +32,7 @@ from .exceptions import (
     QuadratureConvergenceError,
     SingularAtLambdaError,
 )
-from .spectra import linearize, pencil_derivatives
-
-_COND_CAP = 1e14
-
-
-def _sigma_min(X, where):
-    """Smallest singular value of X, which must be finite, positive and at
-    most a factor 1e14 below the largest; else SingularAtLambdaError at `where`.
-    """
-    sv = np.linalg.svd(X, compute_uv=False)
-    if not np.all(np.isfinite(sv)) or sv[-1] <= 0 or sv[0] / sv[-1] > _COND_CAP:
-        raise SingularAtLambdaError(f"matrix is singular or near singular at {where}")
-    return float(sv[-1])
-
-
-def _checked_inverse(X, where, check=None):
-    """LU inverse of X once `check` (X itself by default) passes _sigma_min;
-    a weak-form T(lam) is checked in mass-scaled form, pencil._scaled_T(lam).
-    """
-    _sigma_min(X if check is None else check, where)
-    return np.linalg.inv(X)
+from .spectra import _checked_inverse, _sigma_min, _sigma_range, linearize, pencil_derivatives
 
 
 @single_blas_thread
@@ -225,7 +207,9 @@ def carleman_check(comp, wp, circle_radius, n_samples=64):
     Samples the circle |lam - lambda_prime| = circle_radius plus probe points
     offset 1e-3 from every trusted zero inside the circle (the product factor
     cancels the resolvent pole, so these stay bounded; max_probe_lhs reports
-    their max separately for comparison against the circle median).  Returns
+    their max separately for comparison against the circle median, with
+    max_probe_cond, their largest condition number from the same SVDs, as its
+    accuracy limit: 1/sigma_min is good to about eps times that).  Returns
     the measured max together with a reference exponential bound
     exp(e (1 + r^p S_p)) where S_p = sum |zero_j - lambda_prime|^{-p}; the
     constant in the theory is not pinned down, so the bound is reported
@@ -254,17 +238,23 @@ def carleman_check(comp, wp, circle_radius, n_samples=64):
         if abs(z - lamp) <= r:
             probes.extend([z + 1e-3, z - 1e-3, z + 1e-3j, z - 1e-3j])
 
-    logs = []
-    for lam in samples + probes:
+    logs, probe_conds = [], []
+    for k, lam in enumerate(samples + probes):
         lg = log_phi(wp, lam)
-        logs.append(-np.inf if lg is None
-                    else lg.real - math.log(_sigma_min(eye - (lam - lamp) * P, lam)))
+        if lg is None:
+            logs.append(-np.inf)
+            continue
+        smax, smin = _sigma_range(eye - (lam - lamp) * P, lam)
+        logs.append(lg.real - math.log(smin))
+        if k >= len(samples):
+            probe_conds.append(smax / smin)
     circle_logs = logs[: len(samples)]
     probe_logs = logs[len(samples) :]
     s_p = wp.zero_sum()
     return {
         "max_lhs": float(np.exp(max(logs))),
         "max_probe_lhs": float(np.exp(max(probe_logs))) if probe_logs else None,
+        "max_probe_cond": max(probe_conds) if probe_conds else None,
         "bound_rhs": float(np.exp(math.e * (1.0 + r**wp.p * s_p))),
         "circle_median": float(np.exp(np.median(circle_logs))),
         "radius": r,
@@ -412,7 +402,7 @@ def laurent_coefficients(pencil, lambda0, radius, n_coeffs=4, n_quad=256,
     ring = r * np.exp(1j * theta)
 
     invs = np.array(
-        [_checked_inverse(pencil.T(lam), lam, pencil._scaled_T(lam)) for lam in lam0 + ring]
+        [_checked_inverse(pencil.T(lam), lam, pencil) for lam in lam0 + ring]
     )
 
     orders = np.arange(-(n_coeffs + 1), n_coeffs + 1)

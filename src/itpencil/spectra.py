@@ -1,4 +1,5 @@
-"""Companion linearization, eigen machinery, chains, and counting bounds."""
+"""Companion linearization, eigen machinery, chains, counting bounds, and the
+conditioning check of sampled inverses."""
 
 from __future__ import annotations
 
@@ -21,6 +22,41 @@ from .exceptions import (
 
 _TRUST_RTOL = 1e-6
 _RESIDUAL_TOL = 1e-7
+_COND_CAP = 1e14
+_FROB_CAP = 1e12  # a factor 100 under _COND_CAP for roundoff in a computed inverse
+
+
+def _sigma_range(X, where):
+    """(largest, smallest) singular value of X, finite with the smallest positive
+    and at most 1e14 below the largest; else SingularAtLambdaError at `where`."""
+    sv = np.linalg.svd(X, compute_uv=False)
+    if not np.all(np.isfinite(sv)) or sv[-1] <= 0 or sv[0] / sv[-1] > _COND_CAP:
+        raise SingularAtLambdaError(f"matrix is singular or near singular at {where}")
+    return float(sv[0]), float(sv[-1])
+
+
+def _sigma_min(X, where):
+    """Smallest singular value of X, checked as in _sigma_range."""
+    return _sigma_range(X, where)[1]
+
+
+def _checked_inverse(X, where, pencil=None):
+    """inv(X), raising exactly where "_sigma_min(C, where), then inv(X)" would.
+
+    C is X, or B = pencil._scaled_T(where) for a weak-form X = pencil.T(where).
+    The inverse certifies C without an SVD, as kappa_2(C) <= ||C||_F ||C^-1||_F
+    and ||B^-1||_F = ||S X^-1 S||_F <= ||M||_2 ||X^-1||_F; a bound above
+    _FROB_CAP, a NaN bound or a singular LU falls back to _sigma_min(C).
+    """
+    C, m2 = (X, 1.0) if pencil is None else (pencil._scaled_T(where), pencil._mass_norm())
+    try:
+        Xinv = np.linalg.inv(X)
+    except np.linalg.LinAlgError:
+        _sigma_min(C, where)
+        raise
+    if not np.linalg.norm(C) * m2 * np.linalg.norm(Xinv) <= _FROB_CAP:
+        _sigma_min(C, where)
+    return Xinv
 
 
 @dataclass
@@ -448,7 +484,9 @@ def counting(eig, lambda_prime, p, t_values):
 
     Reports N(t) = #{|lambda_j - lambda'| < t}, the discrete bound
     t^p sum |lambda_j - lambda'|^{-p}, and, when a companion operator is
-    available, t^p ||(A - lambda')^{-1}||_{C_p}^p.
+    available, t^p ||(A - lambda')^{-1}||_{C_p}^p.  That inverse passes the
+    conditioning check of _checked_inverse, which also sees untrusted
+    companion eigenvalues.
     """
     if isinstance(eig, EigenSolution):
         vals = eig.trusted_eigenvalues
@@ -469,7 +507,7 @@ def counting(eig, lambda_prime, p, t_values):
     schatten = None
     if comp is not None:
         A = comp.matrix
-        R = np.linalg.inv(A - lambda_prime * np.eye(A.shape[0]))
+        R = _checked_inverse(A - lambda_prime * np.eye(A.shape[0]), lambda_prime)
         schatten = t_values**p * schatten_norm(R, p) ** p
     return CountingReport(
         t_values=t_values,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from itpencil import MediumProfile, PencilKind, solve_spectrum
+from itpencil._blas import single_blas_thread
 from itpencil.discretize import DiscretePencil, assemble_pencil, make_grid
 from itpencil.exceptions import (
     ClusterAmbiguityError,
@@ -25,7 +26,7 @@ from itpencil.resolvent import (
     resolvent_norm,
     t_infinity_estimate,
 )
-from itpencil.spectra import linearize
+from itpencil.spectra import _checked_inverse, _sigma_min, linearize
 
 
 def _scalar(a0, a1, a2):
@@ -220,6 +221,7 @@ def test_carleman_diagonal_closed_form():
     rep = carleman_check(M, wp, 1.0, n_samples=64)
     assert rep["max_lhs"] == pytest.approx(1.5, rel=1e-12)
     assert rep["max_probe_lhs"] is None
+    assert rep["max_probe_cond"] is None
 
 
 def test_carleman_at_reference_only():
@@ -235,6 +237,9 @@ def test_carleman_bounded_through_eigenvalue():
     assert rep["n_probes"] > 0
     assert np.isfinite(rep["max_probe_lhs"])
     assert rep["max_probe_lhs"] <= 10.0 * rep["circle_median"]
+    # each sample is diag(1 - lam/2, 1 + lam/2): the worst probe, 2 + 1e-3,
+    # has condition 2.0005 / 5e-4
+    assert rep["max_probe_cond"] == pytest.approx(4001.0, rel=1e-9)
 
 
 def test_pole_avoiding_radii_properties():
@@ -328,6 +333,128 @@ _SINGULAR_CASES = {
 def test_singular_sample_raises(entry):
     with pytest.raises(SingularAtLambdaError):
         _SINGULAR_CASES[entry]()
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts np.linalg.svd calls made after the fixture is set up."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def _outcome(f):
+    """The exception class f raises, or None."""
+    try:
+        f()
+    except (SingularAtLambdaError, np.linalg.LinAlgError) as exc:
+        return type(exc)
+    return None
+
+
+def _guard_matrix(n, case):
+    """n x n complex matrix with 2-norm condition `case`, or a singular or
+    non-finite one."""
+    rng = np.random.default_rng(11)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    cond = case if isinstance(case, float) else 1e3
+    C = (U * np.geomspace(1.0, 1.0 / cond, n)) @ V.conj().T
+    if case == "singular":
+        C[:, 3] = 0.0
+    elif case in ("inf", "nan"):
+        C[2, 5] = np.inf if case == "inf" else np.nan
+    return C
+
+
+_GUARD_CASES = [1e6, 1e12, 9e13, 1.1e14, 1e16, "singular", "inf", "nan"]
+
+
+@pytest.fixture(scope="module")
+def h64_pencil():
+    profile = MediumProfile.constant(PencilKind.HELMHOLTZ, 1.0)
+    return assemble_pencil(profile, make_grid(0.0, 1.0, 64), (0, 1))
+
+
+@pytest.mark.parametrize("case", _GUARD_CASES)
+def test_checked_inverse_decides_as_sigma_min(case, h64_pencil, svd_calls):
+    # the Frobenius certificate only skips the SVD: it raises, with the same
+    # class, exactly where _sigma_min on the check matrix raises, and returns
+    # the plain LU inverse otherwise
+    n = h64_pencil.dim
+    C = _guard_matrix(n, case)
+    S, _ = h64_pencil._scaling()
+    with np.errstate(invalid="ignore"):  # inf * 0 in the non-finite case
+        A0 = S @ C @ S
+    weak = DiscretePencil(A0=A0, A1=np.zeros((n, n)), A2=np.zeros((n, n)), mass=h64_pencil.mass)
+    for X, pencil, check in ((C, None, C), (weak.T(0.5), weak, weak._scaled_T(0.5))):
+        expected = _outcome(lambda: _sigma_min(check, 0.5))
+        if pencil is None and case != "nan":  # the SVD itself may raise on NaN
+            wanted = None if isinstance(case, float) and case < 1e14 else SingularAtLambdaError
+            assert expected is wanted
+        del svd_calls[:]
+        assert _outcome(lambda: _checked_inverse(X, 0.5, pencil)) is expected
+        if case == 1e6:
+            assert len(svd_calls) == 0
+        if expected is None:
+            assert np.array_equal(_checked_inverse(X, 0.5, pencil), np.linalg.inv(X))
+
+
+@single_blas_thread
+def _laurent_reference(pen, lam0, radius, n_quad, orders):
+    """Contour coefficients by the route "_sigma_min of the mass-scaled
+    sample, then inv(T(lam))", at the library's one BLAS thread."""
+    ring = radius * np.exp(1j * 2 * np.pi * np.arange(n_quad) / n_quad)
+    invs = []
+    for lam in lam0 + ring:
+        _sigma_min(pen._scaled_T(lam), lam)
+        invs.append(np.linalg.inv(pen.T(lam)))
+    invs = np.array(invs)
+    # integer-array orders as in laurent_coefficients: numpy's scalar power
+    # takes another route for a Python int exponent of -1
+    orders = np.arange(min(orders), max(orders) + 1)
+    return {int(nn): np.tensordot(ring ** (-nn), invs, axes=(0, 0)) / n_quad for nn in orders}
+
+
+def test_laurent_needs_no_svd_and_keeps_its_coefficients(h1_solution, svd_calls):
+    # criterion 06's poles: every sample is certified by its own inverse, and
+    # the coefficients equal those of the route "SVD check of the mass-scaled
+    # sample, then inv(T(lam))" bit for bit
+    pen = h1_solution.pencil
+    tr = h1_solution.trusted_eigenvalues
+    n_quad = 256
+    for lam0 in tr[np.lexsort((tr.imag, tr.real, np.abs(tr)))][:3]:
+        others = tr[np.abs(tr - lam0) > 1e-6 * (1.0 + abs(lam0))]
+        radius = 0.4 * float(np.min(np.abs(others - lam0)))
+        del svd_calls[:]
+        ld = laurent_coefficients(pen, lam0, radius, n_coeffs=3, n_quad=n_quad, eigenvalues=tr)
+        assert len(svd_calls) == 0
+        ref = _laurent_reference(pen, lam0, radius, n_quad, list(ld.coefficients))
+        for nn, coeff in ld.coefficients.items():
+            assert np.array_equal(coeff, ref[nn])
+
+
+def test_carleman_takes_one_svd_per_sample(h1_solution, svd_calls):
+    # probe condition numbers come from the samples' own SVDs; P adds one SVD
+    # only when its Frobenius bound falls back to the exact check
+    comp = h1_solution.companion
+    tr = h1_solution.trusted_eigenvalues
+    lamp = h1_solution.lambda_prime
+    wp = WeierstrassProduct(lambda_prime=lamp, zeros=tr, p=1.0)
+    X = comp.matrix - lamp * np.eye(comp.matrix.shape[0])
+    fallback = not np.linalg.norm(X) * np.linalg.norm(np.linalg.inv(X)) <= 1e12
+    radius = float(sorted(set(np.round(np.abs(tr - lamp), 6)))[1])
+    del svd_calls[:]
+    rep = carleman_check(comp, wp, radius, n_samples=64)
+    assert rep["n_probes"] > 0
+    assert len(svd_calls) == rep["n_samples"] + rep["n_probes"] + int(fallback)
+    assert 1.0 < rep["max_probe_cond"] < 1e14
 
 
 def test_t_infinity_scalar_pole_term():

@@ -360,6 +360,17 @@ def test_counting_rejects_reference_on_eigenvalue():
         counting(np.array([1.0, 2.0, 4.0]), 1.0, 1.0, [3.0])
 
 
+def test_counting_rejects_reference_on_untrusted_eigenvalue(h48):
+    # the distance test sees only trusted eigenvalues; the checked inverse of
+    # A - lambda' sees this untrusted companion eigenvalue, hundreds away
+    # from every trusted one
+    untrusted = h48.eigenvalues[~h48.trust_mask]
+    lp = untrusted[np.argmin(np.abs(untrusted))]
+    assert np.min(np.abs(h48.trusted_eigenvalues - lp)) > 100.0
+    with pytest.raises(SingularAtLambdaError):
+        counting(h48, lp, 1.0, [1.0, 10.0])
+
+
 def test_completeness_own_eigenvector(h64):
     pen = h64.pencil
     cl = sorted(h64.clusters, key=lambda c: abs(c.center - h64.lambda_prime))[0]
