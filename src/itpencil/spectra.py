@@ -29,7 +29,10 @@ _FROB_CAP = 1e12  # a factor 100 under _COND_CAP for roundoff in a computed inve
 def _sigma_range(X, where):
     """(largest, smallest) singular value of X, finite with the smallest positive
     and at most 1e14 below the largest; else SingularAtLambdaError at `where`."""
-    sv = np.linalg.svd(X, compute_uv=False)
+    try:
+        sv = np.linalg.svd(X, compute_uv=False)
+    except np.linalg.LinAlgError:  # "SVD did not converge", as on a NaN entry
+        sv = np.full(1, np.nan)
     if not np.all(np.isfinite(sv)) or sv[-1] <= 0 or sv[0] / sv[-1] > _COND_CAP:
         raise SingularAtLambdaError(f"matrix is singular or near singular at {where}")
     return float(sv[0]), float(sv[-1])

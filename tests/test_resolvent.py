@@ -14,6 +14,8 @@ from itpencil.exceptions import (
 )
 from itpencil.resolvent import (
     WeierstrassProduct,
+    _resolvent_norms,
+    _unit_ring,
     carleman_check,
     circle_growth_scan,
     companion_block_inverse_check,
@@ -73,6 +75,12 @@ def test_cached_scaled_coefficients_match_explicit_scaling():
         sv = np.linalg.svd(Sinv @ pen.T(lam) @ Sinv, compute_uv=False)
         rel = abs(resolvent_norm(pen, lam) * sv[-1] - 1.0)
         assert rel <= eps * sv[0] / sv[-1], lam
+
+
+def test_resolvent_norm_rejects_nan_point():
+    # the SVD of a NaN sample does not converge; that is a failed check too
+    with pytest.raises(SingularAtLambdaError):
+        resolvent_norm(_scalar(0.0, 1.0, 1.0), complex("nan"))
 
 
 def test_resolvent_norm_rejects_singular_point():
@@ -395,7 +403,7 @@ def test_checked_inverse_decides_as_sigma_min(case, h64_pencil, svd_calls):
     weak = DiscretePencil(A0=A0, A1=np.zeros((n, n)), A2=np.zeros((n, n)), mass=h64_pencil.mass)
     for X, pencil, check in ((C, None, C), (weak.T(0.5), weak, weak._scaled_T(0.5))):
         expected = _outcome(lambda: _sigma_min(check, 0.5))
-        if pencil is None and case != "nan":  # the SVD itself may raise on NaN
+        if pencil is None:
             wanted = None if isinstance(case, float) and case < 1e14 else SingularAtLambdaError
             assert expected is wanted
         del svd_calls[:]
@@ -440,21 +448,53 @@ def test_laurent_needs_no_svd_and_keeps_its_coefficients(h1_solution, svd_calls)
             assert np.array_equal(coeff, ref[nn])
 
 
+def _p_fallback(M, lamp):
+    """Whether Carleman's P = (M - lamp)^-1 falls back to the exact SVD check."""
+    X = M - lamp * np.eye(M.shape[0])
+    return not np.linalg.norm(X) * np.linalg.norm(np.linalg.inv(X)) <= 1e12
+
+
 def test_carleman_takes_one_svd_per_sample(h1_solution, svd_calls):
-    # probe condition numbers come from the samples' own SVDs; P adds one SVD
-    # only when its Frobenius bound falls back to the exact check
+    # a real companion matrix and a real lambda' make every sample's matrix the
+    # conjugate of its mirror image's, so each pair takes one SVD, probes
+    # included; P adds one SVD only when its Frobenius bound falls back
     comp = h1_solution.companion
     tr = h1_solution.trusted_eigenvalues
     lamp = h1_solution.lambda_prime
+    assert lamp.imag == 0 and not np.iscomplexobj(comp.matrix)
     wp = WeierstrassProduct(lambda_prime=lamp, zeros=tr, p=1.0)
-    X = comp.matrix - lamp * np.eye(comp.matrix.shape[0])
-    fallback = not np.linalg.norm(X) * np.linalg.norm(np.linalg.inv(X)) <= 1e12
     radius = float(sorted(set(np.round(np.abs(tr - lamp), 6)))[1])
+    inside = tr[np.abs(tr - lamp) <= radius]
+    probes = [z + d for z in inside for d in (1e-3, -1e-3, 1e-3j, -1e-3j)]
+    distinct_probes = len({(z.real, abs(z.imag)) for z in probes})
+    assert distinct_probes == len(probes) // 2  # the trusted zeros pair exactly
+    fallback = _p_fallback(comp.matrix, lamp)
     del svd_calls[:]
     rep = carleman_check(comp, wp, radius, n_samples=64)
-    assert rep["n_probes"] > 0
-    assert len(svd_calls) == rep["n_samples"] + rep["n_probes"] + int(fallback)
+    assert rep["n_probes"] == len(probes)
+    assert len(svd_calls) == 64 // 2 + 1 + distinct_probes + int(fallback)
     assert 1.0 < rep["max_probe_cond"] < 1e14
+
+
+@pytest.mark.parametrize(
+    "top, lamp, svds",
+    [
+        # 9 circle keys; per zero z, z +- 1e-3 apart and z +- 1e-3j one pair
+        (2.0, 0.5, 9 + 2 * 3),
+        # a complex lambda' or a complex P: no sample matrix is the conjugate
+        # of another, so each of the 16 circle and 8 probe samples is an SVD
+        (2.0, 0.5 + 0.25j, 16 + 8),
+        (2.0 + 0.5j, 0.5, 16 + 8),
+    ],
+)
+def test_carleman_pairs_samples_only_for_a_real_centre_and_p(top, lamp, svds, svd_calls):
+    M = np.diag([top, -2.0, 5.0])
+    wp = WeierstrassProduct(lambda_prime=lamp, zeros=np.diag(M), p=1.0)
+    assert not _p_fallback(M, lamp)
+    del svd_calls[:]
+    rep = carleman_check(M, wp, 3.0, n_samples=16)
+    assert (rep["n_samples"], rep["n_probes"]) == (16, 8)
+    assert len(svd_calls) == svds
 
 
 def test_t_infinity_scalar_pole_term():
@@ -476,3 +516,55 @@ def test_t_infinity_masked_sample_limit():
     pen = _scalar(-50.0, -49.0, 1.0)  # root exactly at radius 50, theta 0
     with pytest.raises(MaskedSampleError):
         t_infinity_estimate(pen, 50.0, n_samples=8)
+
+
+@pytest.mark.parametrize("n", [8, 63, 64, 256])
+def test_unit_ring_upper_half_unchanged_and_lower_half_conjugate(n):
+    ring = _unit_ring(n)
+    direct = np.exp(1j * (2 * np.pi * np.arange(n) / n))
+    upper = np.arange(n // 2 + 1)
+    assert np.array_equal(ring[upper], direct[upper])
+    lower = np.arange(1, (n + 1) // 2)
+    assert np.array_equal(ring[n - lower], ring[lower].conj())
+    assert np.max(np.abs(ring - direct)) <= 8 * np.finfo(float).eps  # roundoff of exp
+
+
+@pytest.fixture(scope="module")
+def s64_pencil():
+    profile = MediumProfile.polynomial(PencilKind.SCHRODINGER, [1.0, 0.2, 0.3])
+    return assemble_pencil(profile, make_grid(0.0, 1.0, 64), (0, 1))
+
+
+@pytest.mark.parametrize("kind", ["helmholtz", "schrodinger"])
+def test_reused_norms_equal_direct_norms(kind, h64_pencil, s64_pencil):
+    # the conjugate partner's norm is taken over bit for bit, and the SVD of
+    # the conjugate sample would have given the same bits
+    pen = h64_pencil if kind == "helmholtz" else s64_pencil
+    assert not any(np.iscomplexobj(A) for A in (pen.A0, pen.A1, pen.A2))
+    for r in (8.3, 40.0, 300.0):
+        lams = r * _unit_ring(64)
+        direct = np.array([resolvent_norm(pen, lam) for lam in lams])
+        assert np.array_equal(_resolvent_norms(pen, lams), direct)
+
+
+def test_circle_scans_take_one_svd_per_conjugate_pair(h64_pencil, svd_calls):
+    n = 64
+    radii = np.array([10.3, 37.0, 150.0])
+    del svd_calls[:]
+    circle_growth_scan(h64_pencil, radii, 1.0, n_theta=n)
+    assert len(svd_calls) == radii.size * (n // 2 + 1)
+    del svd_calls[:]
+    t_infinity_estimate(h64_pencil, 10.3, n_samples=n)
+    assert len(svd_calls) == n // 2 + 1
+
+
+def test_complex_pencil_takes_one_svd_per_sample(h64_pencil, svd_calls):
+    # a complex A1 breaks T(conj lam) = conj T(lam); each sample is its own SVD
+    pen = h64_pencil
+    damped = DiscretePencil(A0=pen.A0, A1=pen.A1 + 0.5j * pen.mass, A2=pen.A2, mass=pen.mass)
+    lams = 10.3 * _unit_ring(16)
+    del svd_calls[:]
+    norms = _resolvent_norms(damped, lams)
+    assert len(svd_calls) == lams.size
+    assert np.array_equal(norms, [resolvent_norm(damped, lam) for lam in lams])
+    assert norms[1] != norms[-1]
