@@ -232,6 +232,12 @@ _SCHEMAS = {
     },
 }
 
+# built once, without jsonschema.validate's per-call meta-schema check (a test runs it)
+_VALIDATORS = {
+    command: jsonschema.validators.validator_for(schema)(schema)
+    for command, schema in _SCHEMAS.items()
+}
+
 
 def _fmt(v):
     if isinstance(v, (bool, np.bool_)):
@@ -292,12 +298,10 @@ def _load_config(command, path):
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    schema = _SCHEMAS[command]
-    try:
-        jsonschema.validate(cfg, schema)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected: {exc.message}") from exc
-    return _apply_defaults(cfg, schema)
+    error = jsonschema.exceptions.best_match(_VALIDATORS[command].iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config rejected: {error.message}") from error
+    return _apply_defaults(cfg, _SCHEMAS[command])
 
 
 def _profile_from(cfg_pencil):

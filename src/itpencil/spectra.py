@@ -3,7 +3,6 @@ conditioning check of sampled inverses."""
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -68,19 +67,11 @@ class CompanionOperator:
 
     Acting on stacked vectors (u, v) with v = lam * A2 u at an eigenvalue, so
     the ordinary spectrum of the block matrix is exactly the pencil spectrum.
-    The blocks have the pencil's dtype: a real pencil has a real matrix.
+    The read-only matrix has the pencil's dtype: a real pencil has a real matrix.
     """
 
-    blocks: tuple
+    matrix: np.ndarray
     source: DiscretePencil
-
-    @functools.cached_property
-    def matrix(self):
-        """The block matrix, built on first access and shared read-only after."""
-        (b00, b01), (b10, b11) = self.blocks
-        A = np.block([[b00, b01], [b10, b11]])
-        A.flags.writeable = False
-        return A
 
 
 @single_blas_thread
@@ -96,11 +87,12 @@ def linearize(pencil):
         raise SingularPencilError(f"A2 is numerically singular (cond {cond:.2e})")
     dtype = np.result_type(pencil.A0, pencil.A1, A2, np.float64)
     A2inv = np.linalg.solve(A2, np.eye(n, dtype=A2.dtype))
-    blocks = (
-        (np.zeros((n, n), dtype=dtype), A2inv.astype(dtype)),
-        ((-pencil.A0).astype(dtype), (-pencil.A1 @ A2inv).astype(dtype)),
-    )
-    return CompanionOperator(blocks=blocks, source=pencil)
+    matrix = np.block([
+        [np.zeros((n, n), dtype=dtype), A2inv.astype(dtype)],
+        [(-pencil.A0).astype(dtype), (-pencil.A1 @ A2inv).astype(dtype)],
+    ])
+    matrix.flags.writeable = False
+    return CompanionOperator(matrix=matrix, source=pencil)
 
 
 @dataclass
@@ -544,7 +536,7 @@ def completeness_residual(eig, pencil, f, m):
     if rank < Xs.shape[1]:
         warnings.warn(
             f"chain span is rank deficient ({rank} of {Xs.shape[1]})",
-            stacklevel=2,
+            stacklevel=3,  # the caller's line, past the single_blas_thread wrapper
         )
     nf = np.linalg.norm(fs)
     if nf == 0.0:

@@ -10,6 +10,12 @@ where D2 stands for the Laplacian.  The principal symbol (with lam carrying
 weight two) and the associated half-line boundary determinants are what this
 module evaluates; they decide invertibility of the pencil off the negative
 real axis.
+
+The boundary determinant uses the decaying solutions e^{r2 t} and the
+divided difference (e^{r4 t} - e^{r2 t}) / (r4 - r2), as the oracle does for
+its exponent collisions: one row formula covers distinct roots, the repeated
+root of the Schroedinger form and lam = 0, and stays continuous as lam -> 0,
+so the sampled minimum does not drift with the sample count.
 """
 
 from __future__ import annotations
@@ -202,6 +208,17 @@ def check_condition1(kind, q_range, cone, samples=2000, seed=0, tolerance=1e-9):
     )
 
 
+def _decaying_pair(kind, q, xi_prime_sq, lam):
+    """Decaying roots (r2, r4) of the half-line ODE, as arrays (see characteristic_roots)."""
+    lam = np.asarray(lam, dtype=complex)
+    r2 = -np.sqrt(lam + xi_prime_sq)
+    if kind is PencilKind.HELMHOLTZ:
+        return r2, -np.sqrt(lam * (1.0 + 1.0 / q) + xi_prime_sq)
+    if kind is PencilKind.SCHRODINGER:
+        return r2, r2
+    raise ValueError(f"unknown pencil kind: {kind!r}")
+
+
 def characteristic_roots(kind, q_val, xi_prime_sq, lam):
     """Characteristic roots of the half-line ODE at tangential frequency xi'.
 
@@ -215,77 +232,52 @@ def characteristic_roots(kind, q_val, xi_prime_sq, lam):
         raise ValueError("q must be positive")
     if xi_prime_sq < 0.0:
         raise ValueError("xi_prime_sq must be nonnegative")
-    r1 = np.sqrt(complex(lam + xi_prime_sq))
-    if kind is PencilKind.HELMHOLTZ:
-        r3 = np.sqrt(complex(lam * (1.0 + 1.0 / q_val) + xi_prime_sq))
-    elif kind is PencilKind.SCHRODINGER:
-        r3 = r1
-    else:
-        raise ValueError(f"unknown pencil kind: {kind!r}")
-    for r in (r1, r3):
+    r2, r4 = (complex(r) for r in _decaying_pair(kind, q_val, xi_prime_sq, lam))
+    for r in (r2, r4):
         if abs(r.real) <= _ROOT_TOL * max(1.0, abs(r)):
             raise DegenerateInputError(
-                f"characteristic root {r} has no real-part sign at lam={lam}"
+                f"characteristic root {-r} has no real-part sign at lam={lam}"
             )
-    return CharacteristicRoots(r1=complex(r1), r2=complex(-r1), r3=complex(r3), r4=complex(-r3))
+    return CharacteristicRoots(r1=-r2, r2=r2, r3=-r4, r4=r4)
 
 
-def _confluent_det(m1, m2, r):
-    """Boundary determinant for a repeated decaying root r (basis e^{rt}, t e^{rt})."""
+def _decaying_rows(kind, q, xi_prime_sq, m_values, lam):
+    """Boundary rows (r2^m, h_{m-1}(r2, r4)), one per trace order m, as arrays.
 
-    def row(m):
-        a = r**m
-        b = 0.0 if m == 0 else m * r ** (m - 1)
-        return a, b
-
-    a1, b1 = row(m1)
-    a2, b2 = row(m2)
-    return a1 * b2 - a2 * b1
-
-
-def _decaying_roots(kind, q_val, xi_prime_sq, lam):
-    """Decaying roots (r2, r4), real at lam = 0, and whether they coincide.
-
-    They coincide at lam = 0 for both forms and for every lam in the
-    Schroedinger form, where the confluent basis (c2 + c4 t) e^{r t} applies.
+    The m-th traces at t = 0 of e^{r2 t} and of the divided difference
+    (e^{r4 t} - e^{r2 t}) / (r4 - r2), h_{m-1} = sum_{j<m} r2^j r4^{m-1-j}
+    with h_{-1} = 0.  At r4 = r2 (the Schroedinger form, and lam = 0) the
+    second is the confluent m r^{m-1}, with no branch and no subtraction.
     """
-    if lam == 0:
-        r2 = -math.sqrt(xi_prime_sq)
-        return r2, r2, True
-    if kind is PencilKind.SCHRODINGER:
-        r2 = complex(-np.sqrt(complex(lam + xi_prime_sq)))
-        return r2, r2, True
-    if kind is PencilKind.HELMHOLTZ:
-        if q_val <= 0.0:
-            raise ValueError("q must be positive")
-        r2 = -np.sqrt(complex(lam + xi_prime_sq))
-        r4 = -np.sqrt(complex(lam * (1.0 + 1.0 / q_val) + xi_prime_sq))
-        return r2, r4, False
-    raise ValueError(f"unknown pencil kind: {kind!r}")
+    r2, r4 = _decaying_pair(kind, q, xi_prime_sq, lam)
+    rows = []
+    for m in m_values:
+        a, h = np.ones_like(r2), np.zeros_like(r2)
+        for _ in range(m):
+            a, h = a * r2, h * r4 + a
+        rows.append((a, h))
+    return rows
 
 
 def lopatinsky_determinant(kind, bc, q_val, xi_prime_sq, lam):
     """Boundary determinant deciding unique solvability on the half line.
 
-    For distinct decaying roots r2, r4 the determinant is
-    det [[r2^m1, r4^m1], [r2^m2, r4^m2]]; a repeated decaying root (the
-    Schroedinger form for every lam, and lam = 0 for both forms) switches to
-    the confluent basis (c2 + c4 t) e^{r t}.
+    Taken on the rows of _decaying_rows, it is continuous as lam -> 0.  For
+    distinct decaying roots it equals det [[r2^m1, r4^m1], [r2^m2, r4^m2]],
+    the determinant on the basis e^{r2 t}, e^{r4 t}, divided by r4 - r2; at a
+    repeated root (the Schroedinger form, and lam = 0 in both forms) it is
+    the confluent determinant on e^{r t}, t e^{r t}.
     """
-    if isinstance(bc, BoundaryPair):
-        m1, m2 = bc.m1, bc.m2
-    else:
-        m1, m2 = bc
-        BoundaryPair(m1, m2)  # validation only
+    if not isinstance(bc, BoundaryPair):
+        bc = BoundaryPair(*bc)
+    if q_val <= 0.0:
+        raise ValueError("q must be positive")
     if xi_prime_sq < 0.0:
         raise ValueError("xi_prime_sq must be nonnegative")
     if abs(lam) + xi_prime_sq == 0.0:
         raise DegenerateInputError("(xi', lam) = (0, 0) is excluded")
-
-    r2, r4, confluent = _decaying_roots(kind, q_val, xi_prime_sq, lam)
-    if confluent:
-        return complex(_confluent_det(m1, m2, r2))
-    return complex(r2**m1 * r4**m2 - r2**m2 * r4**m1)
+    (a1, b1), (a2, b2) = _decaying_rows(kind, q_val, xi_prime_sq, (bc.m1, bc.m2), lam)
+    return complex(a1 * b2 - a2 * b1)
 
 
 def check_condition2(kind, bc, q_range, cone, samples=2000, seed=0, tolerance=1e-9):
@@ -294,22 +286,16 @@ def check_condition2(kind, bc, q_range, cone, samples=2000, seed=0, tolerance=1e
     min_modulus is scale-fair: each sampled determinant is divided by the
     product of its row norms, so the reported minimum is the sine of the
     angle between the two trace rows.  witness_value keeps the raw
-    determinant at the minimizer.
+    determinant at the minimizer.  The slice xi_sq + |lam| = 1 never holds
+    (xi', lam) = (0, 0), so the whole scan is one array pass.
     """
-    if isinstance(bc, tuple):
+    if not isinstance(bc, BoundaryPair):
         bc = BoundaryPair(*bc)
     qs, xi_sq, lam = _cone_samples(q_range, cone, samples, seed)
-    raw = np.empty(len(qs), dtype=complex)
-    normed = np.empty(len(qs), dtype=float)
-    for i in range(len(qs)):
-        try:
-            d = lopatinsky_determinant(kind, bc, qs[i], xi_sq[i], lam[i])
-        except DegenerateInputError:
-            raw[i] = np.nan
-            normed[i] = np.inf
-            continue
-        raw[i] = d
-        normed[i] = abs(d) / _row_scale(kind, bc, qs[i], xi_sq[i], lam[i])
+    (a1, b1), (a2, b2) = _decaying_rows(kind, qs, xi_sq, (bc.m1, bc.m2), lam)
+    raw = a1 * b2 - a2 * b1
+    scale = np.hypot(np.abs(a1), np.abs(b1)) * np.hypot(np.abs(a2), np.abs(b2))
+    normed = np.abs(raw) / np.maximum(scale, 1e-300)
     j = int(np.argmin(normed))
     witness = SymbolPoint(float(qs[j]), float(xi_sq[j]), complex(lam[j]))
     return ConditionReport(
@@ -320,17 +306,3 @@ def check_condition2(kind, bc, q_range, cone, samples=2000, seed=0, tolerance=1e
         tolerance=tolerance,
         n_samples=len(qs),
     )
-
-
-def _row_scale(kind, bc, q_val, xi_prime_sq, lam):
-    """Product of the 2-norms of the two boundary rows at a sample."""
-    r2, r4, confluent = _decaying_roots(kind, q_val, xi_prime_sq, lam)
-    r2, r4 = complex(r2), complex(r4)
-
-    def row_norm(m):
-        if confluent:
-            b = 0.0 if m == 0 else m * r2 ** (m - 1)
-            return math.hypot(abs(r2**m), abs(b))
-        return math.hypot(abs(r2**m), abs(r4**m))
-
-    return max(row_norm(bc.m1) * row_norm(bc.m2), 1e-300)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -306,6 +307,14 @@ def test_unknown_command_exits_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate", "--config", "x.json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", sorted(cli._SCHEMAS))
+def test_config_schemas_pass_the_meta_schema(command):
+    # configs are checked by validators built once, which skip this check
+    schema = cli._SCHEMAS[command]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+    assert cli._VALIDATORS[command].schema is schema
 
 
 def test_missing_config_exits_two(tmp_path):

@@ -102,6 +102,36 @@ def test_find_roots_multiplicity_four_at_zero_for_23():
     assert at_zero and at_zero[0] == 4
 
 
+def test_find_roots_nudges_a_rectangle_through_a_root(monkeypatch):
+    # the left edge's midpoint is the double root at 0 for bc=(1,3), so the
+    # boundary is not clear; one nudge outward must find the same root
+    nudges = []
+    inner = oracle._nudge_rect
+
+    def counted(rect, k):
+        nudges.append(k)
+        return inner(rect, k)
+
+    monkeypatch.setattr(oracle, "_nudge_rect", counted)
+    cf = _cf(bc=(1, 3))
+    roots = find_roots(cf, (0.0, 8.0, -5.0, 5.0))
+    assert nudges == [0]
+    reference = find_roots(cf, (-0.1, 8.0, -5.0, 5.0))
+    assert len(roots) == len(reference) == 1
+    (r, m, _s), (r_ref, m_ref, _s_ref) = roots[0], reference[0]
+    assert m == m_ref == 2
+    assert abs(r) <= 1e-10 and abs(r_ref) <= 1e-10
+
+
+def test_merge_close_coalesces_a_split_multiple_root():
+    merged = oracle._merge_close([(1.0 + 0j, 1, 1e-12), (1.0 + 1e-9 + 0j, 2, 1e-13)])
+    assert len(merged) == 1
+    root, mult, step = merged[0]
+    assert mult == 3
+    assert root == pytest.approx((1.0 + 2 * (1.0 + 1e-9)) / 3, rel=1e-15)
+    assert step == pytest.approx(1e-9, rel=1e-6)
+
+
 def test_q1_helmholtz_exponents():
     # factored exponents sqrt(lam), sqrt(2 lam) drive the determinant: the
     # entire function must vanish at the discretization-confirmed eigenvalue

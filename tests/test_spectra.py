@@ -393,6 +393,15 @@ def test_completeness_nonincreasing_and_small(h64):
     assert rs[-1] < 0.1
 
 
+def test_rank_deficient_warning_names_the_caller(h1_solution):
+    # the warning must point past the single-BLAS-thread wrapper to this file
+    pen = h1_solution.pencil
+    f = pen.project(np.cos(np.pi * pen.grid.nodes))
+    with pytest.warns(UserWarning, match=r"rank deficient \(81 of 87\)") as record:
+        completeness_residual(h1_solution, pen, f, len(h1_solution.clusters))
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_completeness_rejects_oversized_m(h64):
     pen = h64.pencil
     f = np.ones(pen.dim, dtype=complex)

@@ -16,6 +16,7 @@ from itpencil import (
     principal_symbol,
 )
 from itpencil.exceptions import DegenerateInputError
+from itpencil.symbols import _cone_samples
 
 H = PencilKind.HELMHOLTZ
 S = PencilKind.SCHRODINGER
@@ -83,9 +84,13 @@ def test_characteristic_roots_degenerate_rejected():
 
 
 def test_lopatinsky_single_point_value():
-    # clamped pair at lam=1, xi'=0, q=1: basis roots -1 and -sqrt(2)
+    # clamped pair at lam=1, xi'=0, q=1: decaying roots r2 = -1, r4 = -sqrt(2),
+    # rows (1, 0) and (-1, 1) on the divided-difference basis
     d = lopatinsky_determinant(H, (0, 1), 1.0, 0.0, 1.0)
-    assert abs(d) == pytest.approx(abs(1.0 - math.sqrt(2.0)), rel=1e-12)
+    assert d == pytest.approx(1.0, rel=1e-12)
+    # times r4 - r2: the determinant on the basis e^{r2 t}, e^{r4 t}
+    r = characteristic_roots(H, 1.0, 0.0, 1.0)
+    assert (r.r4 - r.r2) * d == pytest.approx(1.0 - math.sqrt(2.0), rel=1e-12)
 
 
 def test_lopatinsky_schrodinger_confluent_value():
@@ -135,6 +140,56 @@ def test_check_condition2_valid_cones():
     assert rep.passed and rep.min_modulus > 0
     rep = check_condition2(H, (2, 3), (1.0, 1.0), cone, samples=1000)
     assert rep.passed and rep.min_modulus > 0
+
+
+def test_check_condition2_independent_of_sample_count():
+    # the divided-difference basis stays well conditioned as lam -> 0, so a
+    # finer scan of a valid cone finds no smaller minimum
+    for samples in (500, 2000, 20000):
+        rep = check_condition2(H, (0, 1), (0.5, 2.0), Cone(1.0, 2.2), samples=samples)
+        assert rep.min_modulus == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+        assert rep.passed
+
+
+ORDERED_PAIRS = [(m1, m2) for m1 in range(4) for m2 in range(4) if m1 < m2]
+ORDERED_PAIRS += [(m2, m1) for m1, m2 in ORDERED_PAIRS]
+
+
+@pytest.mark.parametrize("bc", ORDERED_PAIRS)
+def test_lopatinsky_continuous_at_lam_zero(bc):
+    d0 = lopatinsky_determinant(H, bc, 1.3, 0.7, 0.0)
+    d = lopatinsky_determinant(H, bc, 1.3, 0.7, 1e-12 * np.exp(0.4j))
+    assert abs(d - d0) <= 1e-10 * abs(d0)
+
+
+def _reference_condition2(kind, bc, q_range, cone, samples):
+    """Per-sample scan on the subtraction form of the divided-difference rows."""
+    qs, xi_sq, lam = _cone_samples(q_range, cone, samples, 0)
+    best = math.inf
+    for q, xs, lm in zip(qs, xi_sq, lam):
+        r2 = -np.sqrt(complex(lm + xs))
+        r4 = -np.sqrt(complex(lm * (1.0 + 1.0 / q) + xs)) if kind is H else r2
+
+        def row(m):
+            if r4 == r2:
+                return r2**m, (m * r2 ** (m - 1) if m else 0.0)
+            return r2**m, (r4**m - r2**m) / (r4 - r2)
+
+        (a1, b1), (a2, b2) = row(bc[0]), row(bc[1])
+        scale = math.hypot(abs(a1), abs(b1)) * math.hypot(abs(a2), abs(b2))
+        best = min(best, abs(a1 * b2 - a2 * b1) / max(scale, 1e-300))
+    return best
+
+
+@pytest.mark.parametrize("kind", [H, S])
+@pytest.mark.parametrize("bc", ORDERED_PAIRS[:6])
+def test_check_condition2_matches_per_sample_reference(kind, bc):
+    # a valid cone and one touching the negative axis; minima, not witness
+    # indices, are compared, since exact ties at xi' = 0 may pick either sample
+    for cone in (Cone(-3 * np.pi / 4, 3 * np.pi / 4), Cone(2.4, np.pi)):
+        rep = check_condition2(kind, bc, (0.5, 2.0), cone, samples=300)
+        ref = _reference_condition2(kind, bc, (0.5, 2.0), cone, 300)
+        assert rep.min_modulus == pytest.approx(ref, rel=1e-12)
 
 
 def test_cone_touches_negative_axis():
