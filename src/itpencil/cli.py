@@ -240,6 +240,11 @@ _VALIDATORS = {
 
 
 def _fmt(v):
+    t = type(v)  # exact types first: the same bytes as the isinstance dispatch below
+    if t is float or t is np.float64:
+        return format(v, ".16e")
+    if t is int:
+        return str(v)
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -248,10 +253,10 @@ def _fmt(v):
 
 
 def _write_csv(path, header, rows):
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _c2l(z):

@@ -254,13 +254,26 @@ class DiscretePencil:
         self._scaling()
         return self._scale_cache["mass_norm"]
 
-    def _scaled_T(self, lam):
-        """S^{-1} T(lam) S^{-1}, from the scaled coefficients cached per pencil."""
+    def _scaled_coefficients(self):
+        """[B0, B1, B2] with B_k = S^{-1} A_k S^{-1}, and their Frobenius norms,
+        cached once per pencil."""
         if "scaled" not in self._scale_cache:
             _, Sinv = self._scaling()
-            self._scale_cache["scaled"] = [Sinv @ M @ Sinv for M in (self.A0, self.A1, self.A2)]
-        B0, B1, B2 = self._scale_cache["scaled"]
+            B = [Sinv @ M @ Sinv for M in (self.A0, self.A1, self.A2)]
+            self._scale_cache["scaled"] = (B, [float(np.linalg.norm(b)) for b in B])
+        return self._scale_cache["scaled"]
+
+    def _scaled_T(self, lam):
+        """S^{-1} T(lam) S^{-1}, from the scaled coefficients cached per pencil."""
+        B0, B1, B2 = self._scaled_coefficients()[0]
         return B0 + lam * B1 + lam**2 * B2
+
+    def _scaled_norm_bound(self, lam):
+        """||B0||_F + |lam| ||B1||_F + |lam|^2 ||B2||_F, an upper bound on
+        ||_scaled_T(lam)||_F by the triangle inequality, from cached norms."""
+        n0, n1, n2 = self._scaled_coefficients()[1]
+        a = abs(lam)
+        return n0 + a * n1 + a * a * n2
 
     def _companion_scaling(self):
         """(S2, S2^{-1}) on companion state pairs: S2 = diag(S, S^{-1}).

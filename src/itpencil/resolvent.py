@@ -6,9 +6,14 @@ circle and probe samples included, passes one conditioning check: the 2-norm
 condition at most 1e14 (spectra._sigma_min), and samples are evaluated in order
 in the calling thread.  A pencil sample is checked in mass-scaled form,
 B0 + lam B1 + lam^2 B2 with B_k = S^{-1} A_k S^{-1} cached once per pencil
-(DiscretePencil._scaled_T), so no sample pays for scaling products.  A sample
-whose result is an inverse is certified from that inverse by a Frobenius bound
-(spectra._checked_inverse), with an SVD only where the bound exceeds 1e12.
+(DiscretePencil._scaled_T), so no sample pays for scaling products.  Every
+inverse is one LU, getrf then getri (spectra._lu_inverse).  A sample whose
+result is an inverse is certified from that inverse by a Frobenius bound
+(spectra._checked_inverse), with ||B||_F bounded by sum |lam|^k ||B_k||_F from
+norms cached per pencil, so a certified sample costs its LU and nothing else;
+an SVD, on B formed only then, runs only where the bound exceeds 1e12.  The
+contour coefficients of laurent_coefficients are one product of a weight
+matrix with the stacked inverses.
 
 Each sample is a small dense factorization, where a second BLAS thread costs
 more in hand-off than it gains.  The public functions here therefore run with
@@ -42,7 +47,14 @@ from .exceptions import (
     QuadratureConvergenceError,
     SingularAtLambdaError,
 )
-from .spectra import _checked_inverse, _sigma_min, _sigma_range, linearize, pencil_derivatives
+from .spectra import (
+    _checked_inverse,
+    _lu_inverse,
+    _sigma_min,
+    _sigma_range,
+    linearize,
+    pencil_derivatives,
+)
 
 
 @single_blas_thread
@@ -153,7 +165,7 @@ def companion_block_inverse_check(pencil, lam):
     up to a relative and absolute slack of 1e-12.
     """
     tnorm = resolvent_norm(pencil, lam)
-    Tinv = np.linalg.inv(pencil.T(lam))
+    Tinv = _lu_inverse(pencil.T(lam))
     A2 = pencil.A2
     B = pencil.A1 + lam * A2
     TB = Tinv @ B
@@ -448,25 +460,21 @@ def laurent_coefficients(pencil, lambda0, radius, n_coeffs=4, n_quad=256,
     theta = 2 * np.pi * np.arange(M) / M
     ring = r * np.exp(1j * theta)
 
-    invs = np.array(
+    flat = np.array(
         [_checked_inverse(pencil.T(lam), lam, pencil) for lam in lam0 + ring]
-    )
+    ).reshape(M, -1)
 
     orders = np.arange(-(n_coeffs + 1), n_coeffs + 1)
-    coeffs = {}
-    halves = {}
-    for nn in orders:
-        w = ring ** (-nn)
-        coeffs[nn] = np.tensordot(w, invs, axes=(0, 0)) / M
-        halves[nn] = np.tensordot(w[::2], invs[::2], axes=(0, 0)) / (M // 2)
+    W = ring ** -orders[:, None]
+    full = (W @ flat) / M
+    half = (W[:, ::2] @ flat[::2]) / (M // 2)
+    coeffs = dict(zip(orders.tolist(), full.reshape(orders.size, pencil.dim, pencil.dim)))
 
-    norms = {nn: float(np.linalg.norm(coeffs[nn])) for nn in orders}
+    norms = dict(zip(orders.tolist(), np.linalg.norm(full, axis=1).tolist()))
     scale = max(norms.values())
     if scale == 0:
         raise QuadratureConvergenceError("all contour coefficients vanished")
-    qerr = max(
-        float(np.linalg.norm(coeffs[nn] - halves[nn])) / scale for nn in orders
-    )
+    qerr = float(np.linalg.norm(full - half, axis=1).max()) / scale
     if qerr > 1e-7:
         raise QuadratureConvergenceError(
             f"halved-rule disagreement {qerr:.3e} exceeds 1e-7"

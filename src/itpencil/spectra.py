@@ -42,22 +42,41 @@ def _sigma_min(X, where):
     return _sigma_range(X, where)[1]
 
 
+def _lu_inverse(X):
+    """X^{-1} from one LU, LAPACK getrf then getri (about 2/3 of the flops of
+    np.linalg.inv, which solves against I); LinAlgError on an exact zero pivot."""
+    getrf, getri = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getri"), (X,))
+    lu, piv, info = getrf(X)
+    if info == 0:
+        Xinv, info = getri(lu, piv, overwrite_lu=True)
+    if info != 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return Xinv
+
+
 def _checked_inverse(X, where, pencil=None):
-    """inv(X), raising exactly where "_sigma_min(C, where), then inv(X)" would.
+    """_lu_inverse(X), raising exactly where "_sigma_min(C, where), then
+    _lu_inverse(X)" would.
 
     C is X, or B = pencil._scaled_T(where) for a weak-form X = pencil.T(where).
-    The inverse certifies C without an SVD, as kappa_2(C) <= ||C||_F ||C^-1||_F
-    and ||B^-1||_F = ||S X^-1 S||_F <= ||M||_2 ||X^-1||_F; a bound above
-    _FROB_CAP, a NaN bound or a singular LU falls back to _sigma_min(C).
+    The inverse certifies C without an SVD, as kappa_2(C) <= ||C||_F ||C^-1||_F,
+    ||B||_F <= pencil._scaled_norm_bound(where) and ||B^-1||_F = ||S X^-1 S||_F
+    <= ||M||_2 ||X^-1||_F.  A bound above _FROB_CAP, a NaN bound or a singular
+    LU falls back to _sigma_min(C), the only place B is formed, so a loose
+    bound costs an SVD but never changes a decision.
     """
-    C, m2 = (X, 1.0) if pencil is None else (pencil._scaled_T(where), pencil._mass_norm())
+    if pencil is None:
+        bound = np.linalg.norm(X)
+    else:
+        bound = pencil._scaled_norm_bound(where) * pencil._mass_norm()
     try:
-        Xinv = np.linalg.inv(X)
+        Xinv = _lu_inverse(X)
     except np.linalg.LinAlgError:
-        _sigma_min(C, where)
-        raise
-    if not np.linalg.norm(C) * m2 * np.linalg.norm(Xinv) <= _FROB_CAP:
-        _sigma_min(C, where)
+        Xinv = None
+    if Xinv is None or not bound * np.linalg.norm(Xinv) <= _FROB_CAP:
+        _sigma_min(X if pencil is None else pencil._scaled_T(where), where)
+        if Xinv is None:
+            raise np.linalg.LinAlgError("Singular matrix")
     return Xinv
 
 

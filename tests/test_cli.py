@@ -511,3 +511,28 @@ def test_outputs_do_not_depend_on_caller_blas_threads(tmp_path):
         csvs.append(files)
     assert len(csvs[0]) >= 5
     assert csvs[0] == csvs[1]
+
+
+def _isinstance_fmt(v):
+    """The CSV cell format by isinstance dispatch alone, the writer's reference."""
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".16e")
+
+
+def test_csv_writer_bytes_match_isinstance_dispatch(tmp_path):
+    # the exact-type fast paths and the single write give the same bytes as
+    # formatting every cell by isinstance and writing line by line
+    cells = [True, False, np.bool_(True), np.bool_(False), 0, -7, 2**70, np.int64(-3),
+             np.int32(12), 1.5, -0.0, np.float64(1 / 3), np.float64(-2.5e-300),
+             float("inf"), -np.inf, float("nan"), np.float64(-np.nan), np.float32(0.1),
+             5e-324, np.float64(1e308)]
+    rows = [tuple(cells[i:] + cells[:i]) for i in range(len(cells))] + [()]
+    header = [f"c{i}" for i in range(len(cells))]
+    path = tmp_path / "mixed.csv"
+    cli._write_csv(path, header, rows)
+    expected = ",".join(header) + "\n"
+    expected += "".join(",".join(_isinstance_fmt(v) for v in row) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from itpencil import MediumProfile, PencilKind, solve_spectrum
 from itpencil._blas import single_blas_thread
@@ -75,6 +76,19 @@ def test_cached_scaled_coefficients_match_explicit_scaling():
         sv = np.linalg.svd(Sinv @ pen.T(lam) @ Sinv, compute_uv=False)
         rel = abs(resolvent_norm(pen, lam) * sv[-1] - 1.0)
         assert rel <= eps * sv[0] / sv[-1], lam
+
+
+@pytest.mark.parametrize("bc", [(0, 1), (2, 3)])
+@pytest.mark.parametrize("kind", [PencilKind.HELMHOLTZ, PencilKind.SCHRODINGER])
+def test_scaled_norm_bound_never_underestimates(kind, bc):
+    # the certificate's ||C||_F is the cached sum_k |lam|^k ||B_k||_F; on a
+    # ray and on a circle it must stay above the norm of the formed sample
+    profile = MediumProfile.polynomial(kind, [1.0, 0.2, 0.3])
+    pen = assemble_pencil(profile, make_grid(0.0, 1.0, 48), bc)
+    ray = np.geomspace(0.1, 1e6, 29) * np.exp(0.3j * np.pi)
+    circles = [r * _unit_ring(64) for r in (37.0, 1e6)]
+    for lam in np.concatenate([ray, *circles]):
+        assert pen._scaled_norm_bound(lam) >= np.linalg.norm(pen._scaled_T(lam)), lam
 
 
 def test_resolvent_norm_rejects_nan_point():
@@ -357,6 +371,39 @@ def svd_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def getrf_calls(monkeypatch):
+    """Counts LAPACK getrf calls made through get_lapack_funcs after set-up."""
+    calls = []
+    get_funcs = scipy.linalg.lapack.get_lapack_funcs
+
+    def counted_funcs(names, arrays=()):
+        funcs = list(get_funcs(names, arrays))
+        if "getrf" in names:
+            i = list(names).index("getrf")
+            getrf = funcs[i]
+
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return getrf(*args, **kwargs)
+
+            funcs[i] = counted
+        return funcs
+
+    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", counted_funcs)
+    return calls
+
+
+def _getri_inverse(X):
+    """X^-1 by LAPACK getrf + getri, the route _checked_inverse takes."""
+    getrf, getri = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getri"), (X,))
+    lu, piv, info = getrf(X)
+    assert info == 0
+    Xinv, info = getri(lu, piv)
+    assert info == 0
+    return Xinv
+
+
 def _outcome(f):
     """The exception class f raises, or None."""
     try:
@@ -394,7 +441,7 @@ def h64_pencil():
 def test_checked_inverse_decides_as_sigma_min(case, h64_pencil, svd_calls):
     # the Frobenius certificate only skips the SVD: it raises, with the same
     # class, exactly where _sigma_min on the check matrix raises, and returns
-    # the plain LU inverse otherwise
+    # the getrf + getri inverse otherwise
     n = h64_pencil.dim
     C = _guard_matrix(n, case)
     S, _ = h64_pencil._scaling()
@@ -411,47 +458,59 @@ def test_checked_inverse_decides_as_sigma_min(case, h64_pencil, svd_calls):
         if case == 1e6:
             assert len(svd_calls) == 0
         if expected is None:
-            assert np.array_equal(_checked_inverse(X, 0.5, pencil), np.linalg.inv(X))
+            assert np.array_equal(_checked_inverse(X, 0.5, pencil), _getri_inverse(X))
 
 
 @single_blas_thread
-def _laurent_reference(pen, lam0, radius, n_quad, orders):
+def _laurent_reference(pen, lam0, radius, n_quad, orders, old_route=False):
     """Contour coefficients by the route "_sigma_min of the mass-scaled
-    sample, then inv(T(lam))", at the library's one BLAS thread."""
+    sample, then the getrf + getri inverse of T(lam)", summed with one weight
+    matrix, at the library's one BLAS thread.  old_route inverts with
+    np.linalg.inv and sums with one tensordot per order instead."""
     ring = radius * np.exp(1j * 2 * np.pi * np.arange(n_quad) / n_quad)
+    inverse = np.linalg.inv if old_route else _getri_inverse
     invs = []
     for lam in lam0 + ring:
         _sigma_min(pen._scaled_T(lam), lam)
-        invs.append(np.linalg.inv(pen.T(lam)))
+        invs.append(inverse(pen.T(lam)))
     invs = np.array(invs)
-    # integer-array orders as in laurent_coefficients: numpy's scalar power
-    # takes another route for a Python int exponent of -1
     orders = np.arange(min(orders), max(orders) + 1)
-    return {int(nn): np.tensordot(ring ** (-nn), invs, axes=(0, 0)) / n_quad for nn in orders}
+    if old_route:
+        # integer-array orders: numpy's scalar power takes another route for
+        # a Python int exponent of -1
+        return {int(nn): np.tensordot(ring ** (-nn), invs, axes=(0, 0)) / n_quad
+                for nn in orders}
+    sums = (ring ** -orders[:, None]) @ invs.reshape(n_quad, -1) / n_quad
+    return dict(zip(orders.tolist(), sums.reshape(orders.size, *invs.shape[1:])))
 
 
-def test_laurent_needs_no_svd_and_keeps_its_coefficients(h1_solution, svd_calls):
-    # criterion 06's poles: every sample is certified by its own inverse, and
-    # the coefficients equal those of the route "SVD check of the mass-scaled
-    # sample, then inv(T(lam))" bit for bit
+def test_laurent_needs_no_svd_and_keeps_its_coefficients(h1_solution, svd_calls, getrf_calls):
+    # criterion 06's poles: every sample is certified by its own inverse from
+    # one LU, and the coefficients equal those of the route "SVD check of the
+    # mass-scaled sample, then the getrf + getri inverse" bit for bit; the
+    # np.linalg.inv + tensordot route they replace agrees to 1e-13
     pen = h1_solution.pencil
     tr = h1_solution.trusted_eigenvalues
     n_quad = 256
     for lam0 in tr[np.lexsort((tr.imag, tr.real, np.abs(tr)))][:3]:
         others = tr[np.abs(tr - lam0) > 1e-6 * (1.0 + abs(lam0))]
         radius = 0.4 * float(np.min(np.abs(others - lam0)))
-        del svd_calls[:]
+        del svd_calls[:], getrf_calls[:]
         ld = laurent_coefficients(pen, lam0, radius, n_coeffs=3, n_quad=n_quad, eigenvalues=tr)
         assert len(svd_calls) == 0
+        assert len(getrf_calls) == n_quad
         ref = _laurent_reference(pen, lam0, radius, n_quad, list(ld.coefficients))
+        old = _laurent_reference(pen, lam0, radius, n_quad, list(ld.coefficients), True)
+        scale = max(np.abs(c).max() for c in ld.coefficients.values())
         for nn, coeff in ld.coefficients.items():
             assert np.array_equal(coeff, ref[nn])
+            assert np.abs(coeff - old[nn]).max() <= 1e-13 * scale
 
 
 def _p_fallback(M, lamp):
     """Whether Carleman's P = (M - lamp)^-1 falls back to the exact SVD check."""
     X = M - lamp * np.eye(M.shape[0])
-    return not np.linalg.norm(X) * np.linalg.norm(np.linalg.inv(X)) <= 1e12
+    return not np.linalg.norm(X) * np.linalg.norm(_getri_inverse(X)) <= 1e12
 
 
 def test_carleman_takes_one_svd_per_sample(h1_solution, svd_calls):
