@@ -684,6 +684,15 @@ def cmd_oracle(cfg, args, out):
     return 0
 
 
+def _entry_rows(C):
+    """(row, col, re, im) for every entry of a complex matrix, row by row."""
+    return [
+        (i, j, re, im)
+        for i, (row_re, row_im) in enumerate(zip(C.real.tolist(), C.imag.tolist()))
+        for j, (re, im) in enumerate(zip(row_re, row_im))
+    ]
+
+
 def cmd_laurent(cfg, args, out):
     pencil, _, eigs = _source(cfg, poles=cfg["use_trusted"])
     data = rv.laurent_coefficients(
@@ -694,14 +703,8 @@ def cmd_laurent(cfg, args, out):
 
     files = []
     for n in sorted(data.coefficients):
-        C = data.coefficients[n]
-        rows = [
-            (i, j, C[i, j].real, C[i, j].imag)
-            for i in range(C.shape[0])
-            for j in range(C.shape[1])
-        ]
         name = f"laurent_C{n}.csv"
-        _write_csv(out / name, ["row", "col", "re", "im"], rows)
+        _write_csv(out / name, ["row", "col", "re", "im"], _entry_rows(data.coefficients[n]))
         files.append(name)
 
     results = {

@@ -15,10 +15,15 @@ exponent collisions, because the divided-difference columns degenerate
 smoothly to s-derivative columns (the confluent t e^{rt} solutions).
 
 find_roots isolates zeros by argument-principle bisection of rectangles.  A
-rectangle of winding number one is not bisected further: the first contour
-moment (1/2 pi i) contour integral of z f'/f dz, computed from the boundary
-values its winding count already has, is the zero up to quadrature error
-and starts Newton (Delves & Lyness, Math. Comp. 21, 1967).
+rectangle of winding number w <= 4 is first resolved in place from its
+contour moments s_k = (1/2 pi i) contour integral of u^k f'/f dz, k < 2w,
+with u the box coordinate scaled to the unit disc, computed from the
+boundary values its winding count already has.  The rank of the Hankel
+matrix [s_{i+j}] counts the distinct zeros, a small Hankel eigenproblem
+gives them and a Vandermonde fit their multiplicities, and each starts a
+multiplicity-corrected Newton (Delves & Lyness, Math. Comp. 21, 1967;
+Kravanja & Van Barel, LNM 1727, 2000).  A box whose moments fail any check
+is bisected as before.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ _SERIES_CUT = 1e-6  # switch c, e, de to power series below |s| x^2 of this size
 _CONFLUENT_GAP = 1e-6  # exponent-gap threshold for the confluent columns
 _PTS_PER_SIDE = 128  # contour samples per rectangle side on a first pass
 _MAX_PTS = 4096  # cap on the doubled samples per side of a winding count
+_MOMENT_MAX_W = 4  # largest winding number resolved from contour moments
 
 
 @dataclass(frozen=True)
@@ -223,28 +229,59 @@ def _ratios(vals):
     return ratios
 
 
-def _first_moment(z, vals):
-    """(1/2 pi i) contour integral of z f'/f dz for a contour of winding one.
+def _moments(z, vals, w, center, radius):
+    """s_k = (1/2 pi i) contour integral of u^k f'/f dz, u = (z - center)/radius, k < 2w.
 
-    z are the contour points in order, vals the values of f there.  By parts,
-    the moment is z_0 - (1/2 pi i) contour integral of log f dz, with log f
-    unwrapped from the phase steps and closed with log f(z_0) + 2 pi i; the
-    trapezoid rule runs over the polygon.  For one simple zero the moment is
-    the zero.  Returns None when a phase step fails the unwrap test of
-    _winding.
+    z are the contour points in order, vals the values of f there and w the
+    winding number.  By parts, s_k = w u_0^k - (k/2 pi i) contour integral of
+    u^(k-1) log f du, with log f unwrapped from the phase steps relative to
+    log f(z_0) and closed with 2 pi i w; the trapezoid rule runs over the
+    polygon.  Zeros u_j of multiplicity m_j give s_k = sum_j m_j u_j^k, so
+    for one simple zero s_1 / s_0 is the zero.  Returns None when a phase
+    step fails the unwrap test of _winding.
     """
     ratios = _ratios(vals)
     if np.max(np.abs(np.angle(ratios))) >= 2.5:
         return None
     # log f - log f(z_0) at z_0..z_{N-1}, then closed by the winding
-    logf = np.concatenate(([0.0], np.cumsum(np.log(ratios[:-1])), [2j * np.pi]))
-    dz = np.diff(np.append(z, z[0]))
-    integral = np.sum(0.5 * (logf[:-1] + logf[1:]) * dz)
-    return complex(z[0] - integral / (2j * np.pi))
+    logf = np.concatenate(([0.0], np.cumsum(np.log(ratios[:-1])), [2j * np.pi * w]))
+    u = (np.append(z, z[0]) - center) / radius
+    k = np.arange(1, 2 * w)
+    g = u ** (k[:, None] - 1) * logf
+    integrals = np.sum(0.5 * (g[:, :-1] + g[:, 1:]) * np.diff(u), axis=1)
+    return np.concatenate(([w], w * u[0] ** k - k * integrals / (2j * np.pi)))
 
 
-def _newton_polish(cf, z0, mult=1, tol=1e-10, max_iter=60):
-    """Newton iteration on char_det (multiplicity-corrected), returns (root, step)."""
+def _hankel_nodes(s):
+    """Distinct nodes and integer multiplicities from moments s_0..s_{2w-1}, or None.
+
+    The numerical rank r of H0 = [s_{i+j}] (singular values above 1e-3 of
+    the largest) is the number of distinct nodes, which are the eigenvalues
+    of H0[:r, :r]^-1 H1[:r, :r], H1 = [s_{i+j+1}] (Kravanja & Van Barel,
+    LNM 1727, 2000).  Multiplicities come from the Vandermonde least-squares
+    fit to all the moments; each must lie within 0.25 of an integer >= 1,
+    and together they must sum to w = s_0.
+    """
+    w = len(s) // 2
+    idx = np.add.outer(np.arange(w), np.arange(w))
+    sv = np.linalg.svd(s[idx], compute_uv=False)  # sv[0] >= s_0 = w > 0
+    r = int(np.sum(sv > 1e-3 * sv[0]))
+    try:
+        nodes = np.linalg.eigvals(np.linalg.solve(s[idx[:r, :r]], s[idx[:r, :r] + 1]))
+    except np.linalg.LinAlgError:
+        return None
+    fit = np.linalg.lstsq(nodes ** np.arange(2 * w)[:, None], s, rcond=None)[0]
+    mult = np.round(fit.real)
+    if np.any(mult < 1) or np.any(np.abs(fit - mult) > 0.25) or mult.sum() != w:
+        return None
+    return nodes, mult.astype(int)
+
+
+def _newton_polish(cf, z0, mult=1, tol=1e-10, max_iter=60, box=None):
+    """Newton iteration on char_det (multiplicity-corrected), returns (root, step).
+
+    With a box, an iterate that leaves it ends the iteration with step inf.
+    """
     z = complex(z0)
     last = np.inf
     for _ in range(max_iter):
@@ -256,6 +293,8 @@ def _newton_polish(cf, z0, mult=1, tol=1e-10, max_iter=60):
         step = mult * f0 / deriv
         z -= step
         last = abs(step)
+        if box is not None and not _inside(box, z):
+            return z, np.inf
         if last <= tol * (1.0 + abs(z)):
             break
     return z, last
@@ -288,12 +327,16 @@ def find_roots(cf, rect, max_roots=200):
     Each contour sample is evaluated once: the values that show a boundary
     clear of zeros, _PTS_PER_SIDE (128) per side, are the first pass of its
     winding count, which doubles them up to _MAX_PTS (4096) if needed.  A
-    box of winding one goes straight to Newton, started from its first
-    contour moment on those values.  The root is kept if every phase step
-    passes the unwrap test, Newton converges and the root lies in the box;
-    otherwise the box is split like any other.  Boxes of winding two or more are split
-    until they fall below the floor diameter, then polished with a
-    multiplicity-corrected Newton step.
+    box of winding w <= 4 takes its zeros and multiplicities from the
+    contour moments on those values (_moment_roots) and polishes each with
+    multiplicity-corrected Newton.  They are kept if every phase step passes
+    the unwrap test, the multiplicities are near integers summing to w,
+    each Newton run converges within 20 steps without leaving the box, the
+    roots are distinct, and each multiple root has its multiplicity as the
+    winding number of a floor-size box around it; otherwise the box is
+    split like any other.  Boxes of winding above 4, and those the moments
+    cannot resolve, are split until they fall below the floor diameter,
+    then polished with a multiplicity-corrected Newton step.
     """
     for k in range(6):
         vals = _clear_values(cf, rect)
@@ -386,30 +429,67 @@ def _inside(rect, z):
     return re0 - 1e-12 <= z.real <= re1 + 1e-12 and im0 - 1e-12 <= z.imag <= im1 + 1e-12
 
 
+def _moment_roots(cf, rect, w, vals):
+    """The w zeros of a box from its contour moments, or None if the box must be split.
+
+    vals are the boundary values at _PTS_PER_SIDE, so no new contour sample
+    is taken.  Newton, multiplicity-corrected and at most 20 steps, runs from
+    each Hankel node and must converge without leaving the box; the roots
+    must be distinct to 1e-7 relative, and a root of multiplicity m > 1 is
+    kept only if a clear box of side 1e-5 (1 + |root|) centred on it, the
+    floor box of the split route, has winding number m.
+    """
+    re0, re1, im0, im1 = rect
+    center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
+    radius = 0.5 * np.hypot(re1 - re0, im1 - im0)
+    s = _moments(_rect_boundary(rect, _PTS_PER_SIDE), vals, w, center, radius)
+    fit = None if s is None else _hankel_nodes(s)
+    if fit is None:
+        return None
+    found = []
+    for node, mult in zip(*fit):
+        root, step = _newton_polish(cf, center + radius * node, mult, max_iter=20, box=rect)
+        if step > 1e-10 * (1.0 + abs(root)):
+            return None
+        if any(abs(root - r0) <= 1e-7 * (1.0 + abs(root)) for r0, _m, _s in found):
+            return None
+        if mult > 1 and _floor_winding(cf, root) != mult:
+            return None
+        found.append((root, int(mult), step))
+    return found
+
+
+def _floor_winding(cf, root):
+    """Winding number of the floor-size box centred on root, or None if not clear."""
+    h = 0.5e-5 * (1.0 + abs(root))
+    box = (root.real - h, root.real + h, root.imag - h, root.imag + h)
+    vals = _clear_values(cf, box)
+    if vals is None:
+        return None
+    try:
+        return _winding(cf, box, vals)
+    except WindingNumberError:
+        return None
+
+
 def _subdivide(cf, rect, w, roots, vals):
     """Isolate and polish the w zeros in rect; vals are its boundary values."""
     if w == 0:
         return
-    if w == 1:
-        # one simple zero: Newton from the first moment, no new contour samples
-        z0 = _first_moment(_rect_boundary(rect, _PTS_PER_SIDE), vals)
-        if z0 is not None:
-            root, step = _newton_polish(cf, z0)
-            if step <= 1e-10 * (1.0 + abs(root)) and _inside(rect, root):
-                roots.append((root, 1, step))
-                return
+    if w <= _MOMENT_MAX_W:
+        found = _moment_roots(cf, rect, w, vals)
+        if found is not None:
+            roots.extend(found)
+            return
     re0, re1, im0, im1 = rect
     center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-    diam = max(re1 - re0, im1 - im0)
-    floor = diam <= 1e-5 * (1.0 + abs(center))
-    if floor or (w == 1 and diam <= 0.05 * (1.0 + abs(center))):
+    if max(re1 - re0, im1 - im0) <= 1e-5 * (1.0 + abs(center)):
+        # the floor box: its w zeros are one root of multiplicity w
         root, step = _newton_polish(cf, center, mult=w)
-        if _inside(rect, root):
-            roots.append((root, w, step))
-            return
-        if floor:
-            # Newton refuses to stay in an already tiny box
+        if not _inside(rect, root):
             raise WindingNumberError(f"root escaped its isolating box near {center}")
+        roots.append((root, w, step))
+        return
     (ra, wa, va), (rb, wb, vb) = _split_once(cf, rect, w)
     _subdivide(cf, ra, wa, roots, va)
     _subdivide(cf, rb, wb, roots, vb)

@@ -61,6 +61,23 @@ def test_laurent_scalar_residue(tmp_path):
     assert float(im_part) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_laurent_rows_format_as_entry_indexing(tmp_path):
+    # rows from C.real.tolist() and C.imag.tolist() give the bytes of rows
+    # built from numpy scalars C[i, j].real and C[i, j].imag
+    rng = np.random.default_rng(5)
+    C = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-300, 300, (7, 5)) \
+        + 1j * rng.standard_normal((7, 5))
+    C[0, 0] = complex(-0.0, 0.0)
+    C[1, 2] = complex(np.nan, np.inf)
+    C[3, 4] = complex(5e-324, -np.inf)
+    indexed = [(i, j, C[i, j].real, C[i, j].imag)
+               for i in range(C.shape[0]) for j in range(C.shape[1])]
+    header = ["row", "col", "re", "im"]
+    cli._write_csv(tmp_path / "indexed.csv", header, indexed)
+    cli._write_csv(tmp_path / "rows.csv", header, cli._entry_rows(C))
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "indexed.csv").read_bytes()
+
+
 def test_equal_trace_orders_rejected(tmp_path):
     code, _ = _run(
         tmp_path,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from itpencil import (
@@ -11,7 +12,8 @@ from itpencil import (
     oracle,
     winding_number,
 )
-from itpencil.exceptions import WindingNumberError
+from itpencil.discretize import MediumProfile, assemble_pencil, make_grid
+from itpencil.spectra import linearize
 
 H = PencilKind.HELMHOLTZ
 S = PencilKind.SCHRODINGER
@@ -180,28 +182,105 @@ def test_find_roots_orders_conjugate_pairs_by_imaginary_part():
 
 
 def test_first_moment_locates_simple_zero():
-    # (1/2 pi i) contour integral of z f'/f dz is the zero itself
+    # s_1 / s_0 = (1/2 pi i) contour integral of u f'/f dz / w is the zero itself
     a = 0.3 + 0.2j
     rect = (-1.0, 2.0, -1.5, 1.0)
     diam = 3.0
     z = oracle._rect_boundary(rect, 128)
-    est = oracle._first_moment(z, (z - a) * np.exp(z / 7.0))
-    assert abs(est - a) < 1e-3 * diam
+    center, radius = 0.5 - 0.25j, 0.5 * np.hypot(3.0, 2.5)
+    s = oracle._moments(z, (z - a) * np.exp(z / 7.0), 1, center, radius)
+    assert s[0] == 1
+    assert abs(center + radius * s[1] / s[0] - a) < 1e-3 * diam
+
+
+def test_hankel_nodes_recover_a_rank_deficient_cluster():
+    # winding four, two distinct zeros: H0 = [s_{i+j}] has rank two, and the
+    # Vandermonde fit gives the multiplicities 3 and 1
+    a, b = 0.3 + 0.2j, -0.4 - 0.7j
+    rect = (-1.0, 2.0, -1.5, 1.0)
+    center, radius = 0.5 - 0.25j, 0.5 * np.hypot(3.0, 2.5)
+    z = oracle._rect_boundary(rect, 128)
+    s = oracle._moments(z, (z - a) ** 3 * (z - b) * np.exp(z / 7.0), 4, center, radius)
+    nodes, mult = oracle._hankel_nodes(s)
+    found = sorted(zip(center + radius * nodes, mult), key=lambda t: -t[1])
+    assert [m for _z, m in found] == [3, 1]
+    assert abs(found[0][0] - a) < 1e-3 * 3.0 and abs(found[1][0] - b) < 1e-3 * 3.0
+    # exact moments of the same nodes give them to roundoff
+    u = (np.array([a, b]) - center) / radius
+    exact = np.array([3 * u[0] ** k + u[1] ** k for k in range(8)])
+    nodes, mult = oracle._hankel_nodes(exact)
+    order = np.argsort(-mult)
+    assert list(mult[order]) == [3, 1]
+    assert np.max(np.abs(nodes[order] - u)) < 1e-10
+
+
+def test_find_roots_certifies_a_double_root_beside_a_simple_one(monkeypatch):
+    # at the box's scale the cluster looks like one triple zero; the floor-size
+    # box centred on the Newton limit a holds only the double zero, so the
+    # triple is refused and the box is split until the two zeros separate
+    a = 0.3 + 0.2j
+    monkeypatch.setattr(
+        oracle, "char_det",
+        lambda cf, lam: (lam - a) ** 2 * (lam - a - 2e-5) * np.exp(lam / 7.0),
+    )
+    roots = find_roots(_cf(), (-1.0, 2.0, -1.5, 1.0))
+    assert [m for _r, m, _s in roots] == [2, 1]
+    assert abs(roots[0][0] - a) < 1e-9
+    assert abs(roots[1][0] - (a + 2e-5)) < 1e-9
 
 
 @pytest.mark.parametrize(
-    "kind,q,bc",
+    "kind,points_before",
+    [pytest.param(H, 66_132, id="helmholtz"), pytest.param(S, 97_876, id="schrodinger")],
+)
+def test_find_roots_resolves_multiple_roots_from_moments(monkeypatch, kind, points_before):
+    # bisecting the bc (2,3) double and quadruple roots down to the floor box
+    # took points_before points, two fresh contours per level
+    points = _count_points(monkeypatch)
+    cf = _cf(kind, 1.3125, 1.0, (2, 3))
+    roots = find_roots(cf, CENSUS_RECT)
+    assert points[0] <= points_before // 2
+    assert sum(m for _r, m, _s in roots) == winding_number(cf, CENSUS_RECT)
+
+
+@pytest.mark.parametrize(
+    "kind,q,bc,multiple",
     [
-        pytest.param(H, 0.5625, (0, 1), id="helmholtz-0.5625-bc01"),
-        pytest.param(H, 0.5625, (2, 3), id="helmholtz-0.5625-bc23"),
-        pytest.param(S, 0.8125, (2, 3), id="schrodinger-0.8125-bc23"),
-        pytest.param(S, 1.125, (2, 3), id="schrodinger-1.125-bc23"),
+        # sqrt(s1) = 3 pi i and sqrt(s2) = 5 pi i at lam = -9 pi^2
+        pytest.param(H, 0.5625, (0, 1), [(-9 * np.pi**2, 4)], id="helmholtz-0.5625-bc01"),
+        pytest.param(H, 0.5625, (2, 3), [(-9 * np.pi**2, 4), (0.0, 4)],
+                     id="helmholtz-0.5625-bc23"),
+        pytest.param(S, 0.8125, (2, 3), [(0.0, 2), (1 / 0.8125, 2)],
+                     id="schrodinger-0.8125-bc23"),
+        pytest.param(S, 1.125, (2, 3), [(0.0, 2), (1 / 1.125, 2)], id="schrodinger-1.125-bc23"),
     ],
 )
-@pytest.mark.xfail(strict=True, raises=WindingNumberError,
-                   reason="known: no consistent split of a tiny box on the real axis")
-def test_find_roots_known_split_failures(kind, q, bc):
-    find_roots(_cf(kind, q, 1.0, bc), CENSUS_RECT)
+def test_find_roots_multiple_roots_on_the_real_axis(kind, q, bc, multiple):
+    # these censuses raised "could not split rectangle" while every multiple
+    # root was bisected down to a floor box on the real axis
+    cf = _cf(kind, q, 1.0, bc)
+    roots = find_roots(cf, CENSUS_RECT)
+    assert sum(m for _r, m, _s in roots) == winding_number(cf, CENSUS_RECT)
+    got = [(r, m) for r, m, _s in roots if m > 1]
+    assert len(got) == len(multiple)
+    for z, m in multiple:
+        r, m_got = min(got, key=lambda t: abs(t[0] - z))
+        assert m_got == m
+        assert abs(r - z) <= 1e-6 * max(abs(z), 1.0)
+
+
+@pytest.mark.parametrize("bc", [(0, 1), (2, 3)], ids=lambda bc: f"bc{bc[0]}{bc[1]}")
+def test_quadruple_root_of_helmholtz_9_16(bc):
+    # -9 pi^2 is one zero of multiplicity four, not a cluster: boxes down to
+    # half-width 1e-3 keep winding four, and the n = 64 pencil has exactly
+    # four eigenvalues near it (within 0.021 for bc (0,1), 0.069 for (2,3))
+    cf = _cf(H, 0.5625, 1.0, bc)
+    z = -9 * np.pi**2
+    assert [winding_number(cf, (z - h, z + h, -h, h)) for h in (0.1, 0.01, 0.001)] == [4] * 3
+    comp = linearize(assemble_pencil(MediumProfile.constant(H, 0.5625),
+                                     make_grid(0.0, 1.0, 64), bc))
+    dist = np.abs(scipy.linalg.eigvals(comp.matrix) - z)
+    assert np.sum(dist < 0.1) == np.sum(dist < 10.0) == 4
 
 
 def _mp_det(mp, cf, lam):
