@@ -1,10 +1,14 @@
 """Batch command line front end.
 
 Each subcommand validates a JSON config against its schema, runs the
-corresponding module operations, and writes CSV data plus a JSON manifest
-echoing the resolved config and tool version.  Exit codes: 0 pass, 1 a
-numerical assertion failed, 2 bad configuration.  Identical config and seed
-give byte-identical outputs; floats are printed with 17 significant digits.
+corresponding module operations, and returns its CSV tables, its headline
+results and whether its checked properties passed.  Only main writes: once
+the command returns, it creates --out and writes the CSVs plus a JSON
+manifest echoing the resolved config and tool version.  Exit codes: 0 pass,
+1 a checked property failed (everything is still written) or a numerical
+failure was raised, 2 bad configuration; a raised error writes nothing.
+Identical config and seed give byte-identical outputs; floats are printed
+with 17 significant digits.
 """
 
 import argparse
@@ -268,22 +272,6 @@ def _l2c(v):
     return complex(float(v[0]), float(v[1]))
 
 
-def _write_manifest(out, command, cfg, args, files, results):
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "resolved_config": cfg,
-        "seed": args.seed,
-        "files": sorted(files),
-        "results": results,
-    }
-    path = out / f"{command.replace('-', '_')}_manifest.json"
-    with open(path, "w", newline="\n") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2, allow_nan=True)
-        fh.write("\n")
-    return path
-
-
 def _apply_defaults(cfg, schema):
     for key, sub in schema.get("properties", {}).items():
         if key not in cfg and "default" in sub:
@@ -389,7 +377,7 @@ def _source(cfg, poles=True, refine=True):
     return sol.pencil, sol, sol.trusted_eigenvalues
 
 
-def cmd_check_ellipticity(cfg, args, out):
+def cmd_check_ellipticity(cfg, args):
     kind = PencilKind(cfg["kind"])
     bc = _bc_from(cfg["bc"])
     qlo, qhi = cfg["q_range"]
@@ -427,11 +415,13 @@ def cmd_check_ellipticity(cfg, args, out):
         "condition2": report(r2),
         "cone_touches_negative_axis": cone.touches_negative_axis(),
     }
-    _write_manifest(out, "check-ellipticity", cfg, args, [], results)
-    return 0 if (r1.passed and r2.passed) else 1
+    return {}, results, r1.passed and r2.passed
 
 
-def cmd_spectrum(cfg, args, out):
+def cmd_spectrum(cfg, args):
+    pc = cfg["pencil"]
+    if args.verify_oracle and pc["q"]["type"] != "constant":
+        raise ConfigError("oracle verification needs constant q")
     _, sol, _ = _source(cfg, refine=args.refine)
 
     mult = {}
@@ -458,25 +448,15 @@ def cmd_spectrum(cfg, args, out):
             mult.get(i, 1), chain_len.get(i, 0),
             sol.residuals[i], bool(sol.trust_mask[i]),
         ))
-    csv_path = out / "spectrum_eigenvalues.csv"
-    _write_csv(
-        csv_path,
-        ["re", "im", "multiplicity", "chain_length", "residual", "trusted"],
-        rows,
-    )
-
+    header = ["re", "im", "multiplicity", "chain_length", "residual", "trusted"]
     results = {
         "n_eigenvalues": int(sol.eigenvalues.size),
         "n_trusted": int(sol.trust_mask.sum()),
         "lambda_prime": _c2l(sol.lambda_prime),
         "clusters": chain_info,
     }
-    code = 0
-
+    passed = True
     if args.verify_oracle:
-        pc = cfg["pencil"]
-        if pc["q"]["type"] != "constant":
-            raise ConfigError("oracle verification needs constant q")
         ocfg = cfg.get("oracle", {})
         cap = ocfg.get("max_abs_lambda", 200.0)
         rtol = ocfg.get("rtol", 1e-6)
@@ -510,67 +490,54 @@ def cmd_spectrum(cfg, args, out):
             "max_rel_error": max_err,
             "rtol": rtol,
         }
-        if not count_match or max_err > rtol:
-            code = 1
-
-    _write_manifest(out, "spectrum", cfg, args, [csv_path.name], results)
-    return code
+        passed = count_match and not max_err > rtol
+    return {"spectrum_eigenvalues.csv": (header, rows)}, results, passed
 
 
-def cmd_resolvent_scan(cfg, args, out):
+def cmd_resolvent_scan(cfg, args):
     pencil, _, eigs = _source(cfg, poles="circles" in cfg)
     rmin, rmax, count = cfg["radii"]
     if not rmin < rmax:
         raise ConfigError("radii must satisfy r_min < r_max")
     if int(count) < 2:
         raise ConfigError("radii need a count of at least 2")
+    cc = cfg.get("circles")
+    if cc is not None and not cc["r_min"] < cc["r_max"]:
+        raise ConfigError("circles need r_min < r_max")
     radii = np.geomspace(rmin, rmax, int(count))
 
-    files = []
+    tables = {}
     slopes = []
-    code = 0
     for i, frac in enumerate(cfg["rays"]):
         scan = rv.ray_scan(pencil, np.exp(1j * np.pi * frac), radii)
-        name = f"ray_{i}.csv"
-        _write_csv(out / name, ["radius", "norm"], list(zip(scan.radii, scan.norms)))
-        files.append(name)
+        tables[f"ray_{i}.csv"] = (["radius", "norm"], list(zip(scan.radii, scan.norms)))
         slopes.append({
             "arg_over_pi": frac,
             "fitted_slope": scan.fitted_slope,
             "within_tolerance": abs(scan.fitted_slope - cfg["slope_target"])
             <= cfg["slope_tol"],
         })
-        if not slopes[-1]["within_tolerance"]:
-            code = 1
 
     results = {"rays": slopes}
-    if "circles" in cfg:
-        cc = cfg["circles"]
-        if not cc["r_min"] < cc["r_max"]:
-            raise ConfigError("circles need r_min < r_max")
+    if cc is not None:
         circle_radii = rv.pole_avoiding_radii(eigs, cc["r_min"], cc["r_max"])
         rep = rv.circle_growth_scan(
             pencil, circle_radii, cc["p"], eigenvalues=eigs,
             **_given(cc, "epsilon", "n_theta"),
         )
-        name = "circles.csv"
-        _write_csv(
-            out / name,
+        tables["circles.csv"] = (
             ["radius", "max_log_norm", "min_pole_distance"],
             list(zip(rep.radii, rep.max_log_norms, rep.min_pole_distances)),
         )
-        files.append(name)
         results["circles"] = {
             "fitted_exponent": rep.fitted_exponent,
             "p": rep.p,
             "epsilon": rep.epsilon,
         }
-
-    _write_manifest(out, "resolvent-scan", cfg, args, files, results)
-    return code
+    return tables, results, all(s["within_tolerance"] for s in slopes)
 
 
-def cmd_counting(cfg, args, out):
+def cmd_counting(cfg, args):
     if ("eigenvalues" in cfg) == ("pencil" in cfg):
         raise ConfigError("give exactly one of a pencil section and an eigenvalue list")
     if "pencil" in cfg:
@@ -590,20 +557,17 @@ def cmd_counting(cfg, args, out):
             else float("nan")
         )
         rows.append((t, int(report.counts[i]), report.discrete_bounds[i], sb))
-    name = "counting.csv"
-    _write_csv(out / name, ["t", "count", "discrete_bound", "schatten_bound"], rows)
-
     violations = int(np.sum(report.counts > report.discrete_bounds))
     results = {
         "p": report.p,
         "lambda_prime": _c2l(report.lambda_prime),
         "bound_violations": violations,
     }
-    _write_manifest(out, "counting", cfg, args, [name], results)
-    return 0 if violations == 0 else 1
+    header = ["t", "count", "discrete_bound", "schatten_bound"]
+    return {"counting.csv": (header, rows)}, results, violations == 0
 
 
-def cmd_completeness(cfg, args, out):
+def cmd_completeness(cfg, args):
     pencil, sol, _ = _source(cfg)
     n_clusters = len(sol.clusters)
     if n_clusters == 0:
@@ -643,8 +607,6 @@ def cmd_completeness(cfg, args, out):
     chain_vec = cl.chains[0].vectors[0]
     chain_resid = sp.completeness_residual(sol, pencil, chain_vec, n_clusters)
 
-    name = "completeness.csv"
-    _write_csv(out / name, ["sample", "m", "residual"], rows)
     results = {
         "m_values": [int(m) for m in mv],
         "worst_final_residual": worst_final,
@@ -653,16 +615,15 @@ def cmd_completeness(cfg, args, out):
         "residual_tol": cfg["residual_tol"],
         "chain_tol": cfg["chain_tol"],
     }
-    _write_manifest(out, "completeness", cfg, args, [name], results)
-    ok = (
+    passed = (
         worst_final < cfg["residual_tol"]
         and monotone
         and chain_resid <= cfg["chain_tol"]
     )
-    return 0 if ok else 1
+    return {"completeness.csv": (["sample", "m", "residual"], rows)}, results, passed
 
 
-def cmd_oracle(cfg, args, out):
+def cmd_oracle(cfg, args):
     oc = cfg["oracle"]
     cf = CharacteristicFunction(
         PencilKind(oc["kind"]), oc["q"], oc["length"], _bc_from(oc["bc"])
@@ -674,26 +635,27 @@ def cmd_oracle(cfg, args, out):
     dets = char_det(cf, np.array([r for r, _m, _s in roots], dtype=complex))
     # scalar abs (hypot): numpy's array abs of complex can differ in the last bit
     rows = [(r.real, r.imag, m, abs(d)) for (r, m, _step), d in zip(roots, dets)]
-    name = "oracle_roots.csv"
-    _write_csv(out / name, ["re", "im", "multiplicity", "newton_residual"], rows)
     results = {
         "n_roots": len(roots),
         "total_multiplicity": int(sum(m for _r, m, _s in roots)),
     }
-    _write_manifest(out, "oracle", cfg, args, [name], results)
-    return 0
+    header = ["re", "im", "multiplicity", "newton_residual"]
+    return {"oracle_roots.csv": (header, rows)}, results, True
 
 
 def _entry_rows(C):
-    """(row, col, re, im) for every entry of a complex matrix, row by row."""
-    return [
+    """(row, col, re, im) for every entry of a complex matrix, row by row.
+
+    A generator: main builds each table's rows only while writing it.
+    """
+    return (
         (i, j, re, im)
         for i, (row_re, row_im) in enumerate(zip(C.real.tolist(), C.imag.tolist()))
         for j, (re, im) in enumerate(zip(row_re, row_im))
-    ]
+    )
 
 
-def cmd_laurent(cfg, args, out):
+def cmd_laurent(cfg, args):
     pencil, _, eigs = _source(cfg, poles=cfg["use_trusted"])
     data = rv.laurent_coefficients(
         pencil, _l2c(cfg["lambda0"]), cfg["radius"],
@@ -701,12 +663,10 @@ def cmd_laurent(cfg, args, out):
         eigenvalues=eigs,
     )
 
-    files = []
-    for n in sorted(data.coefficients):
-        name = f"laurent_C{n}.csv"
-        _write_csv(out / name, ["row", "col", "re", "im"], _entry_rows(data.coefficients[n]))
-        files.append(name)
-
+    tables = {
+        f"laurent_C{n}.csv": (["row", "col", "re", "im"], _entry_rows(C))
+        for n, C in data.coefficients.items()
+    }
     results = {
         "lambda0": _c2l(data.lambda0),
         "N": data.order,
@@ -715,8 +675,7 @@ def cmd_laurent(cfg, args, out):
         "noise_floor": data.noise_floor,
         "quadrature_error": data.quadrature_error,
     }
-    _write_manifest(out, "laurent", cfg, args, files, results)
-    return 0
+    return tables, results, True
 
 
 _COMMANDS = {
@@ -756,23 +715,33 @@ def _build_parser():
 
 @single_blas_thread
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.command, args.config)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](cfg, args, out)
+        tables, results, passed = _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (PencilError, ValueError, AssertionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    # the only writer: a command that raised above leaves no output
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
+    manifest = {
+        "command": args.command,
+        "version": __version__,
+        "resolved_config": cfg,
+        "seed": args.seed,
+        "files": sorted(tables),
+        "results": results,
+    }
+    with open(out / f"{args.command.replace('-', '_')}_manifest.json", "w", newline="\n") as fh:
+        json.dump(manifest, fh, sort_keys=True, indent=2, allow_nan=True)
+        fh.write("\n")
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -115,6 +115,9 @@ class MediumProfile:
         if self.q_type == "constant":
             qv = np.full(x.shape, float(self.q_data))
         elif self.q_type == "polynomial":
+            # polyval of a non-finite coefficient warns before the check below
+            if not np.all(np.isfinite(self.q_data)):
+                raise ValueError("q must be finite everywhere")
             qv = np.polynomial.polynomial.polyval(x, self.q_data)
             qv = np.broadcast_to(qv, x.shape).copy()
         elif self.q_type == "samples":

@@ -351,7 +351,7 @@ def find_roots(cf, rect, max_roots=200):
         raise WindingNumberError(f"{total} roots exceed max_roots={max_roots}")
     roots = []
     _subdivide(cf, rect, total, roots, vals)
-    return _sorted_roots(_merge_close(roots))
+    return _sorted_roots(roots)
 
 
 def _sorted_roots(roots, rtol=1e-10):
@@ -367,25 +367,6 @@ def _sorted_roots(roots, rtol=1e-10):
         else:
             runs.append([r])
     return [r for run in runs for r in sorted(run, key=lambda r: r[0].imag)]
-
-
-def _merge_close(roots, rtol=1e-7):
-    """Coalesce roots the subdivision separated but Newton could not.
-
-    A zero of multiplicity m perturbs into a cluster of diameter about
-    noise**(1/m), so two polished points within rtol of each other are
-    one multiple zero, reported at the cluster mean.
-    """
-    merged = []
-    for root, mult, step in roots:
-        for i, (r0, m0, s0) in enumerate(merged):
-            if abs(root - r0) <= rtol * (1.0 + abs(root)):
-                w = (m0 * r0 + mult * root) / (m0 + mult)
-                merged[i] = (w, m0 + mult, max(s0, step, abs(root - r0)))
-                break
-        else:
-            merged.append((root, mult, step))
-    return merged
 
 
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39, 0.55, 0.45, 0.635, 0.365)

@@ -403,8 +403,9 @@ def test_spectrum_verify_oracle_constant_q(tmp_path):
 
 def test_spectrum_verify_oracle_rejects_polynomial_q(tmp_path):
     pencil = _h1_pencil(q={"type": "polynomial", "data": [1.0, 0.3]})
-    code, _ = _run(tmp_path, "spectrum", {"pencil": pencil}, "--verify-oracle")
+    code, out = _run(tmp_path, "spectrum", {"pencil": pencil}, "--verify-oracle")
     assert code == 2
+    assert not out.exists()
 
 
 def test_counting_on_pencil_writes_schatten_bound(tmp_path):
@@ -470,14 +471,35 @@ def test_resolvent_scan_needs_two_radii(tmp_path):
     assert code == 2
 
 
+def test_resolvent_scan_bad_circles_write_nothing(tmp_path):
+    # a bad circles section is a configuration error: no ray CSV is written either
+    payload = {**_THREADS_CASES["resolvent-scan"],
+               "circles": {"r_min": 64.0, "r_max": 8.0, "p": 1.0}}
+    code, out = _run(tmp_path, "resolvent-scan", payload)
+    assert code == 2
+    assert not out.exists()
+
+
+def test_oracle_numerical_failure_writes_nothing(tmp_path):
+    # no nudge of this rectangle gives a clear boundary: WindingNumberError
+    payload = {
+        "oracle": {"kind": "helmholtz", "q": 1.0, "length": 1.0, "bc": [0, 1]},
+        "rect": [-1000.0, 10.0, -500.0, 500.0],
+    }
+    code, out = _run(tmp_path, "oracle", payload)
+    assert code == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,q,extra", [
     ("spectrum", {"type": "constant", "data": float("nan")}, {}),
     ("laurent", {"type": "polynomial", "data": [1.0, float("inf")]},
      {"lambda0": [1.0, 0.0], "radius": 0.5, "use_trusted": False}),
 ])
 def test_non_finite_q_is_config_error(tmp_path, command, q, extra):
-    code, _ = _run(tmp_path, command, {"pencil": _h1_pencil(q=q), **extra})
+    code, out = _run(tmp_path, command, {"pencil": _h1_pencil(q=q), **extra})
     assert code == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,payload", [

@@ -153,6 +153,7 @@ def test_variable_q_positivity_enforced():
         assemble_pencil(profile, grid, (0, 1))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("profile", [
     MediumProfile.constant(H, float("nan")),
     MediumProfile.constant(S, float("inf")),

@@ -13,6 +13,7 @@ from itpencil import (
     winding_number,
 )
 from itpencil.discretize import MediumProfile, assemble_pencil, make_grid
+from itpencil.exceptions import WindingNumberError
 from itpencil.spectra import linearize
 
 H = PencilKind.HELMHOLTZ
@@ -125,13 +126,38 @@ def test_find_roots_nudges_a_rectangle_through_a_root(monkeypatch):
     assert abs(r) <= 1e-10 and abs(r_ref) <= 1e-10
 
 
-def test_merge_close_coalesces_a_split_multiple_root():
-    merged = oracle._merge_close([(1.0 + 0j, 1, 1e-12), (1.0 + 1e-9 + 0j, 2, 1e-13)])
-    assert len(merged) == 1
-    root, mult, step = merged[0]
-    assert mult == 3
-    assert root == pytest.approx((1.0 + 2 * (1.0 + 1e-9)) / 3, rel=1e-15)
-    assert step == pytest.approx(1e-9, rel=1e-6)
+def test_floor_box_resolves_a_fivefold_root(monkeypatch):
+    # winding 5 is above _MOMENT_MAX_W, so every box around the root is split
+    # down to the floor box, whose multiplicity-corrected Newton places it
+    a = 0.3 + 0.2j
+
+    def fivefold(cf, lam):
+        lam = np.asarray(lam, dtype=complex)
+        return (lam - a) ** 5 * np.exp(lam / 7.0)
+
+    monkeypatch.setattr(oracle, "char_det", fivefold)
+    roots = find_roots(_cf(), (-2.0, 2.0, -2.0, 2.0))
+    assert len(roots) == 1
+    root, mult, _step = roots[0]
+    assert mult == 5
+    assert abs(root - a) <= 1e-7
+
+
+def test_find_roots_raises_when_the_boundary_never_clears():
+    # the boundary values span more than 13 decades in modulus there, so
+    # neither the rectangle nor any of its nudged copies counts as clear
+    with pytest.raises(WindingNumberError, match="could not clear"):
+        find_roots(_cf(), (-1000.0, 10.0, -500.0, 500.0))
+
+
+def test_find_roots_raises_above_max_roots():
+    with pytest.raises(WindingNumberError, match="exceed max_roots"):
+        find_roots(_cf(), (-230.0, 8.0, -105.0, 105.0), max_roots=1)
+
+
+def test_winding_number_raises_where_the_determinant_underflows():
+    with pytest.raises(WindingNumberError, match="vanishes on the contour"):
+        winding_number(_cf(), (-1e4, 1e4, -1e4, 1e4))
 
 
 def test_q1_helmholtz_exponents():
