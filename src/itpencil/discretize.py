@@ -115,10 +115,9 @@ class MediumProfile:
         if self.q_type == "constant":
             qv = np.full(x.shape, float(self.q_data))
         elif self.q_type == "polynomial":
-            # polyval of a non-finite coefficient warns before the check below
-            if not np.all(np.isfinite(self.q_data)):
-                raise ValueError("q must be finite everywhere")
-            qv = np.polynomial.polynomial.polyval(x, self.q_data)
+            # an overflow or a non-finite coefficient is left to the check below
+            with np.errstate(over="ignore", invalid="ignore"):
+                qv = np.polynomial.polynomial.polyval(x, self.q_data)
             qv = np.broadcast_to(qv, x.shape).copy()
         elif self.q_type == "samples":
             qv = np.asarray(self.q_data, dtype=float)

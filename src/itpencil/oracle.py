@@ -11,8 +11,10 @@ between s1 and s2 of the same pair}, where c(s; x) = cosh(sqrt(s) x) and
 e(s; x) = sinh(sqrt(s) x)/sqrt(s).  Both are entire and even in sqrt(s), so
 the determinant is a single-valued entire function of lam: no branch cuts
 across the negative axis (where the zeros live) and no spurious zeros at
-exponent collisions, because the divided-difference columns degenerate
-smoothly to s-derivative columns (the confluent t e^{rt} solutions).
+exponent collisions, where the divided differences tend to s-derivatives
+(the confluent t e^{rt} solutions).  Near s = 0 each power s^n in the Taylor
+series of the traces becomes h_{n-1}(s1, s2) = sum_{j<n} s1^j s2^(n-1-j), so
+no subtraction cancels there and s1 = s2 needs no case of its own.
 
 find_roots isolates zeros by argument-principle bisection of rectangles.  A
 rectangle of winding number w <= 4 is first resolved in place from its
@@ -29,6 +31,7 @@ is bisected as before.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
@@ -36,8 +39,9 @@ from ._blas import single_blas_thread
 from .exceptions import WindingNumberError
 from .symbols import BoundaryPair, PencilKind
 
-_SERIES_CUT = 1e-6  # switch c, e, de to power series below |s| x^2 of this size
-_CONFLUENT_GAP = 1e-6  # exponent-gap threshold for the confluent columns
+_SERIES_CUT = 1e-6  # switch c, e to power series below |s| x^2 of this size
+_DD_CUT = 1e-2  # divided-difference columns by series below max(|s1|, |s2|) length^2
+_DD_TERMS = 7  # powers s^0 .. s^6 of that series
 _PTS_PER_SIDE = 128  # contour samples per rectangle side on a first pass
 _MAX_PTS = 4096  # cap on the doubled samples per side of a winding count
 _MOMENT_MAX_W = 4  # largest winding number resolved from contour moments
@@ -82,25 +86,6 @@ def _ce(s, x):
     return out_c, out_e
 
 
-def _ce_ds(s, x):
-    """s-derivatives of c and e; dc = (x/2) e, de has a removable 0/0 at s = 0."""
-    s = np.asarray(s, dtype=complex)
-    c, e = _ce(s, x)
-    if x == 0.0:
-        return c, e, e, e  # e = dc = de = 0 at the left endpoint
-    dc = (x / 2.0) * e
-    de = np.empty(s.shape, dtype=complex)
-    small = np.abs(s) * x * x < _SERIES_CUT
-    if np.any(small):
-        z = s[small]
-        x3 = x**3
-        de[small] = x3 / 6.0 + z * x3 * x * x / 60.0 + z * z * x3 * x**4 / 1680.0
-    big = ~small
-    if np.any(big):
-        de[big] = (x * c[big] - e[big]) / (2.0 * s[big])
-    return c, e, dc, de
-
-
 def _trace_cols(m, s, c, e):
     """Traces of order m of the basis pair with squared exponent s, given (c, e) there.
 
@@ -114,19 +99,23 @@ def _trace_cols(m, s, c, e):
     return s**k * e, s ** (k - 1) * c
 
 
-def _trace_cols_ds(m, s, c, e, dc, de):
-    """s-derivatives of the order-m traces, given (c, e) and their s-derivatives."""
-    if m % 2 == 0:
-        k = m // 2
-        lead_c = k * s ** (k - 1) * c if k > 0 else np.zeros_like(c)
-        lead_e = k * s ** (k - 1) * e if k > 0 else np.zeros_like(e)
-        return lead_c + s**k * dc, lead_e + s**k * de
-    k = (m + 1) // 2
-    kk = (m - 1) // 2
-    col1 = k * s ** (k - 1) * e + s**k * de
-    lead = kk * s ** (kk - 1) * c if kk > 0 else np.zeros_like(c)
-    col2 = lead + s**kk * dc
-    return col1, col2
+def _dd_series(m, s1, s2, x):
+    """Divided differences between s1 and s2 of the order-m traces of (c, e) at x.
+
+    The traces are sums of a_n s^n, a_n = x^(2n-m)/(2n-m)! for c and
+    x^(2n+1-m)/(2n+1-m)! for e (0 for a negative power of x), and s^n goes to
+    h_{n-1} = s2 h_{n-2} + s1^(n-1), h_{-1} = 0: a sum with no subtraction.
+    """
+    dc = de = h = np.zeros_like(s1)
+    p = np.ones_like(s1)  # s1^(n-1)
+    for n in range(1, _DD_TERMS):
+        h = s2 * h + p
+        p = p * s1
+        if 2 * n >= m:
+            dc = dc + x ** (2 * n - m) / factorial(2 * n - m) * h
+        if 2 * n + 1 >= m:
+            de = de + x ** (2 * n + 1 - m) / factorial(2 * n + 1 - m) * h
+    return dc, de
 
 
 def _factor_params(cf, lam):
@@ -144,37 +133,32 @@ def char_det(cf, lam):
 
     Zeros (with winding-number multiplicity) are exactly the constant-q
     eigenvalues for the configured boundary pair.  Columns three and four are
-    divided differences in s, replaced by s-derivative columns when the
-    exponent gap falls below the confluence threshold.
+    the divided differences (c2 - c1)/(s2 - s1), or their series (_dd_series)
+    where max(|s1|, |s2|) length^2 < _DD_CUT, which covers s1 = s2 = 0.
     """
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
     s1, s2 = _factor_params(cf, lam_arr)
-    gap = np.abs(s1 - s2) / (np.sqrt(np.abs(s1)) + np.sqrt(np.abs(s2)) + 1e-300)
-    confluent = gap < _CONFLUENT_GAP * np.sqrt(1.0 + np.abs(lam_arr))
+    small = np.maximum(np.abs(s1), np.abs(s2)) * cf.length**2 < _DD_CUT
+    big = ~small
+    any_small, any_big = np.any(small), np.any(big)
+    s2b = s2[big]
+    ds = s2b - s1[big]
 
     M = np.empty(lam_arr.shape + (4, 4), dtype=complex)
-    dist = ~confluent
-    any_dist, any_conf = np.any(dist), np.any(confluent)
-    s2d = s2[dist]
-    ds = s2d - s1[dist]
-    sbar = 0.5 * (s1[confluent] + s2[confluent])
     # rows 0, 1 trace orders m1, m2 at x = 0; rows 2, 3 the same at x = length
     for x, i0 in ((0.0, 0), (cf.length, 2)):
         ce1 = _ce(s1, x)
-        ce2 = _ce(s2d, x) if any_dist else None
-        ce_ds = _ce_ds(sbar, x) if any_conf else None
+        ce2 = _ce(s2b, x) if any_big else None
         for i, m in ((i0, cf.bc.m1), (i0 + 1, cf.bc.m2)):
             c1, e1 = _trace_cols(m, s1, *ce1)
             M[..., i, 0] = c1
             M[..., i, 1] = e1
-            if any_dist:
-                c2, e2 = _trace_cols(m, s2d, *ce2)
-                M[dist, i, 2] = (c2 - c1[dist]) / ds
-                M[dist, i, 3] = (e2 - e1[dist]) / ds
-            if any_conf:
-                dcol1, dcol2 = _trace_cols_ds(m, sbar, *ce_ds)
-                M[confluent, i, 2] = dcol1
-                M[confluent, i, 3] = dcol2
+            if any_big:
+                c2, e2 = _trace_cols(m, s2b, *ce2)
+                M[big, i, 2] = (c2 - c1[big]) / ds
+                M[big, i, 3] = (e2 - e1[big]) / ds
+            if any_small:
+                M[small, i, 2], M[small, i, 3] = _dd_series(m, s1[small], s2[small], x)
     det = np.linalg.det(M)
     if np.isscalar(lam) or np.asarray(lam).ndim == 0:
         return complex(det[0])

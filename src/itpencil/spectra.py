@@ -11,7 +11,7 @@ import scipy.linalg
 import scipy.special
 
 from ._blas import single_blas_thread
-from .discretize import DiscretePencil
+from .discretize import DiscretePencil, assemble_pencil, assemble_pencil_2d, make_grid
 from .exceptions import (
     ClusterAmbiguityError,
     EigensolverError,
@@ -605,8 +605,6 @@ def solve_spectrum(profile, a, b, n_pts, bc, refine_increment=8, lambda_prime="a
     residual filter lies within _TRUST_RTOL (1e-6) relative distance.
     lambda_prime="auto" is resolved by eigen from the trusted spectrum.
     """
-    from .discretize import assemble_pencil, make_grid
-
     base = assemble_pencil(profile, make_grid(a, b, n_pts), bc)
     fine = assemble_pencil(profile, make_grid(a, b, n_pts + refine_increment), bc)
     return _two_grid(base, fine, lambda_prime)
@@ -615,8 +613,6 @@ def solve_spectrum(profile, a, b, n_pts, bc, refine_increment=8, lambda_prime="a
 @single_blas_thread
 def solve_spectrum_2d(profile, rect, n_x, n_y, bc, refine_increment=4, lambda_prime=0.0):
     """Two-grid trusted eigensolve on a rectangle (tensor grids); trust as in solve_spectrum."""
-    from .discretize import assemble_pencil_2d, make_grid
-
     x0, x1, y0, y1 = rect
     base = assemble_pencil_2d(
         profile, make_grid(x0, x1, n_x), make_grid(y0, y1, n_y), bc

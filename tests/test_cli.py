@@ -491,10 +491,13 @@ def test_oracle_numerical_failure_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command,q,extra", [
     ("spectrum", {"type": "constant", "data": float("nan")}, {}),
     ("laurent", {"type": "polynomial", "data": [1.0, float("inf")]},
      {"lambda0": [1.0, 0.0], "radius": 0.5, "use_trusted": False}),
+    # finite coefficients whose sum overflows at x = 1
+    ("spectrum", {"type": "polynomial", "data": [1.0, 1e308, 1e308]}, {}),
 ])
 def test_non_finite_q_is_config_error(tmp_path, command, q, extra):
     code, out = _run(tmp_path, command, {"pencil": _h1_pencil(q=q), **extra})
@@ -513,6 +516,57 @@ def test_non_finite_literal_is_config_error(tmp_path, command, payload):
     code, out = _run(tmp_path, command, payload)
     assert code == 2
     assert not out.exists()
+
+
+_CONFIG_ERRORS = {
+    "invalid-json": ("counting", '{"p": 1.0,', "config is not valid JSON"),
+    "constant-q-array": ("spectrum",
+                         {"pencil": _h1_pencil(q={"type": "constant", "data": [1.0]})},
+                         "constant q takes a single number"),
+    "polynomial-q-number": ("spectrum",
+                            {"pencil": _h1_pencil(q={"type": "polynomial", "data": 1.0})},
+                            "polynomial q takes an array"),
+    "pencil-and-scalar": ("laurent", {"pencil": _h1_pencil(), "scalar": [0.0, 1.0, 1.0],
+                                      "lambda0": [0.0, 0.0], "radius": 0.5},
+                          "not both"),
+    "no-pencil-no-scalar": ("laurent", {"lambda0": [0.0, 0.0], "radius": 0.5},
+                            "needs a pencil section or a scalar fixture"),
+    "q-range-order": ("check-ellipticity", {"kind": "helmholtz", "bc": [0, 1],
+                                            "q_range": [2.0, 0.5], "cone": [1.0, 2.2]},
+                      "q_range"),
+    "cone-invalid": ("check-ellipticity", {"kind": "helmholtz", "bc": [0, 1],
+                                           "q_range": [0.5, 2.0], "cone": [2.2, 1.0]},
+                     "theta_min <= theta_max"),
+    "radii-order": ("resolvent-scan", {"scalar": [1.0, 1.0, 1.0], "radii": [1000.0, 10.0, 7]},
+                    "r_min < r_max"),
+    "counting-both": ("counting", {"pencil": _h1_pencil(), "eigenvalues": [[1.0, 0.0]],
+                                   "p": 1.0, "t_values": [3.0]},
+                      "exactly one of"),
+    "counting-neither": ("counting", {"p": 1.0, "t_values": [3.0]}, "exactly one of"),
+    "oracle-rect-order": ("oracle",
+                          {"oracle": {"kind": "helmholtz", "q": 1.0, "length": 1.0, "bc": [0, 1]},
+                           "rect": [5.0, -60.0, -40.0, 40.0]},
+                          "rect must be"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CONFIG_ERRORS))
+def test_config_errors_exit_two_and_write_nothing(tmp_path, capsys, case):
+    command, payload, message = _CONFIG_ERRORS[case]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_spectrum_polynomial_q(tmp_path):
+    pencil = _h1_pencil(32, q={"type": "polynomial", "data": [1.0, 0.3]})
+    code, out = _run(tmp_path, "spectrum", {"pencil": pencil})
+    assert code == 0
+    res = json.loads((out / "spectrum_manifest.json").read_text())["results"]
+    assert res["n_trusted"] > 0
 
 
 _THREAD_COUNT_CASES = {

@@ -159,6 +159,7 @@ def test_variable_q_positivity_enforced():
     MediumProfile.constant(S, float("inf")),
     MediumProfile.polynomial(H, [1.0, float("inf")]),
     MediumProfile.sampled(H, [1.0] * 19 + [float("nan")]),
+    MediumProfile.polynomial(H, [1.0, 1e308, 1e308]),  # finite, overflows at x = 1
 ])
 def test_non_finite_q_rejected(profile):
     # NaN compares false against every bound, so it must be caught on its own

@@ -356,19 +356,33 @@ def test_char_det_matches_mpmath(kind, bc, q):
     "kind,lam,rtol",
     [
         pytest.param(H, 1e-14 * (1 + 1j), 1e-12, id="helmholtz-tiny-lam"),
-        pytest.param(S, -1e6 + 1e-3j, 1e-7, id="schrodinger-large-lam"),
+        pytest.param(S, -1e6 + 1e-3j, 1e-9, id="schrodinger-large-lam"),
     ],
 )
 def test_char_det_confluent_branch_matches_mpmath(kind, lam, rtol):
-    # exponent gap far below the confluence threshold: float64 takes the
-    # s-derivative columns, mpmath the exact divided differences
+    # nearly colliding exponents: at 1e-14 both are tiny and float64 takes the
+    # series columns, at -1e6 their square roots differ by 4e-4 and it takes
+    # the plain quotient; mpmath takes the exact divided differences
     mp = pytest.importorskip("mpmath")
     cf = _cf(kind, 1.3, 1.0, (0, 1))
-    s1, s2 = oracle._factor_params(cf, lam)
-    gap = abs(s1 - s2) / (np.sqrt(abs(s1)) + np.sqrt(abs(s2)))
-    assert gap < oracle._CONFLUENT_GAP * np.sqrt(1.0 + abs(lam))
     ref = _mp_char_det(mp, cf, lam)
     assert abs(char_det(cf, lam) - ref) / abs(ref) < rtol
+
+
+@pytest.mark.parametrize("kind", [H, S], ids=lambda k: k.value)
+@pytest.mark.parametrize("bc", [(0, 1), (0, 2), (1, 3)], ids=lambda bc: f"bc{bc[0]}{bc[1]}")
+@pytest.mark.parametrize("q", [0.7, 1.3])
+def test_char_det_near_zero_matches_mpmath(kind, bc, q):
+    # Helmholtz s1, s2 -> 0 together: the divided-difference columns come from
+    # their series, with no cancellation.  bc (2, 3) is left out: there the 4x4
+    # determinant of the exactly rounded entries is already 6e-8 off at 1e-8
+    mp = pytest.importorskip("mpmath")
+    cf = _cf(kind, q, 1.0, bc)
+    angles = np.exp(1j * np.pi * np.array([0.25, 0.75, -0.75, -0.25]))
+    lam = np.multiply.outer([1e-14, 1e-10, 1e-8, 1e-6, 1e-4], angles).ravel()
+    got = char_det(cf, lam)
+    ref = np.array([_mp_char_det(mp, cf, z) for z in lam])
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
 
 
 @pytest.mark.parametrize("kind", [H, S], ids=lambda k: k.value)
