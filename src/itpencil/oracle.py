@@ -6,15 +6,18 @@ exponents s1 = lam and s2 = lam (1 + 1/q) (Helmholtz) or s2 = lam - 1/q
 (Schroedinger).  Eigenvalues are the zeros of the 4x4 determinant of the
 boundary traces on a solution basis.
 
-The basis used here is {c(s1), e(s1), and first divided differences in s
-between s1 and s2 of the same pair}, where c(s; x) = cosh(sqrt(s) x) and
-e(s; x) = sinh(sqrt(s) x)/sqrt(s).  Both are entire and even in sqrt(s), so
-the determinant is a single-valued entire function of lam: no branch cuts
-across the negative axis (where the zeros live) and no spurious zeros at
-exponent collisions, where the divided differences tend to s-derivatives
-(the confluent t e^{rt} solutions).  Near s = 0 each power s^n in the Taylor
-series of the traces becomes h_{n-1}(s1, s2) = sum_{j<n} s1^j s2^(n-1-j), so
-no subtraction cancels there and s1 = s2 needs no case of its own.
+The basis used here is {c(s1), e(s1), Dc, De}: c(s; x) = cosh(sqrt(s) x),
+e(s; x) = sinh(sqrt(s) x)/sqrt(s) and Dg = (g(s2) - g(s1))/(s2 - s1).  All are
+entire and even in sqrt(s), so the determinant is a single-valued entire
+function of lam: no branch cuts across the negative axis (where the zeros
+live) and no spurious zeros at exponent collisions, where the divided
+differences tend to s-derivatives.  The x = 0 rows of trace orders 0..3 are
+(1,0,0,0), (0,1,0,0), (s1,0,1,0) and (0,s1,0,1), so column operations and the
+Leibniz rule D[s g] = s2 Dg + g(s1) reduce the determinant exactly to a 2x2
+expression in x = L values, one per unordered boundary pair (char_det).
+Near s = 0 each s^n in the Taylor series of the traces becomes
+h_{n-1}(s1, s2) = sum_{j<n} s1^j s2^(n-1-j) (McCurdy, Ng & Parlett, Math.
+Comp. 43, 1984): no subtraction cancels and s1 = s2 needs no case of its own.
 
 find_roots isolates zeros by argument-principle bisection of rectangles.  A
 rectangle of winding number w <= 4 is first resolved in place from its
@@ -67,10 +70,6 @@ class CharacteristicFunction:
 
 def _ce(s, x):
     """c(s;x) = cosh(sqrt(s) x) and e(s;x) = sinh(sqrt(s) x)/sqrt(s), entire in s."""
-    s = np.asarray(s, dtype=complex)
-    if x == 0.0:
-        # what the series branch gives exactly at the left endpoint
-        return np.ones(s.shape, dtype=complex), np.zeros(s.shape, dtype=complex)
     small = np.abs(s) * x * x < _SERIES_CUT
     out_c = np.empty(s.shape, dtype=complex)
     out_e = np.empty(s.shape, dtype=complex)
@@ -84,19 +83,6 @@ def _ce(s, x):
         out_c[big] = np.cosh(r * x)
         out_e[big] = np.sinh(r * x) / r
     return out_c, out_e
-
-
-def _trace_cols(m, s, c, e):
-    """Traces of order m of the basis pair with squared exponent s, given (c, e) there.
-
-    d/dx maps (c, e) to (s e, c), so even orders give s^(m/2) (c, e) and odd
-    orders give (s^((m+1)/2) e, s^((m-1)/2) c).
-    """
-    if m % 2 == 0:
-        k = m // 2
-        return s**k * c, s**k * e
-    k = (m + 1) // 2
-    return s**k * e, s ** (k - 1) * c
 
 
 def _dd_series(m, s1, s2, x):
@@ -119,7 +105,6 @@ def _dd_series(m, s1, s2, x):
 
 
 def _factor_params(cf, lam):
-    lam = np.asarray(lam, dtype=complex)
     s1 = lam
     if cf.kind is PencilKind.HELMHOLTZ:
         s2 = lam * (1.0 + 1.0 / cf.q_val)
@@ -132,34 +117,45 @@ def char_det(cf, lam):
     """Characteristic determinant, vectorized over lam; entire in lam.
 
     Zeros (with winding-number multiplicity) are exactly the constant-q
-    eigenvalues for the configured boundary pair.  Columns three and four are
-    the divided differences (c2 - c1)/(s2 - s1), or their series (_dd_series)
-    where max(|s1|, |s2|) length^2 < _DD_CUT, which covers s1 = s2 = 0.
+    eigenvalues for the configured boundary pair.  With e1 = e(s1; L),
+    e2 = e(s2; L), p = s1 s2, Dg = (g(s2) - g(s1))/(s2 - s1) at x = L and
+    F = Dc^2 - De D(se), the 4x4 determinant is, per unordered pair,
+
+        {0,1}: F           {0,2}: -e1 e2
+        {1,2}: p F         {1,3}: -p e1 e2
+        {2,3}: p^2 F       {0,3}: (e1 - s1 De) D(s^2 e) + p Dc^2
+
+    (swapping m1 and m2 swaps two pairs of rows).  Where max(|s1|, |s2|) L^2
+    < _DD_CUT, which covers s1 = s2 = 0, the D's come from _dd_series.
     """
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
     s1, s2 = _factor_params(cf, lam_arr)
-    small = np.maximum(np.abs(s1), np.abs(s2)) * cf.length**2 < _DD_CUT
-    big = ~small
-    any_small, any_big = np.any(small), np.any(big)
-    s2b = s2[big]
-    ds = s2b - s1[big]
+    c1, e1 = _ce(s1, cf.length)
+    c2, e2 = _ce(s2, cf.length)
+    p = s1 * s2
+    pair = {cf.bc.m1, cf.bc.m2}
+    if pair == {0, 2}:
+        det = -e1 * e2
+    elif pair == {1, 3}:
+        det = -p * e1 * e2
+    else:
+        small = np.maximum(np.abs(s1), np.abs(s2)) * cf.length**2 < _DD_CUT
+        big = ~small
+        ds = s2[big] - s1[big]
 
-    M = np.empty(lam_arr.shape + (4, 4), dtype=complex)
-    # rows 0, 1 trace orders m1, m2 at x = 0; rows 2, 3 the same at x = length
-    for x, i0 in ((0.0, 0), (cf.length, 2)):
-        ce1 = _ce(s1, x)
-        ce2 = _ce(s2b, x) if any_big else None
-        for i, m in ((i0, cf.bc.m1), (i0 + 1, cf.bc.m2)):
-            c1, e1 = _trace_cols(m, s1, *ce1)
-            M[..., i, 0] = c1
-            M[..., i, 1] = e1
-            if any_big:
-                c2, e2 = _trace_cols(m, s2b, *ce2)
-                M[big, i, 2] = (c2 - c1[big]) / ds
-                M[big, i, 3] = (e2 - e1[big]) / ds
-            if any_small:
-                M[small, i, 2], M[small, i, 3] = _dd_series(m, s1[small], s2[small], x)
-    det = np.linalg.det(M)
+        def dd(g1, g2, m, k):
+            # Dg for g the k-th of the order-m traces, given at s1 and s2
+            out = np.empty_like(s1)
+            out[big] = (g2[big] - g1[big]) / ds
+            if np.any(small):
+                out[small] = _dd_series(m, s1[small], s2[small], cf.length)[k]
+            return out
+
+        dc, de = dd(c1, c2, 0, 0), dd(e1, e2, 0, 1)
+        if pair == {0, 3}:
+            det = (e1 - s1 * de) * dd(s1 * s1 * e1, s2 * s2 * e2, 3, 0) + p * dc * dc
+        else:  # {0,1}, {1,2}, {2,3}: p^0, p^1, p^2 times F
+            det = p ** min(pair) * (dc * dc - de * dd(s1 * e1, s2 * e2, 1, 0))
     if np.isscalar(lam) or np.asarray(lam).ndim == 0:
         return complex(det[0])
     return det

@@ -100,6 +100,20 @@ def test_criterion_02_oracle_agreement_general_bc():
     _report(2, ok, f"18 cases over bc (0,2),(1,3),(2,3), worst rel err {worst:.2e}")
 
 
+@pytest.mark.xfail(strict=True, reason="trusted eigenvalue 1.6e-5 off the oracle (FOUND)")
+@pytest.mark.parametrize("q", [0.75, 1.3])
+def test_schrodinger_bc03_trusted_eigenvalue_matches_oracle(q):
+    # criterion 01's check on a pair outside the four: the one trusted
+    # eigenvalue at n = 48 sits 1.6e-5 (q = 0.75) and 6.5e-6 (q = 1.3) from
+    # the oracle root, and refining to n = 96 moves it by 4e-6 at most
+    kind = PencilKind.SCHRODINGER
+    tr = solve_spectrum(MediumProfile.constant(kind, q), 0.0, 1.0, 48, (0, 3)).trusted_eigenvalues
+    cf = CharacteristicFunction(kind, q, 1.0, (0, 3))
+    roots = np.array([r for r, _m, _s in find_roots(cf, (-230.0, 8.0, -105.0, 105.0))])
+    assert tr.size
+    assert max(float(np.min(np.abs(roots - v))) / (1.0 + abs(v)) for v in tr) <= 1e-6
+
+
 def test_criterion_03_chain_equivalence():
     rng = np.random.default_rng(0)
     worst = 0.0
