@@ -28,6 +28,14 @@ from .exceptions import ConfigError, PencilError
 from .oracle import CharacteristicFunction, char_det, find_roots
 from .symbols import BoundaryPair, Cone, PencilKind, check_condition1, check_condition2
 
+# the thresholds each checked property is judged by
+_ORACLE_CAP = 200.0  # spectrum --verify-oracle compares trusted eigenvalues with |lam| <= this
+_ORACLE_RTOL = 1e-6  # largest relative distance of such an eigenvalue to its oracle root
+_SLOPE_TARGET = -2.0  # resolvent-scan: ||T^{-1}|| decays like |lam|^-2 along each ray
+_SLOPE_TOL = 0.15  # largest distance of a fitted ray slope from _SLOPE_TARGET
+_RESIDUAL_TOL = 0.1  # completeness: largest final residual of a sample
+_CHAIN_TOL = 1e-8  # completeness: largest residual of a chain vector itself
+
 _Q_SCHEMA = {
     "type": "object",
     "required": ["type", "data"],
@@ -101,7 +109,6 @@ _SCHEMAS = {
                 "maxItems": 2,
             },
             "samples": {"type": "integer", "minimum": 16, "default": 2000},
-            "tolerance": {"type": "number", "exclusiveMinimum": 0, "default": 1e-9},
         },
     },
     "spectrum": {
@@ -111,15 +118,6 @@ _SCHEMAS = {
         "properties": {
             "pencil": _PENCIL_SCHEMA,
             "lambda_prime": {"anyOf": [{"const": "auto"}, _COMPLEX_SCHEMA]},
-            "refine_increment": {"type": "integer", "minimum": 2, "default": 8},
-            "oracle": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "max_abs_lambda": {"type": "number", "exclusiveMinimum": 0},
-                    "rtol": {"type": "number", "exclusiveMinimum": 0},
-                },
-            },
         },
     },
     "resolvent-scan": {
@@ -141,8 +139,6 @@ _SCHEMAS = {
                 "minItems": 3,
                 "maxItems": 3,
             },
-            "slope_target": {"type": "number", "default": -2.0},
-            "slope_tol": {"type": "number", "exclusiveMinimum": 0, "default": 0.15},
             "circles": {
                 "type": "object",
                 "required": ["r_min", "r_max", "p"],
@@ -151,7 +147,6 @@ _SCHEMAS = {
                     "r_min": {"type": "number", "exclusiveMinimum": 0},
                     "r_max": {"type": "number", "exclusiveMinimum": 0},
                     "p": {"type": "number", "exclusiveMinimum": 0},
-                    "epsilon": {"type": "number", "exclusiveMinimum": 0},
                     "n_theta": {"type": "integer", "minimum": 8},
                 },
             },
@@ -190,8 +185,6 @@ _SCHEMAS = {
                     },
                 ]
             },
-            "residual_tol": {"type": "number", "exclusiveMinimum": 0, "default": 0.1},
-            "chain_tol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-8},
         },
     },
     "oracle": {
@@ -370,8 +363,7 @@ def _source(cfg, poles=True, refine=True):
     lp = cfg.get("lambda_prime", "auto")
     lp = lp if lp == "auto" else _l2c(lp)
     if refine:
-        sol = sp.solve_spectrum(profile, grid.a, grid.b, grid.n_pts, bc,
-                                lambda_prime=lp, **_given(cfg, "refine_increment"))
+        sol = sp.solve_spectrum(profile, grid.a, grid.b, grid.n_pts, bc, lambda_prime=lp)
     else:
         sol = sp.eigen(sp.linearize(assemble_pencil(profile, grid, bc)), lambda_prime=lp)
     return sol.pencil, sol, sol.trusted_eigenvalues
@@ -387,14 +379,8 @@ def cmd_check_ellipticity(cfg, args):
         cone = Cone(*cfg["cone"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    r1 = check_condition1(
-        kind, (qlo, qhi), cone, samples=cfg["samples"],
-        seed=args.seed, tolerance=cfg["tolerance"],
-    )
-    r2 = check_condition2(
-        kind, bc, (qlo, qhi), cone, samples=cfg["samples"],
-        seed=args.seed, tolerance=cfg["tolerance"],
-    )
+    r1 = check_condition1(kind, (qlo, qhi), cone, samples=cfg["samples"], seed=args.seed)
+    r2 = check_condition2(kind, bc, (qlo, qhi), cone, samples=cfg["samples"], seed=args.seed)
 
     def report(r):
         return {
@@ -457,17 +443,14 @@ def cmd_spectrum(cfg, args):
     }
     passed = True
     if args.verify_oracle:
-        ocfg = cfg.get("oracle", {})
-        cap = ocfg.get("max_abs_lambda", 200.0)
-        rtol = ocfg.get("rtol", 1e-6)
         a, b = pc["interval"]
         cf = CharacteristicFunction(
             PencilKind(pc["kind"]), pc["q"]["data"], b - a, _bc_from(pc["bc"])
         )
         tr = sol.trusted_eigenvalues
-        tr_cap = tr[np.abs(tr) <= cap]
+        tr_cap = tr[np.abs(tr) <= _ORACLE_CAP]
         immax = max(5.0, 1.5 * float(np.abs(tr_cap.imag).max()) if tr_cap.size else 5.0)
-        remin = min(-cap - 30.0, float(tr_cap.real.min()) - 10.0 if tr_cap.size else 0.0)
+        remin = min(-_ORACLE_CAP - 30.0, float(tr_cap.real.min()) - 10.0 if tr_cap.size else 0.0)
         rect = (remin, 8.0, -immax, immax)
         roots = find_roots(cf, rect, max_roots=4 * max(tr.size, 1))
         rootvals = np.array([r[0] for r in roots])
@@ -488,9 +471,9 @@ def cmd_spectrum(cfg, args):
             "n_trusted_in_rect": int(in_rect.size),
             "count_match": count_match,
             "max_rel_error": max_err,
-            "rtol": rtol,
+            "rtol": _ORACLE_RTOL,
         }
-        passed = count_match and not max_err > rtol
+        passed = count_match and not max_err > _ORACLE_RTOL
     return {"spectrum_eigenvalues.csv": (header, rows)}, results, passed
 
 
@@ -514,8 +497,7 @@ def cmd_resolvent_scan(cfg, args):
         slopes.append({
             "arg_over_pi": frac,
             "fitted_slope": scan.fitted_slope,
-            "within_tolerance": abs(scan.fitted_slope - cfg["slope_target"])
-            <= cfg["slope_tol"],
+            "within_tolerance": abs(scan.fitted_slope - _SLOPE_TARGET) <= _SLOPE_TOL,
         })
 
     results = {"rays": slopes}
@@ -523,7 +505,7 @@ def cmd_resolvent_scan(cfg, args):
         circle_radii = rv.pole_avoiding_radii(eigs, cc["r_min"], cc["r_max"])
         rep = rv.circle_growth_scan(
             pencil, circle_radii, cc["p"], eigenvalues=eigs,
-            **_given(cc, "epsilon", "n_theta"),
+            **_given(cc, "n_theta"),
         )
         tables["circles.csv"] = (
             ["radius", "max_log_norm", "min_pole_distance"],
@@ -612,14 +594,10 @@ def cmd_completeness(cfg, args):
         "worst_final_residual": worst_final,
         "monotone": monotone,
         "chain_vector_residual": chain_resid,
-        "residual_tol": cfg["residual_tol"],
-        "chain_tol": cfg["chain_tol"],
+        "residual_tol": _RESIDUAL_TOL,
+        "chain_tol": _CHAIN_TOL,
     }
-    passed = (
-        worst_final < cfg["residual_tol"]
-        and monotone
-        and chain_resid <= cfg["chain_tol"]
-    )
+    passed = worst_final < _RESIDUAL_TOL and monotone and chain_resid <= _CHAIN_TOL
     return {"completeness.csv": (["sample", "m", "residual"], rows)}, results, passed
 
 

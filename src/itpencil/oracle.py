@@ -48,6 +48,7 @@ _DD_TERMS = 7  # powers s^0 .. s^6 of that series
 _PTS_PER_SIDE = 128  # contour samples per rectangle side on a first pass
 _MAX_PTS = 4096  # cap on the doubled samples per side of a winding count
 _MOMENT_MAX_W = 4  # largest winding number resolved from contour moments
+_NEWTON_RTOL = 1e-10  # relative step that ends a Newton polish; also ties real parts
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,7 @@ def _hankel_nodes(s):
     return nodes, mult.astype(int)
 
 
-def _newton_polish(cf, z0, mult=1, tol=1e-10, max_iter=60, box=None):
+def _newton_polish(cf, z0, mult=1, max_iter=60, box=None):
     """Newton iteration on char_det (multiplicity-corrected), returns (root, step).
 
     With a box, an iterate that leaves it ends the iteration with step inf.
@@ -275,7 +276,7 @@ def _newton_polish(cf, z0, mult=1, tol=1e-10, max_iter=60, box=None):
         last = abs(step)
         if box is not None and not _inside(box, z):
             return z, np.inf
-        if last <= tol * (1.0 + abs(z)):
+        if last <= _NEWTON_RTOL * (1.0 + abs(z)):
             break
     return z, last
 
@@ -334,15 +335,15 @@ def find_roots(cf, rect, max_roots=200):
     return _sorted_roots(roots)
 
 
-def _sorted_roots(roots, rtol=1e-10):
-    """Roots by real part, runs of real parts within rtol by imaginary part.
+def _sorted_roots(roots):
+    """Roots by real part, runs of real parts within _NEWTON_RTOL by imaginary part.
 
     The real parts of a conjugate pair agree only to roundoff, so sorting on
     them alone lets the last bit decide which partner comes first.
     """
     runs = []
     for r in sorted(roots, key=lambda r: r[0].real):
-        if runs and r[0].real - runs[-1][0][0].real <= rtol * (1.0 + abs(r[0])):
+        if runs and r[0].real - runs[-1][0][0].real <= _NEWTON_RTOL * (1.0 + abs(r[0])):
             runs[-1].append(r)
         else:
             runs.append([r])

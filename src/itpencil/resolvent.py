@@ -56,6 +56,8 @@ from .spectra import (
     pencil_derivatives,
 )
 
+_GROWTH_EPS = 0.1  # circle_growth_scan raises on a growth exponent above p + this
+
 
 @single_blas_thread
 def resolvent_norm(pencil, lam):
@@ -363,13 +365,14 @@ class CircleGrowthReport:
 
 
 @single_blas_thread
-def circle_growth_scan(pencil, radii, p, epsilon=0.1, n_theta=64, eigenvalues=None):
+def circle_growth_scan(pencil, radii, p, n_theta=64, eigenvalues=None):
     """Max of log ||T^{-1}|| on pole-avoiding circles, with a growth exponent fit.
 
     The fit regresses log(max log norm, clamped below at 1e-6) on log radius;
     for inverses that decay the clamp makes the exponent trivially small.  An
-    exponent above p + epsilon raises, since an admissible pencil must grow
-    no faster than exp(C r^{p+epsilon}) on good circles.
+    exponent above p + epsilon, epsilon = _GROWTH_EPS (0.1), raises, since an
+    admissible pencil must grow no faster than exp(C r^{p+epsilon}) on good
+    circles.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size < 2:
@@ -391,9 +394,9 @@ def circle_growth_scan(pencil, radii, p, epsilon=0.1, n_theta=64, eigenvalues=No
         dists = np.full(radii.shape, np.inf)
     clamped = np.maximum(max_logs, 1e-6)
     exponent = float(np.polyfit(np.log(radii), np.log(clamped), 1)[0])
-    if exponent > p + epsilon:
+    if exponent > p + _GROWTH_EPS:
         raise BoundViolationError(
-            f"growth exponent {exponent:.3f} exceeds p + epsilon = {p + epsilon:.3f}"
+            f"growth exponent {exponent:.3f} exceeds p + epsilon = {p + _GROWTH_EPS:.3f}"
         )
     return CircleGrowthReport(
         radii=radii,
@@ -401,7 +404,7 @@ def circle_growth_scan(pencil, radii, p, epsilon=0.1, n_theta=64, eigenvalues=No
         min_pole_distances=dists,
         fitted_exponent=exponent,
         p=float(p),
-        epsilon=float(epsilon),
+        epsilon=_GROWTH_EPS,
     )
 
 

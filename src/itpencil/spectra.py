@@ -23,6 +23,8 @@ _TRUST_RTOL = 1e-6
 _RESIDUAL_TOL = 1e-7
 _COND_CAP = 1e14
 _FROB_CAP = 1e12  # a factor 100 under _COND_CAP for roundoff in a computed inverse
+_REFINE_1D = 8  # extra grid points of the refined grid in solve_spectrum
+_REFINE_2D = 4  # extra grid points per axis of the refined grid in solve_spectrum_2d
 
 
 def _sigma_range(X, where):
@@ -148,7 +150,6 @@ class EigenSolution:
     lambda_prime: complex
     pencil: DiscretePencil
     companion: CompanionOperator
-    reference_eigenvalues: np.ndarray | None = None
 
     @property
     def trusted_eigenvalues(self):
@@ -209,7 +210,6 @@ def eigen(comp, lambda_prime=0.0, reference=None):
     pencil = comp.source
     lam, U, residuals = _eig_residuals(comp)
     trust = residuals <= _RESIDUAL_TOL
-    ref = None
     if reference is not None:
         ref = np.asarray(reference)
         if ref.size:
@@ -227,43 +227,35 @@ def eigen(comp, lambda_prime=0.0, reference=None):
         right_u=U,
         residuals=residuals,
         trust_mask=trust,
-        clusters=_build_clusters(comp, pencil, lam, U, residuals, trust),
+        clusters=_build_clusters(comp, lam, U, residuals, trust),
         lambda_prime=complex(lambda_prime),
         pencil=pencil,
         companion=comp,
-        reference_eigenvalues=ref,
     )
 
 
-def _build_clusters(comp, pencil, lam, U, residuals, trust):
-    """Union-find clustering of trusted eigenvalues within _TRUST_RTOL, plus chains.
+def _build_clusters(comp, lam, U, residuals, trust):
+    """Clusters of trusted eigenvalues joined through close pairs, plus chains.
 
-    A simple eigenvalue's chain is its normalized companion eigenvector
-    block U[:, i], whose one chain residual is its eigen residual; only
-    multiple clusters need a Schur decomposition.
+    lam_i and lam_j are close within _TRUST_RTOL (1 + min(|lam_i|, |lam_j|));
+    each member is labelled by the smallest position it reaches through close
+    pairs.  A simple eigenvalue's chain is its normalized companion
+    eigenvector block U[:, i], whose one chain residual is its eigen
+    residual; only multiple clusters need a Schur decomposition.
     """
-    idx = [int(i) for i in np.flatnonzero(trust)]
-    parent = {i: i for i in idx}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            i, j = idx[a], idx[b]
-            tol = _TRUST_RTOL * (1.0 + min(abs(lam[i]), abs(lam[j])))
-            if abs(lam[i] - lam[j]) <= tol:
-                parent[find(i)] = find(j)
-
-    groups = {}
-    for i in idx:
-        groups.setdefault(find(i), []).append(i)
+    idx = np.flatnonzero(trust)
+    mag = np.abs(lam[idx])
+    close = np.abs(lam[idx, None] - lam[idx]) <= _TRUST_RTOL * (1.0 + np.minimum.outer(mag, mag))
+    labels = np.arange(idx.size)
+    while True:
+        reached = np.where(close, labels, idx.size).min(axis=1, initial=idx.size)
+        if np.array_equal(reached, labels):
+            break
+        labels = reached
 
     clusters = []
-    for members in groups.values():
+    for label in np.unique(labels):
+        members = [int(i) for i in idx[labels == label]]
         vals = lam[members]
         center = complex(vals.mean())
         if len(members) == 1:
@@ -271,7 +263,7 @@ def _build_clusters(comp, pencil, lam, U, residuals, trust):
                                    residuals=[float(residuals[members[0]])])]
         else:
             diam = float(np.abs(vals - center).max())
-            chains = _cluster_chains(comp, pencil, center, len(members), diam)
+            chains = _cluster_chains(comp, center, len(members), diam)
         clusters.append(
             Cluster(center=center, indices=sorted(members),
                     multiplicity=len(members), chains=chains)
@@ -295,13 +287,13 @@ def _nilpotent_chains(G, tol):
     powers = [np.eye(m, dtype=complex)]
     for _ in range(m):
         powers.append(powers[-1] @ G)
-    nullities = [_null_basis(powers[j], tol).shape[1] for j in range(m + 1)]
-    l = next(j for j in range(1, m + 1) if nullities[j] == m)
+    kernels = [_null_basis(P, tol) for P in powers]
+    l = next(j for j in range(1, m + 1) if kernels[j].shape[1] == m)
     chains = []
     used = np.zeros((m, 0), dtype=complex)
     for length in range(l, 0, -1):
-        Kl = _null_basis(powers[length], tol)
-        low = _null_basis(powers[length - 1], tol) if length > 1 else np.zeros((m, 0))
+        Kl = kernels[length]
+        low = kernels[length - 1] if length > 1 else np.zeros((m, 0))
         S = np.hstack([low, used])
         if S.shape[1]:
             Qs, _ = np.linalg.qr(S)
@@ -324,7 +316,7 @@ def _nilpotent_chains(G, tol):
     return chains
 
 
-def _cluster_chains(comp, pencil, center, size, diam):
+def _cluster_chains(comp, center, size, diam):
     """Keldysh chains spanning a multiple trusted cluster's invariant subspace."""
     A = comp.matrix
     capture = max(10.0 * diam, _TRUST_RTOL * (1.0 + abs(center)))
@@ -342,7 +334,7 @@ def _cluster_chains(comp, pencil, center, size, diam):
     chains = []
     for coeff_chain in _nilpotent_chains(G, tol):
         full = [Wb @ c for c in coeff_chain]
-        chains.append(keldysh_from_jordan(comp, pencil, full, center))
+        chains.append(keldysh_from_jordan(comp, comp.source, full, center))
     return chains
 
 
@@ -596,31 +588,35 @@ def _two_grid(base, fine, lambda_prime):
 
 
 @single_blas_thread
-def solve_spectrum(profile, a, b, n_pts, bc, refine_increment=8, lambda_prime="auto"):
+def solve_spectrum(profile, a, b, n_pts, bc, lambda_prime="auto"):
     """Two-grid trusted eigensolve of the 1D pencil.
 
-    Assembles at n_pts and n_pts + refine_increment and eigensolves each grid
+    Assembles at n_pts and n_pts + _REFINE_1D (8) and eigensolves each grid
     once.  A base-grid eigenvalue is trusted when its residual is at most
     _RESIDUAL_TOL (1e-7) and a refined-grid eigenvalue that passes the same
     residual filter lies within _TRUST_RTOL (1e-6) relative distance.
     lambda_prime="auto" is resolved by eigen from the trusted spectrum.
     """
     base = assemble_pencil(profile, make_grid(a, b, n_pts), bc)
-    fine = assemble_pencil(profile, make_grid(a, b, n_pts + refine_increment), bc)
+    fine = assemble_pencil(profile, make_grid(a, b, n_pts + _REFINE_1D), bc)
     return _two_grid(base, fine, lambda_prime)
 
 
 @single_blas_thread
-def solve_spectrum_2d(profile, rect, n_x, n_y, bc, refine_increment=4, lambda_prime=0.0):
-    """Two-grid trusted eigensolve on a rectangle (tensor grids); trust as in solve_spectrum."""
+def solve_spectrum_2d(profile, rect, n_x, n_y, bc):
+    """Two-grid trusted eigensolve on a rectangle (tensor grids); trust as in solve_spectrum.
+
+    The refined grid has _REFINE_2D (4) more points per axis, and the result
+    is sorted by distance to lambda_prime = 0.
+    """
     x0, x1, y0, y1 = rect
     base = assemble_pencil_2d(
         profile, make_grid(x0, x1, n_x), make_grid(y0, y1, n_y), bc
     )
     fine = assemble_pencil_2d(
         profile,
-        make_grid(x0, x1, n_x + refine_increment),
-        make_grid(y0, y1, n_y + refine_increment),
+        make_grid(x0, x1, n_x + _REFINE_2D),
+        make_grid(y0, y1, n_y + _REFINE_2D),
         bc,
     )
-    return _two_grid(base, fine, lambda_prime)
+    return _two_grid(base, fine, 0.0)

@@ -29,6 +29,7 @@ import numpy as np
 from .exceptions import DegenerateInputError
 
 _ROOT_TOL = 1e-10
+_ELLIPTIC_TOL = 1e-9  # a sampled minimum at or below this fails a check
 
 
 class PencilKind(Enum):
@@ -185,13 +186,13 @@ def _cone_samples(q_range, cone, samples, seed):
     return qs, xi_sq, lam
 
 
-def check_condition1(kind, q_range, cone, samples=2000, seed=0, tolerance=1e-9):
+def check_condition1(kind, q_range, cone, samples=2000, seed=0):
     """Scan |principal symbol| over the normalized set xi_sq + |lam| = 1.
 
     Returns a ConditionReport whose witness is the sampled minimizer.  For a
     cone with positive angular distance to the negative real axis the minimum
-    stays above the tolerance; a cone touching the axis produces a witness
-    near a symbol root.
+    stays above _ELLIPTIC_TOL (1e-9); a cone touching the axis produces a
+    witness near a symbol root.
     """
     qs, xi_sq, lam = _cone_samples(q_range, cone, samples, seed)
     vals = _symbol_values(kind, qs, xi_sq, lam)
@@ -202,8 +203,8 @@ def check_condition1(kind, q_range, cone, samples=2000, seed=0, tolerance=1e-9):
         min_modulus=float(mod[j]),
         witness=witness,
         witness_value=complex(vals[j]),
-        passed=bool(mod[j] > tolerance),
-        tolerance=tolerance,
+        passed=bool(mod[j] > _ELLIPTIC_TOL),
+        tolerance=_ELLIPTIC_TOL,
         n_samples=len(qs),
     )
 
@@ -280,7 +281,7 @@ def lopatinsky_determinant(kind, bc, q_val, xi_prime_sq, lam):
     return complex(a1 * b2 - a2 * b1)
 
 
-def check_condition2(kind, bc, q_range, cone, samples=2000, seed=0, tolerance=1e-9):
+def check_condition2(kind, bc, q_range, cone, samples=2000, seed=0):
     """Scan the boundary determinant over the normalized cone slice.
 
     min_modulus is scale-fair: each sampled determinant is divided by the
@@ -302,7 +303,7 @@ def check_condition2(kind, bc, q_range, cone, samples=2000, seed=0, tolerance=1e
         min_modulus=float(normed[j]),
         witness=witness,
         witness_value=complex(raw[j]),
-        passed=bool(normed[j] > tolerance),
-        tolerance=tolerance,
+        passed=bool(normed[j] > _ELLIPTIC_TOL),
+        tolerance=_ELLIPTIC_TOL,
         n_samples=len(qs),
     )

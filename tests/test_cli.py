@@ -459,6 +459,14 @@ def test_completeness_explicit_m_values(tmp_path):
     assert code == 2
 
 
+def test_completeness_without_trusted_clusters_writes_nothing(tmp_path, capsys):
+    pencil = {**_h1_pencil(12), "kind": "schrodinger", "bc": [0, 3]}
+    code, out = _run(tmp_path, "completeness", {"pencil": pencil})
+    assert code == 1
+    assert not out.exists()
+    assert "no trusted clusters" in capsys.readouterr().err
+
+
 def test_completeness_empty_m_values_is_config_error(tmp_path):
     code, _ = _run(tmp_path, "completeness", {"pencil": _h1_pencil(), "m_values": []})
     assert code == 2
@@ -548,6 +556,27 @@ _CONFIG_ERRORS = {
                            "rect": [5.0, -60.0, -40.0, 40.0]},
                           "rect must be"),
 }
+
+# fixed thresholds that a config cannot set
+_ELLIPTICITY = {"kind": "helmholtz", "bc": [0, 1], "q_range": [0.5, 2.0], "cone": [1.0, 2.2]}
+_SCAN = {"scalar": [1.0, 1.0, 1.0], "radii": [10.0, 1000.0, 7]}
+_CONFIG_ERRORS.update({
+    "tolerance": ("check-ellipticity", {**_ELLIPTICITY, "tolerance": 1e-6}, "'tolerance'"),
+    "refine_increment": ("spectrum", {"pencil": _h1_pencil(), "refine_increment": 4},
+                         "'refine_increment'"),
+    "oracle.max_abs_lambda": ("spectrum", {"pencil": _h1_pencil(),
+                                           "oracle": {"max_abs_lambda": 100.0}}, "'oracle'"),
+    "oracle.rtol": ("spectrum", {"pencil": _h1_pencil(), "oracle": {"rtol": 1e-3}}, "'oracle'"),
+    "slope_target": ("resolvent-scan", {**_SCAN, "slope_target": -1.0}, "'slope_target'"),
+    "slope_tol": ("resolvent-scan", {**_SCAN, "slope_tol": 1.0}, "'slope_tol'"),
+    "circles.epsilon": ("resolvent-scan",
+                        {**_SCAN, "circles": {"r_min": 8.0, "r_max": 256.0, "p": 1.0,
+                                              "epsilon": 1.0}},
+                        "'epsilon'"),
+    "residual_tol": ("completeness", {"pencil": _h1_pencil(), "residual_tol": 0.5},
+                     "'residual_tol'"),
+    "chain_tol": ("completeness", {"pencil": _h1_pencil(), "chain_tol": 1e-4}, "'chain_tol'"),
+})
 
 
 @pytest.mark.parametrize("case", list(_CONFIG_ERRORS))

@@ -187,6 +187,20 @@ def test_winding_number_raises_where_the_determinant_underflows():
         winding_number(_cf(), (-1e4, 1e4, -1e4, 1e4))
 
 
+def test_winding_number_raises_when_a_phase_jump_never_resolves(monkeypatch):
+    # a 2.6 rad jump across Re = 0.3 stays above the 2.5 rad step test at every doubling
+    sizes = []
+
+    def jump(cf, lam):
+        sizes.append(lam.size)
+        return np.where(lam.real > 0.3, 1.0 + 0j, np.exp(2.6j))
+
+    monkeypatch.setattr(oracle, "char_det", jump)
+    with pytest.raises(WindingNumberError, match="did not settle"):
+        winding_number(_cf(), (0.0, 1.0, -1.0, 1.0))
+    assert sizes == [4 * n for n in (128, 256, 512, 1024, 2048, 4096)]
+
+
 def test_q1_helmholtz_exponents():
     # factored exponents sqrt(lam), sqrt(2 lam) drive the determinant: the
     # entire function must vanish at the discretization-confirmed eigenvalue

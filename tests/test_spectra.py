@@ -10,6 +10,8 @@ from itpencil.discretize import DiscretePencil, assemble_pencil, assemble_pencil
 from itpencil.exceptions import SingularAtLambdaError, SingularPencilError
 from itpencil.spectra import (
     KeldyshChain,
+    _build_clusters,
+    _eig_residuals,
     chain_matrix,
     completeness_residual,
     counting,
@@ -284,6 +286,27 @@ def test_cluster_multiplicity_four_at_zero_for_23():
     assert len(zero) == 1
     assert zero[0].multiplicity == 4
     assert sorted(len(ch.vectors) for ch in zero[0].chains) == [2, 2]
+
+
+def test_clusters_follow_chains_of_close_pairs():
+    # 1 ~ b and b ~ c within _TRUST_RTOL (1 + 1) = 2e-6, but |1 - c| = 3e-6:
+    # one cluster of three all the same, and the far eigenvalue 5 alone.
+    # Sorted by real part, c reaches the position of 1 only through b.
+    b, c = 1.0 + 1.5e-6, 1.0 + 3e-6
+    pen = DiscretePencil.from_matrices(
+        np.diag([5.0, 20.0 * b, 30.0 * c]), -np.diag([6.0, 20.0 + b, 30.0 + c]), np.eye(3)
+    )
+    comp = linearize(pen)
+    lam, U, residuals = _eig_residuals(comp)
+    order = np.argsort(lam.real)
+    lam, U, residuals = lam[order], U[:, order], residuals[order]
+    trust = (np.abs(lam - 1.0) < 1e-3) | (np.abs(lam - 5.0) < 1e-3)
+    assert trust.sum() == 4 and residuals[trust].max() <= 1e-7
+    clusters = _build_clusters(comp, lam, U, residuals, trust)
+    assert [cl.multiplicity for cl in clusters] == [3, 1]
+    assert sorted(lam[clusters[0].indices].real) == pytest.approx([1.0, b, c], abs=1e-12)
+    assert [len(ch.vectors) for ch in clusters[0].chains] == [1, 1, 1]
+    assert clusters[1].center == pytest.approx(5.0, abs=1e-12)
 
 
 def test_schatten_small_cases():
