@@ -28,7 +28,10 @@ matrix [s_{i+j}] counts the distinct zeros, a small Hankel eigenproblem
 gives them and a Vandermonde fit their multiplicities, and each starts a
 multiplicity-corrected Newton (Delves & Lyness, Math. Comp. 21, 1967;
 Kravanja & Van Barel, LNM 1727, 2000).  A box whose moments fail any check
-is bisected as before.
+is bisected as before.  A multiple root goes to the mean of the zeros in its
+isolating circle.  As char_det(conj z) = conj char_det(z) bit for bit, a census
+on a box symmetric about the real axis whose values are exact conjugate pairs
+(the data decide) evaluates upper halves only; roots below are the conjugates.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ _PTS_PER_SIDE = 128  # contour samples per rectangle side on a first pass
 _MAX_PTS = 4096  # cap on the doubled samples per side of a winding count
 _MOMENT_MAX_W = 4  # largest winding number resolved from contour moments
 _NEWTON_RTOL = 1e-10  # relative step that ends a Newton polish; also ties real parts
+_CIRCLE_PTS = 64  # samples on the circle that places a multiple root at its centroid
 
 
 @dataclass(frozen=True)
@@ -165,11 +169,25 @@ def char_det(cf, lam):
 def _rect_boundary(rect, pts_per_side):
     re0, re1, im0, im1 = rect
     t = np.arange(pts_per_side) / pts_per_side
+    if im0 == -im1:  # re1 on the axis, up, over the top and down to re0, then the mirror
+        h = t[::2]
+        up = [re1 + 1j * im1 * h, re1 - t * (re1 - re0) + 1j * im1, re0 + 1j * im1 * (1.0 - h)]
+        return _mirror(np.concatenate(up + [[re0]]))
     bottom = re0 + t * (re1 - re0) + 1j * im0
     right = re1 + 1j * (im0 + t * (im1 - im0))
     top = re1 - t * (re1 - re0) + 1j * im1
     left = re0 + 1j * (im1 - t * (im1 - im0))
     return np.concatenate([bottom, right, top, left])
+
+
+def _mirror(upper):
+    """Closed contour (or its values) u_0..u_M, conj(u_{M-1})..conj(u_1): z[-k] == conj(z[k])."""
+    return np.concatenate([upper, np.conj(upper[-2:0:-1])])
+
+
+def _contour_values(cf, z, mirror):
+    """char_det on a closed contour; with mirror (z[-k] == conj(z[k])) on its upper half only."""
+    return _mirror(char_det(cf, z[: z.size // 2 + 1])) if mirror else char_det(cf, z)
 
 
 @single_blas_thread
@@ -185,12 +203,12 @@ def winding_number(cf, rect):
     return _winding(cf, rect)
 
 
-def _winding(cf, rect, vals=None):
+def _winding(cf, rect, vals=None, mirror=False):
     """winding_number, with vals (if given) the char_det values at _PTS_PER_SIDE."""
     pts = _PTS_PER_SIDE
     while pts <= _MAX_PTS:
         if vals is None:
-            vals = char_det(cf, _rect_boundary(rect, pts))
+            vals = _contour_values(cf, _rect_boundary(rect, pts), mirror and rect[2] == -rect[3])
         if np.any(vals == 0.0) or np.any(np.abs(vals) < 1e-280):
             raise WindingNumberError("determinant vanishes on the contour")
         dphi = np.angle(_ratios(vals))
@@ -281,9 +299,9 @@ def _newton_polish(cf, z0, mult=1, max_iter=60, box=None):
     return z, last
 
 
-def _clear_values(cf, rect):
+def _clear_values(cf, rect, mirror=False):
     """char_det on the rectangle boundary, or None if a sample is a near-zero."""
-    vals = char_det(cf, _rect_boundary(rect, _PTS_PER_SIDE))
+    vals = _contour_values(cf, _rect_boundary(rect, _PTS_PER_SIDE), mirror and rect[2] == -rect[3])
     mag = np.abs(vals)
     return vals if mag.min() > 1e-13 * mag.max() else None
 
@@ -317,7 +335,12 @@ def find_roots(cf, rect, max_roots=200):
     winding number of a floor-size box around it; otherwise the box is
     split like any other.  Boxes of winding above 4, and those the moments
     cannot resolve, are split until they fall below the floor diameter,
-    then polished with a multiplicity-corrected Newton step.
+    then polished with a multiplicity-corrected Newton step.  A root of
+    multiplicity m > 1 is placed at its centroid on a circle (_centroid).
+    If rect is symmetric about the real axis and its boundary values (the
+    data, not the type of cf) are exact conjugates at mirrored samples, only
+    upper halves are evaluated, each root below the axis is the exact
+    conjugate of one above, and a root alone in a symmetric box is real.
     """
     for k in range(6):
         vals = _clear_values(cf, rect)
@@ -327,11 +350,16 @@ def find_roots(cf, rect, max_roots=200):
     else:
         raise WindingNumberError("could not clear the search rectangle boundary")
 
+    mirror = rect[2] == -rect[3] and np.array_equal(vals[-np.arange(vals.size)], np.conj(vals))
     total = _winding(cf, rect, vals)
     if total > max_roots:
         raise WindingNumberError(f"{total} roots exceed max_roots={max_roots}")
-    roots = []
-    _subdivide(cf, rect, total, roots, vals)
+    found = []
+    _subdivide(cf, rect, total, found, vals, mirror)
+    zeros = [r for r, _m, _s in found]
+    zeros += [r.conjugate() for r in zeros if mirror and r.imag != 0.0]
+    roots = [(_centroid(cf, r, m, zeros, rect, mirror) if m > 1 else r, m, s) for r, m, s in found]
+    roots += [(r.conjugate(), m, s) for r, m, s in roots if mirror and r.imag != 0.0]
     return _sorted_roots(roots)
 
 
@@ -353,18 +381,26 @@ def _sorted_roots(roots):
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39, 0.55, 0.45, 0.635, 0.365)
 
 
-def _split_once(cf, rect, w):
+def _split_once(cf, rect, w, mirror):
     """Split a rectangle so that child windings sum to the parent's.
 
-    Returns (rect, winding, boundary values) for each child.
+    Returns (rect, winding, boundary values) for each child.  In a census
+    that mirrors, a symmetric box taller than wide splits into a thin
+    symmetric strip and the box above it, whose mirror below holds the
+    conjugate zeros: w = w_strip + 2 w_above, and no edge is on the axis.
     """
     re0, re1, im0, im1 = rect
     wide = (re1 - re0) >= (im1 - im0)
+    strip = not wide and mirror and im0 == -im1
     for frac in _SPLIT_FRACTIONS:
         if wide:
             cut = re0 + frac * (re1 - re0)
             ra = (re0, cut, im0, im1)
             rb = (cut, re1, im0, im1)
+        elif strip:
+            cut = 0.1 * frac * im1
+            ra = (re0, re1, -cut, cut)
+            rb = (re0, re1, cut, im1)
         else:
             cut = im0 + frac * (im1 - im0)
             # keep horizontal edges off the real axis, where zeros accumulate
@@ -372,16 +408,16 @@ def _split_once(cf, rect, w):
                 continue
             ra = (re0, re1, im0, cut)
             rb = (re0, re1, cut, im1)
-        va = _clear_values(cf, ra)
-        vb = None if va is None else _clear_values(cf, rb)
+        va = _clear_values(cf, ra, mirror)
+        vb = None if va is None else _clear_values(cf, rb, mirror)
         if vb is None:
             continue
         try:
-            wa = _winding(cf, ra, va)
-            wb = _winding(cf, rb, vb)
+            wa = _winding(cf, ra, va, mirror)
+            wb = _winding(cf, rb, vb, mirror)
         except WindingNumberError:
             continue
-        if wa + wb == w:
+        if wa + (1 + strip) * wb == w:
             return (ra, wa, va), (rb, wb, vb)
     raise WindingNumberError(f"could not split rectangle {rect} consistently")
 
@@ -391,7 +427,7 @@ def _inside(rect, z):
     return re0 - 1e-12 <= z.real <= re1 + 1e-12 and im0 - 1e-12 <= z.imag <= im1 + 1e-12
 
 
-def _moment_roots(cf, rect, w, vals):
+def _moment_roots(cf, rect, w, vals, mirror):
     """The w zeros of a box from its contour moments, or None if the box must be split.
 
     vals are the boundary values at _PTS_PER_SIDE, so no new contour sample
@@ -399,47 +435,80 @@ def _moment_roots(cf, rect, w, vals):
     each Hankel node and must converge without leaving the box; the roots
     must be distinct to 1e-7 relative, and a root of multiplicity m > 1 is
     kept only if a clear box of side 1e-5 (1 + |root|) centred on it, the
-    floor box of the split route, has winding number m.
+    floor box of the split route, has winding number m.  A symmetric box of
+    a mirrored census has real moments; only its nodes with Im >= 0 are kept.
     """
     re0, re1, im0, im1 = rect
+    sym = mirror and im0 == -im1
     center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
     radius = 0.5 * np.hypot(re1 - re0, im1 - im0)
     s = _moments(_rect_boundary(rect, _PTS_PER_SIDE), vals, w, center, radius)
-    fit = None if s is None else _hankel_nodes(s)
+    fit = None if s is None else _hankel_nodes(s.real if sym else s)
     if fit is None:
         return None
     found = []
     for node, mult in zip(*fit):
+        if sym and node.imag < 0:
+            continue
         root, step = _newton_polish(cf, center + radius * node, mult, max_iter=20, box=rect)
         if step > 1e-10 * (1.0 + abs(root)):
             return None
-        if any(abs(root - r0) <= 1e-7 * (1.0 + abs(root)) for r0, _m, _s in found):
+        taken = [r0 for r0, _m, _s in found]
+        taken += [r0.conjugate() for r0 in taken + [root] if sym and r0.imag != 0.0]
+        if any(abs(root - r0) <= 1e-7 * (1.0 + abs(root)) for r0 in taken):
             return None
-        if mult > 1 and _floor_winding(cf, root) != mult:
+        if mult > 1 and _floor_winding(cf, root, mirror) != mult:
             return None
         found.append((root, int(mult), step))
     return found
 
 
-def _floor_winding(cf, root):
+def _floor_winding(cf, root, mirror):
     """Winding number of the floor-size box centred on root, or None if not clear."""
     h = 0.5e-5 * (1.0 + abs(root))
     box = (root.real - h, root.real + h, root.imag - h, root.imag + h)
-    vals = _clear_values(cf, box)
+    vals = _clear_values(cf, box, mirror)
     if vals is None:
         return None
     try:
-        return _winding(cf, box, vals)
+        return _winding(cf, box, vals, mirror)
     except WindingNumberError:
         return None
 
 
-def _subdivide(cf, rect, w, roots, vals):
-    """Isolate and polish the w zeros in rect; vals are its boundary values."""
+def _centroid(cf, root, m, zeros, rect, mirror):
+    """Root of multiplicity m moved to the mean of the zeros in |z - root| < rho.
+
+    rho is half the distance to the nearest other zero or edge of rect.  g =
+    log f - m log u, u = (z - root)/rho, is periodic there, so the trapezoid
+    rule gives s_1 = -(1/2 pi) integral of g u dtheta spectrally, and the
+    mean root + rho s_1/m is well conditioned where the cluster's members are
+    not (Kato, Perturbation Theory, ch. II).  A real root of a mirrored
+    census is real.  Returns root if the circle does not wind m times.
+    """
+    edges = [root.real - rect[0], rect[1] - root.real, root.imag - rect[2], rect[3] - root.imag]
+    rho = 0.5 * min([abs(z - root) for z in zeros if z != root] + edges)
+    theta = 2.0 * np.pi * np.arange(_CIRCLE_PTS) / _CIRCLE_PTS
+    u = _mirror(np.exp(1j * theta[: _CIRCLE_PTS // 2 + 1]))
+    sym = mirror and root.imag == 0.0
+    vals = _contour_values(cf, root + rho * u, sym)
+    if np.any(vals == 0.0):
+        return root
+    ratios = _ratios(vals)
+    dphi = np.angle(ratios)
+    if np.max(np.abs(dphi)) >= 2.5 or round(dphi.sum() / (2.0 * np.pi)) != m:
+        return root
+    g = np.concatenate(([0.0], np.cumsum(np.log(ratios[:-1])))) - 1j * m * theta
+    s1 = -np.mean(g * u)
+    return root + rho * (s1.real if sym else s1) / m
+
+
+def _subdivide(cf, rect, w, roots, vals, mirror):
+    """Isolate and polish the w zeros in rect (none below the axis if mirror); vals on its edge."""
     if w == 0:
         return
     if w <= _MOMENT_MAX_W:
-        found = _moment_roots(cf, rect, w, vals)
+        found = _moment_roots(cf, rect, w, vals, mirror)
         if found is not None:
             roots.extend(found)
             return
@@ -450,8 +519,9 @@ def _subdivide(cf, rect, w, roots, vals):
         root, step = _newton_polish(cf, center, mult=w)
         if not _inside(rect, root):
             raise WindingNumberError(f"root escaped its isolating box near {center}")
+        if mirror and im0 == -im1:  # a non-real root would bring its conjugate into the box
+            root = complex(root.real, 0.0)
         roots.append((root, w, step))
         return
-    (ra, wa, va), (rb, wb, vb) = _split_once(cf, rect, w)
-    _subdivide(cf, ra, wa, roots, va)
-    _subdivide(cf, rb, wb, roots, vb)
+    for child, wc, vc in _split_once(cf, rect, w, mirror):
+        _subdivide(cf, child, wc, roots, vc, mirror)

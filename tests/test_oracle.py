@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -333,7 +334,65 @@ def test_find_roots_multiple_roots_on_the_real_axis(kind, q, bc, multiple):
     for z, m in multiple:
         r, m_got = min(got, key=lambda t: abs(t[0] - z))
         assert m_got == m
-        assert abs(r - z) <= 1e-6 * max(abs(z), 1.0)
+        # the centroid on an isolating circle, taken real in a symmetric census
+        assert abs(r - z) <= 1e-12 * max(abs(z), 1.0)
+        assert r.imag == 0.0
+
+
+@pytest.mark.parametrize(
+    "kind,q,bc,points_before",
+    [
+        pytest.param(H, 0.5, (0, 1), 5_749, id="helmholtz-0.5-bc01"),
+        pytest.param(S, 1.3125, (2, 3), 10_851, id="schrodinger-1.3125-bc23"),
+        pytest.param(H, 0.5625, (2, 3), 20_490, id="helmholtz-0.5625-bc23"),
+    ],
+)
+def test_symmetric_census_mirrors_the_lower_half(monkeypatch, kind, q, bc, points_before):
+    # char_det is exactly conjugate-symmetric, so the census evaluates the
+    # upper half of each symmetric box and nothing below the axis; both
+    # halves took points_before points
+    z = oracle._rect_boundary(CENSUS_RECT, 128)
+    assert np.array_equal(z[-np.arange(z.size)], np.conj(z))
+    points = _count_points(monkeypatch)
+    cf = _cf(kind, q, 1.0, bc)
+    roots = find_roots(cf, CENSUS_RECT)
+    assert points[0] <= 0.6 * points_before
+    assert sum(m for _r, m, _s in roots) == winding_number(cf, CENSUS_RECT)
+    # each root below the axis is the exact conjugate of one above it, and
+    # no root is listed twice
+    found = Counter((r, m) for r, m, _s in roots)
+    assert found == Counter((r.conjugate(), m) for r, m, _s in roots)
+    assert set(found.values()) == {1}
+    assert any(r.imag < 0.0 for r, _m in found)
+
+
+def test_census_of_a_rectangle_that_is_not_symmetric_agrees():
+    # (-230, 8, -40, 105) takes the full route; its roots are those of the
+    # mirrored census with Im > -40 (none lies within 3 of that edge)
+    cf = _cf(H, 1.3, 1.0, (0, 1))
+    mirrored = [(r, m) for r, m, _s in find_roots(cf, CENSUS_RECT) if r.imag > -40.0]
+    plain = find_roots(cf, (-230.0, 8.0, -40.0, 105.0))
+    assert len(plain) == len(mirrored) == 7
+    for (r, m, _s), (r_ref, m_ref) in zip(plain, mirrored):
+        assert m == m_ref
+        assert abs(r - r_ref) <= 1e-12 * abs(r_ref)
+
+
+@pytest.mark.parametrize("box", [(-2.0, 2.0, -1.5, 1.5), (-2.0, 2.0, -2.0, 2.0)])
+def test_census_of_a_function_without_conjugate_symmetry_mirrors_nothing(monkeypatch, box):
+    # a double zero at a and a simple one at conj(a): the boxes are symmetric
+    # but the values are not, so no root is mirrored into a phantom
+    a = 0.3 + 0.2j
+
+    def skew(cf, lam):
+        lam = np.asarray(lam, dtype=complex)
+        return (lam - a) ** 2 * (lam - np.conj(a)) * np.exp(lam / 7.0)
+
+    monkeypatch.setattr(oracle, "char_det", skew)
+    roots = find_roots(_cf(), box)
+    assert [m for _r, m, _s in roots] == [1, 2]
+    assert abs(roots[0][0] - np.conj(a)) <= 1e-12
+    assert abs(roots[1][0] - a) <= 1e-12
 
 
 @pytest.mark.parametrize("bc", [(0, 1), (2, 3)], ids=lambda bc: f"bc{bc[0]}{bc[1]}")
