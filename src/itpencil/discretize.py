@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from ._blas import single_blas_thread
-from .exceptions import SingularPencilError
+from .exceptions import ConfigError, SingularPencilError
 from .symbols import BoundaryPair, PencilKind
 
 MIN_POINTS = 8
@@ -61,9 +61,9 @@ def make_grid(a, b, n_pts):
     Nodes are ascending and include both endpoints; weights sum to b - a.
     """
     if not b > a:
-        raise ValueError("need b > a")
+        raise ConfigError("need b > a")
     if n_pts < MIN_POINTS:
-        raise ValueError(f"need at least {MIN_POINTS} grid points, got {n_pts}")
+        raise ConfigError(f"need at least {MIN_POINTS} grid points, got {n_pts}")
     N = n_pts - 1
     y = -np.cos(np.pi * np.arange(N + 1) / N)  # ascending on [-1, 1]
     x = a + (b - a) * (y + 1.0) / 2.0
@@ -122,20 +122,20 @@ class MediumProfile:
         elif self.q_type == "samples":
             qv = np.asarray(self.q_data, dtype=float)
             if qv.shape != x.shape:
-                raise ValueError(
+                raise ConfigError(
                     f"q samples have shape {qv.shape}, grid has shape {x.shape}"
                 )
         else:
-            raise ValueError(f"unknown q type: {self.q_type!r}")
+            raise ConfigError(f"unknown q type: {self.q_type!r}")
         if not np.all(np.isfinite(qv)):
-            raise ValueError("q must be finite everywhere")
+            raise ConfigError("q must be finite everywhere")
         lo = self.q_min if self.q_min is not None else float(qv.min())
         hi = self.q_max if self.q_max is not None else float(qv.max())
         if lo <= 0.0:
-            raise ValueError("q must be positive everywhere")
+            raise ConfigError("q must be positive everywhere")
         slack = 1e-12 * max(1.0, abs(lo), abs(hi))
         if qv.min() < lo - slack or qv.max() > hi + slack:
-            raise ValueError("q out of declared bounds")
+            raise ConfigError("q out of declared bounds")
         return qv
 
 
@@ -201,8 +201,6 @@ class DiscretePencil:
     A1: np.ndarray
     A2: np.ndarray
     mass: np.ndarray
-    kind: PencilKind | None = None
-    bc: BoundaryPair | None = None
     grid: object = None
     weights: np.ndarray | None = None
     basis: np.ndarray | None = None
@@ -212,7 +210,7 @@ class DiscretePencil:
         n = self.A0.shape[0]
         for M in (self.A0, self.A1, self.A2):
             if M.shape != (n, n):
-                raise ValueError("pencil matrices must be square and same size")
+                raise ConfigError("pencil matrices must be square and same size")
 
     @classmethod
     def from_matrices(cls, A0, A1, A2):
@@ -369,7 +367,7 @@ def _assemble(profile, grids, bc):
     shape = tuple(g.n_pts for g in grids)
     n_unknowns = int(np.prod([n - 4 for n in shape]))
     if len(grids) > 1 and n_unknowns > MAX_UNKNOWNS_2D:
-        raise ValueError(f"2D problem has {n_unknowns} unknowns, cap is {MAX_UNKNOWNS_2D}")
+        raise ConfigError(f"2D problem has {n_unknowns} unknowns, cap is {MAX_UNKNOWNS_2D}")
     # x-coordinate of every tensor node; samples must come in this shape
     x = np.broadcast_to(grids[0].nodes.reshape((-1,) + (1,) * (len(grids) - 1)), shape)
     qg = profile.values(x)
@@ -436,14 +434,12 @@ def _assemble(profile, grids, bc):
         A1 = -(lap_q + q_lap + ident)
         A2 = q_ident
     else:
-        raise ValueError(f"unknown pencil kind: {profile.kind!r}")
+        raise ConfigError(f"unknown pencil kind: {profile.kind!r}")
 
     return DiscretePencil(
         A0=A0,
         A1=A1,
         A2=A2,
-        kind=profile.kind,
-        bc=bc,
         grid=grids[0] if len(grids) == 1 else grids,
         weights=w,
         basis=V,

@@ -5,8 +5,8 @@ class PencilError(Exception):
     """Base class for numerical failures in pencil computations."""
 
 
-class ConfigError(PencilError):
-    """Invalid run configuration (schema violation, bad parameter ranges)."""
+class ConfigError(PencilError, ValueError):
+    """Invalid input: a config or an argument out of its range."""
 
 
 class SingularPencilError(PencilError):
@@ -38,7 +38,7 @@ class WindingNumberError(PencilError):
 
 
 class EigensolverError(PencilError):
-    """Dense eigensolver failed or exceeded the configured dimension cap."""
+    """Dense eigensolver failed or returned non-finite eigenvalues."""
 
 
 class BoundViolationError(PencilError):

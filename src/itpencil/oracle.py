@@ -42,7 +42,7 @@ from math import factorial
 import numpy as np
 
 from ._blas import single_blas_thread
-from .exceptions import WindingNumberError
+from .exceptions import ConfigError, WindingNumberError
 from .symbols import BoundaryPair, PencilKind
 
 _SERIES_CUT = 1e-6  # switch c, e to power series below |s| x^2 of this size
@@ -66,9 +66,9 @@ class CharacteristicFunction:
 
     def __post_init__(self):
         if self.q_val <= 0.0:
-            raise ValueError("q must be positive")
+            raise ConfigError("q must be positive")
         if self.length <= 0.0:
-            raise ValueError("length must be positive")
+            raise ConfigError("length must be positive")
         if isinstance(self.bc, tuple):
             object.__setattr__(self, "bc", BoundaryPair(*self.bc))
 

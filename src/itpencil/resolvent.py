@@ -42,6 +42,7 @@ from ._blas import single_blas_thread
 from .exceptions import (
     BoundViolationError,
     ClusterAmbiguityError,
+    ConfigError,
     MaskedSampleError,
     PoleOnRayError,
     QuadratureConvergenceError,
@@ -133,15 +134,15 @@ def ray_scan(pencil, direction, radii):
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size < 2:
-        raise ValueError("need at least two radii")
+        raise ConfigError("need at least two radii")
     if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be positive and strictly increasing")
+        raise ConfigError("radii must be positive and strictly increasing")
     d = complex(direction)
     if d == 0:
-        raise ValueError("direction must be nonzero")
+        raise ConfigError("direction must be nonzero")
     d /= abs(d)
     if d.real < 0 and abs(d.imag) < 1e-12:
-        raise ValueError("ray along the negative real axis hits the pole set")
+        raise ConfigError("ray along the negative real axis hits the pole set")
 
     norms = _resolvent_norms(pencil, [r * d for r in radii])
     if np.isnan(norms).any():
@@ -220,14 +221,14 @@ class WeierstrassProduct:
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "lambda_prime", complex(self.lambda_prime))
         if self.p <= 0:
-            raise ValueError("p must be positive")
+            raise ConfigError("p must be positive")
         k = self.k if self.k else int(math.ceil(self.p))
         if not (k - 1 <= self.p <= k):
-            raise ValueError(f"genus {k} incompatible with p = {self.p}")
+            raise ConfigError(f"genus {k} incompatible with p = {self.p}")
         object.__setattr__(self, "k", k)
         gaps = np.abs(zeros - self.lambda_prime)
         if zeros.size and gaps.min() == 0:
-            raise ValueError("lambda_prime coincides with a zero")
+            raise ConfigError("lambda_prime coincides with a zero")
 
     def zero_sum(self):
         """sum |zero_j - lambda_prime|^{-p} over the trusted zeros."""
@@ -273,6 +274,9 @@ def carleman_check(comp, wp, circle_radius, n_samples=64):
     constant in the theory is not pinned down, so the bound is reported
     rather than asserted.
     """
+    r = float(circle_radius)
+    if r < 0:
+        raise ConfigError("circle_radius must be nonnegative")
     M = comp.matrix if hasattr(comp, "matrix") else np.asarray(comp)
     eye = np.eye(M.shape[0])
     lamp = wp.lambda_prime
@@ -284,9 +288,6 @@ def carleman_check(comp, wp, circle_radius, n_samples=64):
         S2, S2inv = comp.source._companion_scaling()
         P = S2 @ P @ S2inv
 
-    r = float(circle_radius)
-    if r < 0:
-        raise ValueError("circle_radius must be nonnegative")
     if r == 0:
         samples = [lamp]
     else:
@@ -333,7 +334,7 @@ def pole_avoiding_radii(eigenvalues, r_min, r_max, n_candidates=128):
     radius to a pole modulus has no admissible radius.
     """
     if r_min <= 0 or r_max <= r_min:
-        raise ValueError("need 0 < r_min < r_max")
+        raise ConfigError("need 0 < r_min < r_max")
     moduli = np.abs(np.asarray(eigenvalues, dtype=complex).ravel())
     edges = [r_min]
     while edges[-1] < r_max:
@@ -376,7 +377,7 @@ def circle_growth_scan(pencil, radii, p, n_theta=64, eigenvalues=None):
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size < 2:
-        raise ValueError("need at least two radii")
+        raise ConfigError("need at least two radii")
     moduli = None
     if eigenvalues is not None:
         moduli = np.abs(np.asarray(eigenvalues, dtype=complex).ravel())
@@ -438,12 +439,12 @@ def laurent_coefficients(pencil, lambda0, radius, n_coeffs=4, n_quad=256,
     lam0 = complex(lambda0)
     r = float(radius)
     if r <= 0:
-        raise ValueError("radius must be positive")
+        raise ConfigError("radius must be positive")
     if n_coeffs < 1:
-        raise ValueError("n_coeffs must be at least 1")
+        raise ConfigError("n_coeffs must be at least 1")
     M = int(n_quad)
     if M < 16:
-        raise ValueError("n_quad must be at least 16")
+        raise ConfigError("n_quad must be at least 16")
     M += M % 2
 
     if eigenvalues is not None:
@@ -527,7 +528,7 @@ def t_infinity_estimate(pencil, radius, n_samples=256, eigenvalues=None):
     """
     r = float(radius)
     if r <= 0:
-        raise ValueError("radius must be positive")
+        raise ConfigError("radius must be positive")
     ring = r * _unit_ring(n_samples)
 
     norms = _resolvent_norms(pencil, ring)

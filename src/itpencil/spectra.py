@@ -14,6 +14,7 @@ from ._blas import single_blas_thread
 from .discretize import DiscretePencil, assemble_pencil, assemble_pencil_2d, make_grid
 from .exceptions import (
     ClusterAmbiguityError,
+    ConfigError,
     EigensolverError,
     SingularAtLambdaError,
     SingularPencilError,
@@ -427,7 +428,7 @@ def verify_chain(pencil, chain):
 def schatten_norm(M, p):
     """(sum sigma_j^p)^(1/p) over all singular values."""
     if p < 1:
-        raise ValueError("Schatten norms need p >= 1")
+        raise ConfigError("Schatten norms need p >= 1")
     s = np.linalg.svd(np.asarray(M), compute_uv=False)
     return float(np.sum(s**p) ** (1.0 / p))
 
@@ -446,14 +447,14 @@ def torus_embedding_sum(n, p, cutoff):
     at most (1+n)^p times the integral of (1+|x|^2)^(-p) over |x| >= K+1/2.
     """
     if n < 1 or int(n) != n:
-        raise ValueError("dimension n must be a positive integer")
+        raise ConfigError("dimension n must be a positive integer")
     if p <= n / 2.0:
-        raise ValueError(f"sum diverges for p <= n/2 (p={p}, n={n})")
+        raise ConfigError(f"sum diverges for p <= n/2 (p={p}, n={n})")
     if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
+        raise ConfigError("cutoff must be at least 1")
     K = int(cutoff)
     if (2 * K + 1) ** n > 5e7:
-        raise ValueError("lattice window too large; lower the cutoff")
+        raise ConfigError("lattice window too large; lower the cutoff")
     if n == 1:
         k = np.arange(1, K + 1, dtype=float)
         partial = 1.0 + 2.0 * np.sum((1.0 + k * k) ** (-p))
@@ -538,7 +539,7 @@ def chain_matrix(eig, m):
 def completeness_residual(eig, pencil, f, m):
     """Relative weighted distance from f to the span of the nearest m chains."""
     if m > len(eig.clusters):
-        raise ValueError(f"only {len(eig.clusters)} trusted clusters available")
+        raise ConfigError(f"only {len(eig.clusters)} trusted clusters available")
     X = chain_matrix(eig, m)
     S, _ = pencil._scaling()
     fs = S @ np.asarray(f, dtype=complex)

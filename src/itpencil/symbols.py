@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .exceptions import DegenerateInputError
+from .exceptions import ConfigError, DegenerateInputError
 
 _ROOT_TOL = 1e-10
 _ELLIPTIC_TOL = 1e-9  # a sampled minimum at or below this fails a check
@@ -47,9 +47,9 @@ class BoundaryPair:
     def __post_init__(self):
         for m in (self.m1, self.m2):
             if not isinstance(m, int) or not 0 <= m <= 3:
-                raise ValueError("boundary trace orders must be integers in 0..3")
+                raise ConfigError("boundary trace orders must be integers in 0..3")
         if self.m1 == self.m2:
-            raise ValueError("boundary trace orders must differ")
+            raise ConfigError("boundary trace orders must differ")
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,9 @@ class SymbolPoint:
 
     def __post_init__(self):
         if self.q_val <= 0.0:
-            raise ValueError("q must be positive")
+            raise ConfigError("q must be positive")
         if self.xi_sq < 0.0:
-            raise ValueError("xi_sq must be nonnegative")
+            raise ConfigError("xi_sq must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class Cone:
 
     def __post_init__(self):
         if not -math.pi <= self.theta_min <= self.theta_max <= math.pi:
-            raise ValueError("need -pi <= theta_min <= theta_max <= pi")
+            raise ConfigError("need -pi <= theta_min <= theta_max <= pi")
 
     def touches_negative_axis(self):
         return self.theta_min <= -math.pi + 1e-12 or self.theta_max >= math.pi - 1e-12
@@ -118,7 +118,7 @@ def _symbol_values(kind, q, xi_sq, lam):
         return q * xi_sq**2 + lam * (1.0 + 2.0 * q) * xi_sq + lam**2 * (1.0 + q)
     if kind is PencilKind.SCHRODINGER:
         return q * (xi_sq + lam) ** 2
-    raise ValueError(f"unknown pencil kind: {kind!r}")
+    raise ConfigError(f"unknown pencil kind: {kind!r}")
 
 
 def principal_symbol(kind, point):
@@ -132,17 +132,14 @@ def condition1_roots(kind, q_val, xi_sq):
     Both roots lie on the closed negative real axis, which is why any cone
     avoiding that axis keeps the symbol bounded away from zero.
     """
-    if q_val <= 0.0:
-        raise ValueError("q must be positive")
-    if xi_sq < 0.0:
-        raise ValueError("xi_sq must be nonnegative")
+    SymbolPoint(q_val, xi_sq, 0j)  # validates q and xi_sq
     if kind is PencilKind.HELMHOLTZ:
         # factorization q xi^4 + lam (1+2q) xi^2 + lam^2 (1+q)
         #   = (xi^2 + lam) (q xi^2 + lam (1+q))
         return (-xi_sq, -q_val / (1.0 + q_val) * xi_sq)
     if kind is PencilKind.SCHRODINGER:
         return (-xi_sq, -xi_sq)
-    raise ValueError(f"unknown pencil kind: {kind!r}")
+    raise ConfigError(f"unknown pencil kind: {kind!r}")
 
 
 def _lattice(n, dim, seed):
@@ -164,7 +161,7 @@ def _lattice(n, dim, seed):
 def _cone_samples(q_range, cone, samples, seed):
     q_lo, q_hi = q_range
     if not 0.0 < q_lo <= q_hi:
-        raise ValueError("q_range must satisfy 0 < q_min <= q_max")
+        raise ConfigError("q_range must satisfy 0 < q_min <= q_max")
     pts = _lattice(samples, 3, seed)
     qs = q_lo + pts[:, 0] * (q_hi - q_lo)
     # normalized slice xi_sq + |lam| = 1 of the weighted cone
@@ -217,7 +214,7 @@ def _decaying_pair(kind, q, xi_prime_sq, lam):
         return r2, -np.sqrt(lam * (1.0 + 1.0 / q) + xi_prime_sq)
     if kind is PencilKind.SCHRODINGER:
         return r2, r2
-    raise ValueError(f"unknown pencil kind: {kind!r}")
+    raise ConfigError(f"unknown pencil kind: {kind!r}")
 
 
 def characteristic_roots(kind, q_val, xi_prime_sq, lam):
@@ -229,10 +226,7 @@ def characteristic_roots(kind, q_val, xi_prime_sq, lam):
     real part, below _ROOT_TOL relative (lam on the negative axis with
     xi' = 0, say), are rejected.
     """
-    if q_val <= 0.0:
-        raise ValueError("q must be positive")
-    if xi_prime_sq < 0.0:
-        raise ValueError("xi_prime_sq must be nonnegative")
+    SymbolPoint(q_val, xi_prime_sq, lam)  # validates q and xi'^2
     r2, r4 = (complex(r) for r in _decaying_pair(kind, q_val, xi_prime_sq, lam))
     for r in (r2, r4):
         if abs(r.real) <= _ROOT_TOL * max(1.0, abs(r)):
@@ -271,10 +265,7 @@ def lopatinsky_determinant(kind, bc, q_val, xi_prime_sq, lam):
     """
     if not isinstance(bc, BoundaryPair):
         bc = BoundaryPair(*bc)
-    if q_val <= 0.0:
-        raise ValueError("q must be positive")
-    if xi_prime_sq < 0.0:
-        raise ValueError("xi_prime_sq must be nonnegative")
+    SymbolPoint(q_val, xi_prime_sq, lam)  # validates q and xi'^2
     if abs(lam) + xi_prime_sq == 0.0:
         raise DegenerateInputError("(xi', lam) = (0, 0) is excluded")
     (a1, b1), (a2, b2) = _decaying_rows(kind, q_val, xi_prime_sq, (bc.m1, bc.m2), lam)

@@ -459,6 +459,24 @@ def test_completeness_explicit_m_values(tmp_path):
     assert code == 2
 
 
+def test_completeness_rising_residuals_fail_monotone(tmp_path, monkeypatch):
+    # residuals that grow with m: the one failed property is monotonicity,
+    # and a failed property still writes the CSV and the manifest
+    def rising(eig, pencil, f, m):
+        return 0.0 if m == len(eig.clusters) else 1e-3 * m
+
+    monkeypatch.setattr(cli.sp, "completeness_residual", rising)
+    payload = {"pencil": _h1_pencil(), "n_samples": 2, "m_values": [1, 2]}
+    code, out = _run(tmp_path, "completeness", payload)
+    assert code == 1
+    res = json.loads((out / "completeness_manifest.json").read_text())["results"]
+    assert res["monotone"] is False
+    assert res["worst_final_residual"] < res["residual_tol"]
+    assert res["chain_vector_residual"] <= res["chain_tol"]
+    rows = (out / "completeness.csv").read_text().splitlines()
+    assert rows[0] == "sample,m,residual" and len(rows) == 5
+
+
 def test_completeness_without_trusted_clusters_writes_nothing(tmp_path, capsys):
     pencil = {**_h1_pencil(12), "kind": "schrodinger", "bc": [0, 3]}
     code, out = _run(tmp_path, "completeness", {"pencil": pencil})
@@ -576,6 +594,25 @@ _CONFIG_ERRORS.update({
     "residual_tol": ("completeness", {"pencil": _h1_pencil(), "residual_tol": 0.5},
                      "'residual_tol'"),
     "chain_tol": ("completeness", {"pencil": _h1_pencil(), "chain_tol": 1e-4}, "'chain_tol'"),
+})
+
+# library checks of their own arguments raise ConfigError, a ValueError
+_CONFIG_ERRORS.update({
+    "circles-one-band": ("resolvent-scan",
+                         {**_THREADS_CASES["resolvent-scan"],
+                          "circles": {"r_min": 8.0, "r_max": 12.0, "p": 1.0}},
+                         "need at least two radii"),
+    "circles-order": ("resolvent-scan",
+                      {**_THREADS_CASES["resolvent-scan"],
+                       "circles": {"r_min": 64.0, "r_max": 8.0, "p": 1.0}},
+                      "need 0 < r_min < r_max"),
+    "ray-negative-axis": ("resolvent-scan", {**_SCAN, "rays": [1.0]}, "negative real axis"),
+    "counting-schatten-p": ("counting", {"pencil": _h1_pencil(), "p": 0.5, "t_values": [3.0]},
+                            "Schatten norms need p >= 1"),
+    "completeness-m-exceeds": ("completeness", {"pencil": _h1_pencil(), "m_values": [1, 1000]},
+                               "trusted clusters available"),
+    "interval-order": ("spectrum", {"pencil": {**_h1_pencil(), "interval": [1.0, 0.0]}},
+                       "need b > a"),
 })
 
 

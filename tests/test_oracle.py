@@ -171,6 +171,33 @@ def test_floor_box_resolves_a_fivefold_root(monkeypatch):
     assert abs(root - a) <= 1e-7
 
 
+def test_symmetric_floor_box_sets_its_root_real(monkeypatch):
+    # real coefficients give exact conjugate values, so the census mirrors;
+    # the real 5-fold root is split down to a floor box symmetric about the
+    # axis, and a root alone there is real
+    def fivefold(cf, lam):
+        lam = np.asarray(lam, dtype=complex)
+        d = lam - 0.3
+        return d * d * d * d * d * (lam - 4.0)
+
+    mirrors = []
+    subdivide = oracle._subdivide
+
+    def recorded(cf, rect, w, roots, vals, mirror):
+        mirrors.append(mirror)
+        return subdivide(cf, rect, w, roots, vals, mirror)
+
+    monkeypatch.setattr(oracle, "char_det", fivefold)
+    monkeypatch.setattr(oracle, "_subdivide", recorded)
+    roots = find_roots(_cf(), (-2.0, 2.0, -1.5, 1.5))
+    assert len(roots) == 1
+    root, mult, _step = roots[0]
+    assert mult == 5
+    assert root.imag == 0.0
+    assert abs(root - 0.3) <= 1e-7
+    assert mirrors and all(mirrors)
+
+
 def test_find_roots_raises_when_the_boundary_never_clears():
     # the boundary values span more than 13 decades in modulus there, so
     # neither the rectangle nor any of its nudged copies counts as clear

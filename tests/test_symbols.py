@@ -15,7 +15,7 @@ from itpencil import (
     lopatinsky_determinant,
     principal_symbol,
 )
-from itpencil.exceptions import DegenerateInputError
+from itpencil.exceptions import ConfigError, DegenerateInputError
 from itpencil.symbols import _cone_samples
 
 H = PencilKind.HELMHOLTZ
@@ -204,3 +204,17 @@ def test_boundary_pair_validation():
         BoundaryPair(0, 4)
     with pytest.raises(ValueError):
         BoundaryPair(-1, 2)
+
+
+@pytest.mark.parametrize("q,xi_sq", [(0.0, 1.0), (-1.0, 1.0), (1.0, -0.5)])
+@pytest.mark.parametrize("call", [
+    lambda q, xs: SymbolPoint(q, xs, 1.0j),
+    lambda q, xs: condition1_roots(H, q, xs),
+    lambda q, xs: characteristic_roots(H, q, xs, 1.0j),
+    lambda q, xs: lopatinsky_determinant(H, (0, 1), q, xs, 1.0j),
+], ids=["SymbolPoint", "condition1_roots", "characteristic_roots", "lopatinsky_determinant"])
+def test_scalar_symbol_checks_raise_config_error(call, q, xi_sq):
+    # q <= 0 or xi^2 < 0 is a bad argument; ConfigError is also a ValueError
+    with pytest.raises(ConfigError, match="q must be positive" if q <= 0 else "nonnegative") as exc:
+        call(q, xi_sq)
+    assert isinstance(exc.value, ValueError)
