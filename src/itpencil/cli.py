@@ -25,7 +25,7 @@ from . import spectra as sp
 from ._blas import single_blas_thread
 from .discretize import DiscretePencil, MediumProfile, assemble_pencil, make_grid
 from .exceptions import ConfigError, PencilError
-from .oracle import CharacteristicFunction, char_det, find_roots
+from .oracle import CharacteristicFunction, find_roots
 from .symbols import BoundaryPair, Cone, PencilKind, check_condition1, check_condition2
 
 # the thresholds each checked property is judged by
@@ -582,7 +582,7 @@ def cmd_oracle(cfg, args):
     if not (re0 < re1 and im0 < im1):
         raise ConfigError("rect must be (re_min, re_max, im_min, im_max) with min < max")
     roots = find_roots(cf, tuple(cfg["rect"]), max_roots=cfg["max_roots"])
-    dets = char_det(cf, np.array([r for r, _m, _s in roots], dtype=complex))
+    dets = cf(np.array([r for r, _m, _s in roots], dtype=complex))
     # scalar abs (hypot): numpy's array abs of complex can differ in the last bit
     rows = [(r.real, r.imag, m, abs(d)) for (r, m, _step), d in zip(roots, dets)]
     results = {

@@ -19,19 +19,20 @@ Near s = 0 each s^n in the Taylor series of the traces becomes
 h_{n-1}(s1, s2) = sum_{j<n} s1^j s2^(n-1-j) (McCurdy, Ng & Parlett, Math.
 Comp. 43, 1984): no subtraction cancels and s1 = s2 needs no case of its own.
 
-find_roots isolates zeros by argument-principle bisection of rectangles.  A
-rectangle of winding number w <= 4 is first resolved in place from its
-contour moments s_k = (1/2 pi i) contour integral of u^k f'/f dz, k < 2w,
-with u the box coordinate scaled to the unit disc, computed from the
-boundary values its winding count already has.  The rank of the Hankel
-matrix [s_{i+j}] counts the distinct zeros, a small Hankel eigenproblem
-gives them and a Vandermonde fit their multiplicities, and each starts a
-multiplicity-corrected Newton (Delves & Lyness, Math. Comp. 21, 1967;
-Kravanja & Van Barel, LNM 1727, 2000).  A box whose moments fail any check
-is bisected as before.  A multiple root goes to the mean of the zeros in its
-isolating circle.  As char_det(conj z) = conj char_det(z) bit for bit, a census
-on a box symmetric about the real axis whose values are exact conjugate pairs
-(the data decide) evaluates upper halves only; roots below are the conjugates.
+find_roots isolates the zeros of any vectorized analytic f, such as a
+CharacteristicFunction cf with cf(z) = char_det(cf, z), by argument-principle
+bisection of rectangles.  A rectangle of winding number w <= 4 is first
+resolved in place from its contour moments s_k = (1/2 pi i) contour integral of
+u^k f'/f dz, k < 2w, with u the box coordinate scaled to the unit disc,
+computed from the boundary values its winding count already has.  The rank of
+the Hankel matrix [s_{i+j}] counts the distinct zeros, a small Hankel
+eigenproblem gives them and a Vandermonde fit their multiplicities, and each
+starts a multiplicity-corrected Newton (Delves & Lyness, Math. Comp. 21, 1967;
+Kravanja & Van Barel, LNM 1727, 2000).  A box whose moments fail any check is
+bisected.  A multiple root goes to the mean of the zeros in its isolating
+circle.  Where f(conj z) = conj f(z) bit for bit, as for char_det, a census on
+a box symmetric about the real axis whose values are exact conjugate pairs (the
+data decide) evaluates upper halves only; roots below are the conjugates.
 """
 
 from __future__ import annotations
@@ -71,6 +72,10 @@ class CharacteristicFunction:
             raise ConfigError("length must be positive")
         if isinstance(self.bc, tuple):
             object.__setattr__(self, "bc", BoundaryPair(*self.bc))
+
+    def __call__(self, lam):
+        """char_det(self, lam), with char_det looked up when the call runs."""
+        return char_det(self, lam)
 
 
 def _ce(s, x):
@@ -185,30 +190,28 @@ def _mirror(upper):
     return np.concatenate([upper, np.conj(upper[-2:0:-1])])
 
 
-def _contour_values(cf, z, mirror):
-    """char_det on a closed contour; with mirror (z[-k] == conj(z[k])) on its upper half only."""
-    return _mirror(char_det(cf, z[: z.size // 2 + 1])) if mirror else char_det(cf, z)
+def _contour_values(f, z, mirror):
+    """f on a closed contour; with mirror (z[-k] == conj(z[k])) on its upper half only."""
+    return _mirror(f(z[: z.size // 2 + 1])) if mirror else f(z)
 
 
 @single_blas_thread
-def winding_number(cf, rect):
-    """Winding number of char_det along the rectangle boundary.
+def winding_number(f, rect):
+    """Winding number of f (a vectorized analytic function) along the rectangle boundary.
 
     Sampling starts at _PTS_PER_SIDE (128) points per side and doubles, up to
     _MAX_PTS (4096), when a phase step is too large to be trusted; raises
-    WindingNumberError if the count never settles to an integer.  Inside
-    find_roots the first pass reuses the boundary values of the clear check,
-    so each contour sample is evaluated once.
+    WindingNumberError if the count never settles to an integer.
     """
-    return _winding(cf, rect)
+    return _winding(f, rect)
 
 
-def _winding(cf, rect, vals=None, mirror=False):
-    """winding_number, with vals (if given) the char_det values at _PTS_PER_SIDE."""
+def _winding(f, rect, vals=None, mirror=False):
+    """winding_number, with vals (if given) the values of f at _PTS_PER_SIDE."""
     pts = _PTS_PER_SIDE
     while pts <= _MAX_PTS:
         if vals is None:
-            vals = _contour_values(cf, _rect_boundary(rect, pts), mirror and rect[2] == -rect[3])
+            vals = _contour_values(f, _rect_boundary(rect, pts), mirror and rect[2] == -rect[3])
         if np.any(vals == 0.0) or np.any(np.abs(vals) < 1e-280):
             raise WindingNumberError("determinant vanishes on the contour")
         dphi = np.angle(_ratios(vals))
@@ -276,8 +279,8 @@ def _hankel_nodes(s):
     return nodes, mult.astype(int)
 
 
-def _newton_polish(cf, z0, mult=1, max_iter=60, box=None):
-    """Newton iteration on char_det (multiplicity-corrected), returns (root, step).
+def _newton_polish(f, z0, mult=1, max_iter=60, box=None):
+    """Newton iteration on f (multiplicity-corrected), returns (root, step).
 
     With a box, an iterate that leaves it ends the iteration with step inf.
     """
@@ -285,7 +288,7 @@ def _newton_polish(cf, z0, mult=1, max_iter=60, box=None):
     last = np.inf
     for _ in range(max_iter):
         h = 1e-7 * (1.0 + abs(z))
-        f0, fp, fm = char_det(cf, np.array([z, z + h, z - h]))
+        f0, fp, fm = f(np.array([z, z + h, z - h]))
         deriv = (fp - fm) / (2.0 * h)
         if deriv == 0.0:
             break
@@ -299,24 +302,24 @@ def _newton_polish(cf, z0, mult=1, max_iter=60, box=None):
     return z, last
 
 
-def _clear_values(cf, rect, mirror=False):
-    """char_det on the rectangle boundary, or None if a sample is a near-zero."""
-    vals = _contour_values(cf, _rect_boundary(rect, _PTS_PER_SIDE), mirror and rect[2] == -rect[3])
+def _clear_values(f, rect, mirror=False):
+    """f on the rectangle boundary, or None if a sample is a near-zero."""
+    vals = _contour_values(f, _rect_boundary(rect, _PTS_PER_SIDE), mirror and rect[2] == -rect[3])
     mag = np.abs(vals)
     return vals if mag.min() > 1e-13 * mag.max() else None
 
 
 def _nudge_rect(rect, k):
     re0, re1, im0, im1 = rect
-    f = 1e-3 * (k + 1)
-    dre = (re1 - re0) * f
-    dim = (im1 - im0) * f
+    frac = 1e-3 * (k + 1)
+    dre = (re1 - re0) * frac
+    dim = (im1 - im0) * frac
     return (re0 - dre, re1 + dre, im0 - dim, im1 + dim)
 
 
 @single_blas_thread
-def find_roots(cf, rect, max_roots=200):
-    """All zeros of char_det in a rectangle, by argument principle bisection.
+def find_roots(f, rect, max_roots=200):
+    """All zeros of a vectorized analytic f in a rectangle, by argument principle bisection.
 
     rect is (re_min, re_max, im_min, im_max).  Returns a list of
     (root, multiplicity, newton_step) sorted by real part, and by imaginary
@@ -327,23 +330,19 @@ def find_roots(cf, rect, max_roots=200):
     clear of zeros, _PTS_PER_SIDE (128) per side, are the first pass of its
     winding count, which doubles them up to _MAX_PTS (4096) if needed.  A
     box of winding w <= 4 takes its zeros and multiplicities from the
-    contour moments on those values (_moment_roots) and polishes each with
-    multiplicity-corrected Newton.  They are kept if every phase step passes
-    the unwrap test, the multiplicities are near integers summing to w,
-    each Newton run converges within 20 steps without leaving the box, the
-    roots are distinct, and each multiple root has its multiplicity as the
-    winding number of a floor-size box around it; otherwise the box is
-    split like any other.  Boxes of winding above 4, and those the moments
-    cannot resolve, are split until they fall below the floor diameter,
-    then polished with a multiplicity-corrected Newton step.  A root of
+    contour moments on those values and polishes each with
+    multiplicity-corrected Newton, unless one of the checks of _moment_roots
+    fails.  Boxes of winding above 4, and those the moments cannot resolve,
+    are split until they fall below the floor diameter, then polished with
+    a multiplicity-corrected Newton step.  A root of
     multiplicity m > 1 is placed at its centroid on a circle (_centroid).
     If rect is symmetric about the real axis and its boundary values (the
-    data, not the type of cf) are exact conjugates at mirrored samples, only
+    data, not the type of f) are exact conjugates at mirrored samples, only
     upper halves are evaluated, each root below the axis is the exact
     conjugate of one above, and a root alone in a symmetric box is real.
     """
     for k in range(6):
-        vals = _clear_values(cf, rect)
+        vals = _clear_values(f, rect)
         if vals is not None:
             break
         rect = _nudge_rect(rect, k)
@@ -351,14 +350,14 @@ def find_roots(cf, rect, max_roots=200):
         raise WindingNumberError("could not clear the search rectangle boundary")
 
     mirror = rect[2] == -rect[3] and np.array_equal(vals[-np.arange(vals.size)], np.conj(vals))
-    total = _winding(cf, rect, vals)
+    total = _winding(f, rect, vals)
     if total > max_roots:
         raise WindingNumberError(f"{total} roots exceed max_roots={max_roots}")
     found = []
-    _subdivide(cf, rect, total, found, vals, mirror)
+    _subdivide(f, rect, total, found, vals, mirror)
     zeros = [r for r, _m, _s in found]
     zeros += [r.conjugate() for r in zeros if mirror and r.imag != 0.0]
-    roots = [(_centroid(cf, r, m, zeros, rect, mirror) if m > 1 else r, m, s) for r, m, s in found]
+    roots = [(_centroid(f, r, m, zeros, rect, mirror) if m > 1 else r, m, s) for r, m, s in found]
     roots += [(r.conjugate(), m, s) for r, m, s in roots if mirror and r.imag != 0.0]
     return _sorted_roots(roots)
 
@@ -381,7 +380,7 @@ def _sorted_roots(roots):
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39, 0.55, 0.45, 0.635, 0.365)
 
 
-def _split_once(cf, rect, w, mirror):
+def _split_once(f, rect, w, mirror):
     """Split a rectangle so that child windings sum to the parent's.
 
     Returns (rect, winding, boundary values) for each child.  In a census
@@ -408,17 +407,10 @@ def _split_once(cf, rect, w, mirror):
                 continue
             ra = (re0, re1, im0, cut)
             rb = (re0, re1, cut, im1)
-        va = _clear_values(cf, ra, mirror)
-        vb = None if va is None else _clear_values(cf, rb, mirror)
-        if vb is None:
-            continue
-        try:
-            wa = _winding(cf, ra, va, mirror)
-            wb = _winding(cf, rb, vb, mirror)
-        except WindingNumberError:
-            continue
-        if wa + (1 + strip) * wb == w:
-            return (ra, wa, va), (rb, wb, vb)
+        a = _clear_winding(f, ra, mirror)
+        b = None if a is None else _clear_winding(f, rb, mirror)
+        if b is not None and a[0] + (1 + strip) * b[0] == w:
+            return (ra, *a), (rb, *b)
     raise WindingNumberError(f"could not split rectangle {rect} consistently")
 
 
@@ -427,7 +419,7 @@ def _inside(rect, z):
     return re0 - 1e-12 <= z.real <= re1 + 1e-12 and im0 - 1e-12 <= z.imag <= im1 + 1e-12
 
 
-def _moment_roots(cf, rect, w, vals, mirror):
+def _moment_roots(f, rect, w, vals, mirror):
     """The w zeros of a box from its contour moments, or None if the box must be split.
 
     vals are the boundary values at _PTS_PER_SIDE, so no new contour sample
@@ -450,33 +442,35 @@ def _moment_roots(cf, rect, w, vals, mirror):
     for node, mult in zip(*fit):
         if sym and node.imag < 0:
             continue
-        root, step = _newton_polish(cf, center + radius * node, mult, max_iter=20, box=rect)
+        root, step = _newton_polish(f, center + radius * node, mult, max_iter=20, box=rect)
         if step > 1e-10 * (1.0 + abs(root)):
             return None
         taken = [r0 for r0, _m, _s in found]
         taken += [r0.conjugate() for r0 in taken + [root] if sym and r0.imag != 0.0]
         if any(abs(root - r0) <= 1e-7 * (1.0 + abs(root)) for r0 in taken):
             return None
-        if mult > 1 and _floor_winding(cf, root, mirror) != mult:
-            return None
+        if mult > 1:
+            h = 0.5e-5 * (1.0 + abs(root))
+            box = (root.real - h, root.real + h, root.imag - h, root.imag + h)
+            floor = _clear_winding(f, box, mirror)
+            if floor is None or floor[0] != mult:
+                return None
         found.append((root, int(mult), step))
     return found
 
 
-def _floor_winding(cf, root, mirror):
-    """Winding number of the floor-size box centred on root, or None if not clear."""
-    h = 0.5e-5 * (1.0 + abs(root))
-    box = (root.real - h, root.real + h, root.imag - h, root.imag + h)
-    vals = _clear_values(cf, box, mirror)
+def _clear_winding(f, rect, mirror):
+    """(winding, boundary values) of rect, or None if its edge is not clear or does not settle."""
+    vals = _clear_values(f, rect, mirror)
     if vals is None:
         return None
     try:
-        return _winding(cf, box, vals, mirror)
+        return _winding(f, rect, vals, mirror), vals
     except WindingNumberError:
         return None
 
 
-def _centroid(cf, root, m, zeros, rect, mirror):
+def _centroid(f, root, m, zeros, rect, mirror):
     """Root of multiplicity m moved to the mean of the zeros in |z - root| < rho.
 
     rho is half the distance to the nearest other zero or edge of rect.  g =
@@ -491,7 +485,7 @@ def _centroid(cf, root, m, zeros, rect, mirror):
     theta = 2.0 * np.pi * np.arange(_CIRCLE_PTS) / _CIRCLE_PTS
     u = _mirror(np.exp(1j * theta[: _CIRCLE_PTS // 2 + 1]))
     sym = mirror and root.imag == 0.0
-    vals = _contour_values(cf, root + rho * u, sym)
+    vals = _contour_values(f, root + rho * u, sym)
     if np.any(vals == 0.0):
         return root
     ratios = _ratios(vals)
@@ -503,12 +497,12 @@ def _centroid(cf, root, m, zeros, rect, mirror):
     return root + rho * (s1.real if sym else s1) / m
 
 
-def _subdivide(cf, rect, w, roots, vals, mirror):
+def _subdivide(f, rect, w, roots, vals, mirror):
     """Isolate and polish the w zeros in rect (none below the axis if mirror); vals on its edge."""
     if w == 0:
         return
     if w <= _MOMENT_MAX_W:
-        found = _moment_roots(cf, rect, w, vals, mirror)
+        found = _moment_roots(f, rect, w, vals, mirror)
         if found is not None:
             roots.extend(found)
             return
@@ -516,12 +510,10 @@ def _subdivide(cf, rect, w, roots, vals, mirror):
     center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
     if max(re1 - re0, im1 - im0) <= 1e-5 * (1.0 + abs(center)):
         # the floor box: its w zeros are one root of multiplicity w
-        root, step = _newton_polish(cf, center, mult=w)
+        root, step = _newton_polish(f, center, mult=w)
         if not _inside(rect, root):
             raise WindingNumberError(f"root escaped its isolating box near {center}")
-        if mirror and im0 == -im1:  # a non-real root would bring its conjugate into the box
-            root = complex(root.real, 0.0)
         roots.append((root, w, step))
         return
-    for child, wc, vc in _split_once(cf, rect, w, mirror):
-        _subdivide(cf, child, wc, roots, vc, mirror)
+    for child, wc, vc in _split_once(f, rect, w, mirror):
+        _subdivide(f, child, wc, roots, vc, mirror)

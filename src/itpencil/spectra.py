@@ -424,11 +424,15 @@ def verify_chain(pencil, chain):
     return out
 
 
+def _check_schatten_p(p):
+    if p < 1:
+        raise ConfigError("Schatten norms need p >= 1")
+
+
 @single_blas_thread
 def schatten_norm(M, p):
     """(sum sigma_j^p)^(1/p) over all singular values."""
-    if p < 1:
-        raise ConfigError("Schatten norms need p >= 1")
+    _check_schatten_p(p)
     s = np.linalg.svd(np.asarray(M), compute_uv=False)
     return float(np.sum(s**p) ** (1.0 / p))
 
@@ -513,6 +517,7 @@ def counting(eig, lambda_prime, p, t_values):
     discrete = t_values**p * float(np.sum(dist ** (-p)))
     schatten = None
     if comp is not None:
+        _check_schatten_p(p)  # reject p before forming the inverse
         A = comp.matrix
         R = _checked_inverse(A - lambda_prime * np.eye(A.shape[0]), lambda_prime)
         schatten = t_values**p * schatten_norm(R, p) ** p

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from itpencil import MediumProfile, PencilKind, solve_spectrum
 
@@ -16,3 +17,26 @@ def h1_solution():
     """Helmholtz q=1 clamped solve on the reference grid, shared across tests."""
     profile = MediumProfile.constant(PencilKind.HELMHOLTZ, 1.0)
     return solve_spectrum(profile, 0.0, 1.0, 96, (0, 1))
+
+
+@pytest.fixture
+def getrf_calls(monkeypatch):
+    """Counts LAPACK getrf calls made through get_lapack_funcs after set-up."""
+    calls = []
+    get_funcs = scipy.linalg.lapack.get_lapack_funcs
+
+    def counted_funcs(names, arrays=()):
+        funcs = list(get_funcs(names, arrays))
+        if "getrf" in names:
+            i = list(names).index("getrf")
+            getrf = funcs[i]
+
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return getrf(*args, **kwargs)
+
+            funcs[i] = counted
+        return funcs
+
+    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", counted_funcs)
+    return calls

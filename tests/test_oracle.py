@@ -229,6 +229,45 @@ def test_winding_number_raises_when_a_phase_jump_never_resolves(monkeypatch):
     assert sizes == [4 * n for n in (128, 256, 512, 1024, 2048, 4096)]
 
 
+def test_find_roots_raises_when_no_split_is_consistent():
+    # b = (2 - x)(x + 2)(2 - y)(y + 2) vanishes on the edges of the box, so
+    # its boundary winds 5 times, but the phase 1e6 b turns so fast inside
+    # that no cut line settles, even at _MAX_PTS points per side
+    a = 0.3 + 0.2j
+
+    def f(z):
+        x, y = z.real, z.imag
+        return (z - a) ** 5 * np.exp(1e6j * (2.0 - x) * (x + 2.0) * (2.0 - y) * (y + 2.0))
+
+    rect = (-2.0, 2.0, -2.0, 2.0)
+    assert winding_number(f, rect) == 5
+    with pytest.raises(WindingNumberError, match="could not split rectangle .* consistently"):
+        find_roots(f, rect)
+
+
+@pytest.mark.parametrize(
+    "rect", [pytest.param((-4.0, 3.0, -3.0, 3.0), id="mirrored"),
+             pytest.param((-4.0, 3.0, -1.0, 3.0), id="unmirrored")],
+)
+def test_find_roots_zeros_a_plain_callable(rect):
+    # any vectorized analytic function can be censused, not only char_det;
+    # real coefficients give exact conjugate values on the symmetric box
+    def f(z):
+        return (z - 1.0) ** 3 * (z + 2.0) * ((z - 0.5) ** 2 + 4.0) * np.exp(z / 7.0)
+
+    expected = [(-2.0, 1), (0.5 - 2j, 1), (0.5 + 2j, 1), (1.0, 3)]
+    expected = [(z, m) for z, m in expected if rect[2] < z.imag < rect[3]]
+    roots = find_roots(f, rect)
+    assert sum(m for _r, m, _s in roots) == winding_number(f, rect)
+    assert len(roots) == len(expected)
+    for (r, m, _s), (z, m_want) in zip(roots, expected):
+        assert m == m_want
+        assert abs(r - z) <= 1e-9 * abs(z)
+    if rect[2] == -rect[3]:
+        assert all(r.imag == 0.0 for r, _m, _s in roots if abs(r.imag) < 1.0)
+        assert roots[1][0] == roots[2][0].conjugate()
+
+
 def test_q1_helmholtz_exponents():
     # factored exponents sqrt(lam), sqrt(2 lam) drive the determinant: the
     # entire function must vanish at the discretization-confirmed eigenvalue

@@ -371,29 +371,6 @@ def svd_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def getrf_calls(monkeypatch):
-    """Counts LAPACK getrf calls made through get_lapack_funcs after set-up."""
-    calls = []
-    get_funcs = scipy.linalg.lapack.get_lapack_funcs
-
-    def counted_funcs(names, arrays=()):
-        funcs = list(get_funcs(names, arrays))
-        if "getrf" in names:
-            i = list(names).index("getrf")
-            getrf = funcs[i]
-
-            def counted(*args, **kwargs):
-                calls.append(1)
-                return getrf(*args, **kwargs)
-
-            funcs[i] = counted
-        return funcs
-
-    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", counted_funcs)
-    return calls
-
-
 def _getri_inverse(X):
     """X^-1 by LAPACK getrf + getri, the route _checked_inverse takes."""
     getrf, getri = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getri"), (X,))

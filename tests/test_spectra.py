@@ -7,7 +7,7 @@ from scipy.optimize import linear_sum_assignment
 
 from itpencil import MediumProfile, PencilKind, ray_scan, solve_spectrum, solve_spectrum_2d
 from itpencil.discretize import DiscretePencil, assemble_pencil, assemble_pencil_2d, make_grid
-from itpencil.exceptions import SingularAtLambdaError, SingularPencilError
+from itpencil.exceptions import ConfigError, SingularAtLambdaError, SingularPencilError
 from itpencil.spectra import (
     KeldyshChain,
     _build_clusters,
@@ -392,6 +392,15 @@ def test_counting_rejects_reference_on_untrusted_eigenvalue(h48):
     assert np.min(np.abs(h48.trusted_eigenvalues - lp)) > 100.0
     with pytest.raises(SingularAtLambdaError):
         counting(h48, lp, 1.0, [1.0, 10.0])
+
+
+def test_counting_rejects_a_schatten_p_below_one_before_the_inverse(h48, getrf_calls):
+    # the Schatten bound needs p >= 1, so the companion inverse, an LU of
+    # twice the pencil size, is not formed for a p that would be rejected
+    assert h48.companion is not None
+    with pytest.raises(ConfigError, match="Schatten norms need p >= 1"):
+        counting(h48, h48.lambda_prime, 0.5, [1.0, 10.0])
+    assert getrf_calls == []
 
 
 def test_completeness_own_eigenvector(h64):
