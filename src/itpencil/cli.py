@@ -237,11 +237,6 @@ _VALIDATORS = {
 
 
 def _fmt(v):
-    t = type(v)  # exact types first: the same bytes as the isinstance dispatch below
-    if t is float or t is np.float64:
-        return format(v, ".16e")
-    if t is int:
-        return str(v)
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
@@ -249,9 +244,20 @@ def _fmt(v):
     return format(float(v), ".16e")
 
 
+# a column whose cells all have one of these exact types takes one formatter, with _fmt's bytes
+_E16 = "%.16e".__mod__
+_COLUMN_FMT = {frozenset({float}): _E16, frozenset({np.float64}): _E16, frozenset({int}): str}
+
+
 def _write_csv(path, header, rows):
+    rows = list(rows)
+    columns = list(zip(*rows))
     lines = [",".join(header)]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    if columns and all(len(row) == len(columns) for row in rows):
+        cells = [list(map(_COLUMN_FMT.get(frozenset(map(type, c)), _fmt), c)) for c in columns]
+        lines.extend(map(",".join, zip(*cells)))
+    else:  # ragged: cell by cell
+        lines.extend(",".join(map(_fmt, row)) for row in rows)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -663,9 +669,12 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()  # parsing leaves no state in it, so every call shares it
+
+
 @single_blas_thread
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _load_config(args.command, args.config)
         tables, results, passed = _COMMANDS[args.command](cfg, args)

@@ -5,7 +5,9 @@ weights.  The four homogeneous boundary traces are absorbed by basis
 recombination: each axis has a degree-graded stencil basis V whose columns
 satisfy the traces and have unit Euclidean norm (they are not orthogonal), so
 a 1D grid with n points yields square matrices of size n - 4.  A 2D pencil
-uses the tensor product of the axis bases.  The quadrature weights induce the
+uses the tensor product of the axis bases, which depend only on the grid and
+the boundary pair: they and their derivative blocks are computed once per
+(grid, bc) per process and held read-only.  The quadrature weights induce the
 discrete L2 inner product used for all norms downstream.
 """
 
@@ -23,6 +25,7 @@ from .symbols import BoundaryPair, PencilKind
 
 MIN_POINTS = 8
 MAX_UNKNOWNS_2D = 3600
+_AXIS_CACHE_SIZE = 32  # (grid, bc) pairs whose axis blocks are kept
 
 
 @dataclass(frozen=True)
@@ -310,15 +313,16 @@ class DiscretePencil:
         return np.linalg.solve(self.mass, rhs)
 
 
-def _axis_blocks(grid, bc):
+@functools.lru_cache(maxsize=_AXIS_CACHE_SIZE)
+def _axis_blocks(n_pts, a, b, bc):
     """Weak-form blocks of one axis, all formed in Chebyshev coefficient space.
 
     Returns the node values V of the unit-column stencil basis, the node
     values Z of its second derivatives, and the endpoint traces G[m] of its
-    m-th derivatives for m = 0..3 (row 0 at a, row 1 at b).
+    m-th derivatives for m = 0..3 (row 0 at a, row 1 at b), all read-only.
     """
-    n = grid.n_pts
-    zeta = 2.0 / (grid.b - grid.a)
+    n = n_pts
+    zeta = 2.0 / (b - a)
     coeffs = _stencil_coeffs(n, bc)
     tmat = _cheb_node_values(n)
     V = tmat.T @ coeffs
@@ -335,7 +339,9 @@ def _axis_blocks(grid, bc):
     for m, cm in enumerate(deriv):
         alt = np.where(np.arange(cm.shape[0]) % 2 == 0, 1.0, -1.0)
         G.append(zeta**m * np.vstack([alt @ cm, cm.sum(axis=0)]))
-    return V, Z, G
+    for M in (V, Z, *G):
+        M.flags.writeable = False
+    return V, Z, tuple(G)
 
 
 def _q_slope(profile, grid, qg, axis, side):
@@ -372,7 +378,7 @@ def _assemble(profile, grids, bc):
     x = np.broadcast_to(grids[0].nodes.reshape((-1,) + (1,) * (len(grids) - 1)), shape)
     qg = profile.values(x)
     qv = qg.reshape(-1)
-    blocks = [_axis_blocks(g, bc) for g in grids]
+    blocks = [_axis_blocks(g.n_pts, g.a, g.b, bc) for g in grids]
     axes = range(len(grids))
 
     def tensor(sub):

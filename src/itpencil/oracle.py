@@ -213,7 +213,7 @@ def _winding(f, rect, vals=None, mirror=False):
         if vals is None:
             vals = _contour_values(f, _rect_boundary(rect, pts), mirror and rect[2] == -rect[3])
         if np.any(vals == 0.0) or np.any(np.abs(vals) < 1e-280):
-            raise WindingNumberError("determinant vanishes on the contour")
+            raise WindingNumberError("f vanishes on the contour")
         dphi = np.angle(_ratios(vals))
         total = dphi.sum() / (2.0 * np.pi)
         if np.max(np.abs(dphi)) < 2.5 and abs(total - round(total)) < 0.2:

@@ -695,3 +695,48 @@ def test_csv_writer_bytes_match_isinstance_dispatch(tmp_path):
     expected = ",".join(header) + "\n"
     expected += "".join(",".join(_isinstance_fmt(v) for v in row) + "\n" for row in rows)
     assert path.read_bytes() == expected.encode()
+
+
+def test_csv_columns_of_one_type_match_isinstance_dispatch(tmp_path):
+    # rectangular tables take one formatter per column where every cell has
+    # the same exact type; a float column with one int still writes that int
+    tables = {
+        "laurent": [(i, j, float(i) / 3.0, -float(j) * 1e-300) for i in range(3) for j in range(4)],
+        "int_in_floats": [(0.5,), (3,), (np.float64(2.0),), (-0.0,)],
+        "bools": [(True, np.bool_(True), 1.5), (False, np.bool_(False), 2.5)],
+        "float32": [(np.float32(0.1), 1, np.float64(-0.0)), (np.float32(-2.5), 2, np.float64(-np.nan)),
+                    (np.float32(np.inf), 3, np.float64(5e-324))],
+    }
+    for name, rows in tables.items():
+        header = [f"c{k}" for k in range(len(rows[0]))]
+        cli._write_csv(tmp_path / f"{name}.csv", header, rows)
+        expected = ",".join(header) + "\n"
+        expected += "".join(",".join(_isinstance_fmt(v) for v in row) + "\n" for row in rows)
+        assert (tmp_path / f"{name}.csv").read_bytes() == expected.encode(), name
+    assert (tmp_path / "int_in_floats.csv").read_text().splitlines()[2] == "3"
+
+
+def test_calls_in_one_process_match_a_fresh_process(tmp_path):
+    # the shared parser and the cached axis blocks carry nothing from one
+    # call to the next: laurent, check-ellipticity (another seed), laurent
+    laurent = _write(tmp_path / "laurent.json",
+                     {"pencil": _h1_pencil(48), **_THREAD_COUNT_CASES["laurent"]})
+    ellipticity = _write(tmp_path / "ellipticity.json", {
+        "kind": "helmholtz", "bc": [0, 1], "q_range": [0.5, 2.0], "cone": [1.0, 2.2],
+    })
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    subprocess.run(
+        [sys.executable, "-m", "itpencil.cli", "laurent", "--config", laurent,
+         "--out", str(tmp_path / "fresh")],
+        env=env, check=True, timeout=120,
+    )
+    assert cli.main(["laurent", "--config", laurent, "--out", str(tmp_path / "first")]) == 0
+    assert cli.main(["check-ellipticity", "--config", ellipticity, "--seed", "5",
+                     "--out", str(tmp_path / "ellipticity")]) == 0
+    assert cli.main(["laurent", "--config", laurent, "--out", str(tmp_path / "again")]) == 0
+    fresh = {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
+    assert len(fresh) >= 3
+    for run in ("first", "again"):
+        assert {p.name: p.read_bytes() for p in (tmp_path / run).iterdir()} == fresh

@@ -9,6 +9,7 @@ from itpencil import (
     assemble_pencil_2d,
     eigen,
     linearize,
+    discretize,
     make_grid,
 )
 
@@ -311,3 +312,45 @@ def test_project_prolong_roundtrip():
     u = rng.standard_normal(pencil.dim) + 1j * rng.standard_normal(pencil.dim)
     back = pencil.project(pencil.prolong(u))
     assert np.allclose(back, u, rtol=1e-9, atol=1e-12)
+
+
+def _pencil_arrays(p):
+    return [p.A0, p.A1, p.A2, p.mass, p.basis]
+
+
+def test_assembling_twice_gives_the_same_bits():
+    # the second assembly takes the axis blocks the first one computed
+    discretize._axis_blocks.cache_clear()
+    for bc in ((0, 1), (2, 3)):
+        grid = make_grid(0.0, 1.0, 48)
+        first = assemble_pencil(MediumProfile.polynomial(S, [1.0, 0.5, -0.3]), grid, bc)
+        second = assemble_pencil(MediumProfile.polynomial(S, [1.0, 0.5, -0.3]), grid, bc)
+        for a, b in zip(_pencil_arrays(first), _pencil_arrays(second)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_pencil_basis_is_read_only():
+    pencil = assemble_pencil(MediumProfile.constant(H, 1.0), make_grid(0.0, 1.0, 24), (0, 1))
+    with pytest.raises(ValueError):
+        pencil.basis[0, 0] = 1.0
+
+
+def test_axis_blocks_are_kept_per_interval_and_boundary_pair():
+    # the same n_pts on another interval, or with another bc, must not take
+    # the blocks computed first: each pencil equals its own cold assembly
+    cases = [((0.0, 1.0), (0, 2)), ((0.0, 2.0), (0, 2)), ((0.0, 1.0), (1, 3))]
+
+    def assembled(interval, bc):
+        return assemble_pencil(MediumProfile.constant(H, 1.3), make_grid(*interval, 32), bc)
+
+    cold = []
+    for case in cases:
+        discretize._axis_blocks.cache_clear()
+        cold.append(_pencil_arrays(assembled(*case)))
+    discretize._axis_blocks.cache_clear()
+    warm = [_pencil_arrays(assembled(*case)) for case in cases]
+    assert not np.array_equal(cold[0][0], cold[1][0])
+    assert not np.array_equal(cold[0][0], cold[2][0])
+    for c, w in zip(cold, warm):
+        for a, b in zip(c, w):
+            assert a.tobytes() == b.tobytes()

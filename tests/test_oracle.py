@@ -594,3 +594,20 @@ def test_find_roots_match_mpmath_newton(kind, bc):
                 deriv = (_mp_det(mp, cf, z + h) - _mp_det(mp, cf, z - h)) / (2 * h)
                 z -= _mp_det(mp, cf, z) / deriv
             assert abs(r - complex(z)) / abs(complex(z)) < 1e-10
+
+
+def test_winding_number_names_f_when_it_vanishes_on_the_contour():
+    with pytest.raises(WindingNumberError, match="f vanishes on the contour"):
+        winding_number(lambda z: z - 1.0, (1.0, 2.0, -1.0, 1.0))
+
+
+def test_find_roots_raises_when_a_floor_box_root_escapes():
+    # five zeros on a circle of radius 5e-6 about c, the centre of a floor box
+    # of the bisection of the unit square, and a 5-fold zero at R outside it:
+    # the winding is 5, above the moment route's 4, so the box is split down
+    # to the floor, and from c, where the cluster's pull cancels, the
+    # multiplicity-5 Newton step goes to R
+    c = complex(45875.5, 45875.5) / 65536
+    R = 2.0 + 2.0j
+    with pytest.raises(WindingNumberError, match="root escaped its isolating box"):
+        find_roots(lambda z: ((z - c) ** 5 - 5e-6**5) * (z - R) ** 5, (0.0, 1.0, 0.0, 1.0))
