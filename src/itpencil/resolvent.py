@@ -11,18 +11,21 @@ inverse is one LU, getrf then getri (spectra._lu_inverse).  A sample whose
 result is an inverse is certified from that inverse by a Frobenius bound
 (spectra._checked_inverse), with ||B||_F bounded by sum |lam|^k ||B_k||_F from
 norms cached per pencil, so a certified sample costs its LU and nothing else;
-an SVD, on B formed only then, runs only where the bound exceeds 1e12.  The
-contour coefficients of laurent_coefficients are one product of a weight
-matrix with the stacked inverses.
+an SVD, on B formed only then, runs only where the bound exceeds 1e12.
+laurent_coefficients fills one buffer of _LAURENT_CHUNK sample inverses at a
+time and adds its product with the matching weight columns into the contour
+coefficients, so its memory does not grow with n_quad.
 
 Each sample is a small dense factorization, where a second BLAS thread costs
 more in hand-off than it gains.  The public functions here therefore run with
 every loaded OpenBLAS at one thread and restore the caller's count on exit
 (itpencil._blas); this also keeps their results independent of the caller's
-thread count.  Looping over samples and stacking them into one batched call
-took the same time at this size, and a 448-sample circle scan on the n = 64
-pencil took 0.19-0.24 s in a loop against 0.31-0.38 s on a 2-thread pool (one
-BLAS thread each, 2 vCPUs), so samples stay in a loop.
+thread count.  Stacked chunks of 32 SVDs on a 2-thread pool (one BLAS thread
+each, 2 vCPUs) gave the same bits and ran a 448-sample circle scan on the
+n = 64 pencil in 0.068-0.089 s against 0.079-0.137 s in a loop, but the
+library benchmark's peak RSS rose from 82 to 89-90 MB with no pass time
+gained beyond run-to-run noise, so samples stay in a loop in the calling
+thread.
 
 The work saved is in the count of samples instead.  A pencil with real
 coefficients has T(conj lam) = conj T(lam), and the SVD of a conjugated matrix
@@ -58,6 +61,7 @@ from .spectra import (
 )
 
 _GROWTH_EPS = 0.1  # circle_growth_scan raises on a growth exponent above p + this
+_LAURENT_CHUNK = 32  # samples per laurent_coefficients sum; even, so [::2] is the halved rule
 
 
 @single_blas_thread
@@ -135,8 +139,8 @@ def ray_scan(pencil, direction, radii):
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size < 2:
         raise ConfigError("need at least two radii")
-    if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
-        raise ConfigError("radii must be positive and strictly increasing")
+    if not np.all(np.isfinite(radii) & (radii > 0)) or np.any(np.diff(radii) <= 0):
+        raise ConfigError("radii must be finite, positive and strictly increasing")
     d = complex(direction)
     if d == 0:
         raise ConfigError("direction must be nonzero")
@@ -220,8 +224,8 @@ class WeierstrassProduct:
         zeros = np.asarray(self.zeros, dtype=complex).ravel()
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "lambda_prime", complex(self.lambda_prime))
-        if self.p <= 0:
-            raise ConfigError("p must be positive")
+        if not 0 < self.p < math.inf:
+            raise ConfigError("p must be positive and finite")
         k = self.k if self.k else int(math.ceil(self.p))
         if not (k - 1 <= self.p <= k):
             raise ConfigError(f"genus {k} incompatible with p = {self.p}")
@@ -275,8 +279,8 @@ def carleman_check(comp, wp, circle_radius, n_samples=64):
     rather than asserted.
     """
     r = float(circle_radius)
-    if r < 0:
-        raise ConfigError("circle_radius must be nonnegative")
+    if not 0 <= r < math.inf:
+        raise ConfigError("circle_radius must be nonnegative and finite")
     M = comp.matrix if hasattr(comp, "matrix") else np.asarray(comp)
     eye = np.eye(M.shape[0])
     lamp = wp.lambda_prime
@@ -333,8 +337,8 @@ def pole_avoiding_radii(eigenvalues, r_min, r_max, n_candidates=128):
     wins.  A band whose best candidate still sits closer than 1e-3 times its
     radius to a pole modulus has no admissible radius.
     """
-    if r_min <= 0 or r_max <= r_min:
-        raise ConfigError("need 0 < r_min < r_max")
+    if not 0 < r_min < r_max < math.inf:
+        raise ConfigError("need 0 < r_min < r_max < inf")
     moduli = np.abs(np.asarray(eigenvalues, dtype=complex).ravel())
     edges = [r_min]
     while edges[-1] < r_max:
@@ -378,6 +382,10 @@ def circle_growth_scan(pencil, radii, p, n_theta=64, eigenvalues=None):
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size < 2:
         raise ConfigError("need at least two radii")
+    if not np.all(np.isfinite(radii) & (radii > 0)):
+        raise ConfigError("radii must be finite and positive")
+    if not math.isfinite(p):
+        raise ConfigError("p must be finite")
     moduli = None
     if eigenvalues is not None:
         moduli = np.abs(np.asarray(eigenvalues, dtype=complex).ravel())
@@ -438,8 +446,8 @@ def laurent_coefficients(pencil, lambda0, radius, n_coeffs=4, n_quad=256,
     """
     lam0 = complex(lambda0)
     r = float(radius)
-    if r <= 0:
-        raise ConfigError("radius must be positive")
+    if not 0 < r < math.inf:
+        raise ConfigError("radius must be positive and finite")
     if n_coeffs < 1:
         raise ConfigError("n_coeffs must be at least 1")
     M = int(n_quad)
@@ -464,14 +472,19 @@ def laurent_coefficients(pencil, lambda0, radius, n_coeffs=4, n_quad=256,
     theta = 2 * np.pi * np.arange(M) / M
     ring = r * np.exp(1j * theta)
 
-    flat = np.array(
-        [_checked_inverse(pencil.T(lam), lam, pencil) for lam in lam0 + ring]
-    ).reshape(M, -1)
-
     orders = np.arange(-(n_coeffs + 1), n_coeffs + 1)
     W = ring ** -orders[:, None]
-    full = (W @ flat) / M
-    half = (W[:, ::2] @ flat[::2]) / (M // 2)
+    rows = np.empty((_LAURENT_CHUNK, pencil.dim**2), dtype=complex)
+    full = np.zeros((orders.size, rows.shape[1]), dtype=complex)
+    half = np.zeros_like(full)
+    for s in range(0, M, _LAURENT_CHUNK):
+        e = min(s + _LAURENT_CHUNK, M)
+        for i, lam in enumerate(lam0 + ring[s:e]):
+            rows[i] = _checked_inverse(pencil.T(lam), lam, pencil).ravel()
+        full += W[:, s:e] @ rows[: e - s]
+        half += W[:, s:e:2] @ rows[: e - s : 2]
+    full /= M
+    half /= M // 2
     coeffs = dict(zip(orders.tolist(), full.reshape(orders.size, pencil.dim, pencil.dim)))
 
     norms = dict(zip(orders.tolist(), np.linalg.norm(full, axis=1).tolist()))
@@ -527,8 +540,8 @@ def t_infinity_estimate(pencil, radius, n_samples=256, eigenvalues=None):
     Nondecreasing in the radius.
     """
     r = float(radius)
-    if r <= 0:
-        raise ConfigError("radius must be positive")
+    if not 0 < r < math.inf:
+        raise ConfigError("radius must be positive and finite")
     ring = r * _unit_ring(n_samples)
 
     norms = _resolvent_norms(pencil, ring)

@@ -1,14 +1,17 @@
 """Resolvent norms, ray decay, product bounds, Laurent data, circle averages."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from itpencil import MediumProfile, PencilKind, solve_spectrum
+from itpencil import MediumProfile, PencilKind, resolvent, solve_spectrum
 from itpencil._blas import single_blas_thread
 from itpencil.discretize import DiscretePencil, assemble_pencil, make_grid
 from itpencil.exceptions import (
     ClusterAmbiguityError,
+    ConfigError,
     MaskedSampleError,
     PoleOnRayError,
     SingularAtLambdaError,
@@ -357,6 +360,54 @@ def test_singular_sample_raises(entry):
         _SINGULAR_CASES[entry]()
 
 
+# each entry point given a NaN or infinite argument, which would otherwise turn
+# a gate off, return nothing, or surface as a pole at nan
+_NON_FINITE_CASES = {
+    "circle_growth_scan-p-nan": lambda: circle_growth_scan(
+        _scalar(0.0, 1.0, 1.0), [2.0, 4.0], np.nan
+    ),
+    "circle_growth_scan-radius-nan": lambda: circle_growth_scan(
+        _scalar(0.0, 1.0, 1.0), [2.0, np.nan], 1.0
+    ),
+    "circle_growth_scan-radius-inf": lambda: circle_growth_scan(
+        _scalar(0.0, 1.0, 1.0), [2.0, np.inf], 1.0
+    ),
+    "pole_avoiding_radii-r_max-nan": lambda: pole_avoiding_radii([], 1.0, np.nan),
+    "pole_avoiding_radii-r_max-inf": lambda: pole_avoiding_radii([], 1.0, np.inf),
+    "laurent_coefficients-radius-nan": lambda: laurent_coefficients(
+        _scalar(0.0, 1.0, 1.0), 0.0, np.nan
+    ),
+    "laurent_coefficients-radius-inf": lambda: laurent_coefficients(
+        _scalar(0.0, 1.0, 1.0), 0.0, np.inf
+    ),
+    "carleman_check-radius-nan": lambda: carleman_check(
+        np.diag([2.0 + 0j, -2.0 + 0j]),
+        WeierstrassProduct(lambda_prime=0.0, zeros=np.array([2.0, -2.0]), p=1.0),
+        np.nan,
+    ),
+    "t_infinity_estimate-radius-nan": lambda: t_infinity_estimate(
+        _scalar(0.0, 1.0, 1.0), np.nan
+    ),
+    "t_infinity_estimate-radius-inf": lambda: t_infinity_estimate(
+        _scalar(0.0, 1.0, 1.0), np.inf
+    ),
+    "ray_scan-radius-nan": lambda: ray_scan(_scalar(0.0, 1.0, 1.0), 1j, [1.0, np.nan]),
+    "WeierstrassProduct-p-nan": lambda: WeierstrassProduct(
+        lambda_prime=0.0, zeros=np.array([2.0]), p=np.nan
+    ),
+    "WeierstrassProduct-p-inf": lambda: WeierstrassProduct(
+        lambda_prime=0.0, zeros=np.array([2.0]), p=np.inf
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE_CASES))
+def test_non_finite_arguments_raise_config_error(case, svd_calls, getrf_calls):
+    with pytest.raises(ConfigError):
+        _NON_FINITE_CASES[case]()
+    assert not svd_calls and not getrf_calls
+
+
 @pytest.fixture
 def svd_calls(monkeypatch):
     """Counts np.linalg.svd calls made after the fixture is set up."""
@@ -439,11 +490,13 @@ def test_checked_inverse_decides_as_sigma_min(case, h64_pencil, svd_calls):
 
 
 @single_blas_thread
-def _laurent_reference(pen, lam0, radius, n_quad, orders, old_route=False):
+def _laurent_reference(pen, lam0, radius, n_quad, orders, old_route=False,
+                       chunk=resolvent._LAURENT_CHUNK):
     """Contour coefficients by the route "_sigma_min of the mass-scaled
     sample, then the getrf + getri inverse of T(lam)", summed with one weight
-    matrix, at the library's one BLAS thread.  old_route inverts with
-    np.linalg.inv and sums with one tensordot per order instead."""
+    matrix product per chunk of samples (one product when chunk is None), at
+    the library's one BLAS thread.  old_route inverts with np.linalg.inv and
+    sums with one tensordot per order instead."""
     ring = radius * np.exp(1j * 2 * np.pi * np.arange(n_quad) / n_quad)
     inverse = np.linalg.inv if old_route else _getri_inverse
     invs = []
@@ -457,7 +510,10 @@ def _laurent_reference(pen, lam0, radius, n_quad, orders, old_route=False):
         # a Python int exponent of -1
         return {int(nn): np.tensordot(ring ** (-nn), invs, axes=(0, 0)) / n_quad
                 for nn in orders}
-    sums = (ring ** -orders[:, None]) @ invs.reshape(n_quad, -1) / n_quad
+    W = ring ** -orders[:, None]
+    flat = invs.reshape(n_quad, -1)
+    step = chunk or n_quad
+    sums = sum(W[:, s : s + step] @ flat[s : s + step] for s in range(0, n_quad, step)) / n_quad
     return dict(zip(orders.tolist(), sums.reshape(orders.size, *invs.shape[1:])))
 
 
@@ -478,10 +534,38 @@ def test_laurent_needs_no_svd_and_keeps_its_coefficients(h1_solution, svd_calls,
         assert len(getrf_calls) == n_quad
         ref = _laurent_reference(pen, lam0, radius, n_quad, list(ld.coefficients))
         old = _laurent_reference(pen, lam0, radius, n_quad, list(ld.coefficients), True)
+        one = _laurent_reference(pen, lam0, radius, n_quad, list(ld.coefficients), chunk=None)
         scale = max(np.abs(c).max() for c in ld.coefficients.values())
         for nn, coeff in ld.coefficients.items():
             assert np.array_equal(coeff, ref[nn])
             assert np.abs(coeff - old[nn]).max() <= 1e-13 * scale
+            assert np.abs(coeff - one[nn]).max() <= 1e-13 * scale
+
+
+@pytest.fixture(scope="module")
+def h64_solution():
+    profile = MediumProfile.constant(PencilKind.HELMHOLTZ, 1.0)
+    return solve_spectrum(profile, 0.0, 1.0, 64, (0, 1))
+
+
+def test_laurent_memory_does_not_grow_with_n_quad(h64_solution):
+    # the contour sums stream through one chunk of samples, so the traced peak
+    # at criterion 06's first pole stays a few MB at any n_quad, where keeping
+    # every n = 64 inverse takes about 28 MB at n_quad 256 and 113 MB at 1024
+    pen, tr = h64_solution.pencil, h64_solution.trusted_eigenvalues
+    lam0 = tr[np.lexsort((tr.imag, tr.real, np.abs(tr)))][0]
+    others = tr[np.abs(tr - lam0) > 1e-6 * (1.0 + abs(lam0))]
+    radius = 0.4 * float(np.min(np.abs(others - lam0)))
+    peaks = []
+    for n_quad in (256, 1024):
+        tracemalloc.start()
+        try:
+            laurent_coefficients(pen, lam0, radius, n_coeffs=3, n_quad=n_quad, eigenvalues=tr)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 6.0
+    assert abs(peaks[1] - peaks[0]) <= 1.0
 
 
 def _p_fallback(M, lamp):
