@@ -17,7 +17,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from ._blas import single_blas_thread
 from .exceptions import ConfigError, SingularPencilError
@@ -286,7 +285,9 @@ class DiscretePencil:
         """
         if "companion" not in self._scale_cache:
             S, Sinv = self._scaling()
-            self._scale_cache["companion"] = (block_diag(S, Sinv), block_diag(Sinv, S))
+            zero = np.zeros_like(S)
+            self._scale_cache["companion"] = (np.block([[S, zero], [zero, Sinv]]),
+                                              np.block([[Sinv, zero], [zero, S]]))
         return self._scale_cache["companion"]
 
     def vector_norm(self, u):

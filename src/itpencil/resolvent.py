@@ -7,7 +7,8 @@ condition at most 1e14 (spectra._sigma_min), and samples are evaluated in order
 in the calling thread.  A pencil sample is checked in mass-scaled form,
 B0 + lam B1 + lam^2 B2 with B_k = S^{-1} A_k S^{-1} cached once per pencil
 (DiscretePencil._scaled_T), so no sample pays for scaling products.  Every
-inverse is one LU, getrf then getri (spectra._lu_inverse).  A sample whose
+inverse is one LU, getrf then getri in numpy's OpenBLAS (spectra._lu_inverse,
+through itpencil._blas.lapack), the one OpenBLAS itpencil loads.  A sample whose
 result is an inverse is certified from that inverse by a Frobenius bound
 (spectra._checked_inverse), with ||B||_F bounded by sum |lam|^k ||B_k||_F from
 norms cached per pencil, so a certified sample costs its LU and nothing else;

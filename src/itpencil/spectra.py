@@ -1,5 +1,6 @@
 """Companion linearization, eigen machinery, chains, counting bounds, and the
-conditioning check of sampled inverses."""
+conditioning check of sampled inverses.  Every dense kernel runs in numpy's
+OpenBLAS: numpy's eig and SVD, and the LU and Schur form through _blas.lapack."""
 
 from __future__ import annotations
 
@@ -7,10 +8,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
-from ._blas import single_blas_thread
+from ._blas import lapack, single_blas_thread
 from .discretize import DiscretePencil, assemble_pencil, assemble_pencil_2d, make_grid
 from .exceptions import (
     ClusterAmbiguityError,
@@ -46,15 +45,10 @@ def _sigma_min(X, where):
 
 
 def _lu_inverse(X):
-    """X^{-1} from one LU, LAPACK getrf then getri (about 2/3 of the flops of
-    np.linalg.inv, which solves against I); LinAlgError on an exact zero pivot."""
-    getrf, getri = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getri"), (X,))
-    lu, piv, info = getrf(X)
-    if info == 0:
-        Xinv, info = getri(lu, piv, overwrite_lu=True)
-    if info != 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return Xinv
+    """X^{-1} from one LU, LAPACK getrf then getri on a Fortran-order copy
+    (about 2/3 of the flops of np.linalg.inv, which solves against I), in the
+    OpenBLAS numpy runs on (_blas.lapack); LinAlgError on an exact zero pivot."""
+    return lapack().lu_inverse(X)
 
 
 def _checked_inverse(X, where, pencil=None):
@@ -173,9 +167,12 @@ def _eig_residuals(comp):
     """
     pencil = comp.source
     try:
-        lam, W = scipy.linalg.eig(comp.matrix)
+        lam, W = np.linalg.eig(comp.matrix)
     except Exception as exc:  # LAPACK non-convergence
         raise EigensolverError(str(exc)) from exc
+    # complex, with the eigenvectors in Fortran order as LAPACK returns them:
+    # the residual products below round differently on a C-order copy
+    lam, W = lam.astype(complex, copy=False), np.asfortranarray(W, dtype=complex)
     if not np.all(np.isfinite(lam)):
         raise EigensolverError("eigensolver returned non-finite eigenvalues")
 
@@ -321,9 +318,7 @@ def _cluster_chains(comp, center, size, diam):
     """Keldysh chains spanning a multiple trusted cluster's invariant subspace."""
     A = comp.matrix
     capture = max(10.0 * diam, _TRUST_RTOL * (1.0 + abs(center)))
-    Tm, Z, sdim = scipy.linalg.schur(
-        A, output="complex", sort=lambda z: abs(z - center) <= capture
-    )
+    Tm, Z, sdim = lapack().sorted_schur(A, lambda z: np.abs(z - center) <= capture)
     if sdim != size:
         raise ClusterAmbiguityError(
             f"cluster at {center} captured {sdim} Schur eigenvalues, expected {size}"
@@ -473,8 +468,10 @@ def torus_embedding_sum(n, p, cutoff):
     a, b = n / 2.0, p - n / 2.0
     R = K + 0.5
     x = R * R / (1.0 + R * R)
-    radial = 0.5 * scipy.special.beta(a, b) * (1.0 - scipy.special.betainc(a, b, x))
-    surface = 2.0 * np.pi ** (n / 2.0) / scipy.special.gamma(n / 2.0)
+    from scipy.special import beta, betainc, gamma  # here, so no other path imports scipy
+
+    radial = 0.5 * beta(a, b) * (1.0 - betainc(a, b, x))
+    surface = 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0)
     tail = float((1.0 + n) ** p * surface * radial)
     return TorusSum(partial=float(partial), tail_bound=tail)
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from itpencil import MediumProfile, PencilKind, solve_spectrum
+from itpencil._blas import lapack
 
 
 def pytest_configure(config):
@@ -21,22 +21,14 @@ def h1_solution():
 
 @pytest.fixture
 def getrf_calls(monkeypatch):
-    """Counts LAPACK getrf calls made through get_lapack_funcs after set-up."""
+    """Counts LAPACK getrf calls made through the binding after set-up."""
     calls = []
-    get_funcs = scipy.linalg.lapack.get_lapack_funcs
+    routines = lapack().routines
+    for name in ("dgetrf", "zgetrf"):
 
-    def counted_funcs(names, arrays=()):
-        funcs = list(get_funcs(names, arrays))
-        if "getrf" in names:
-            i = list(names).index("getrf")
-            getrf = funcs[i]
+        def counted(*args, getrf=routines[name]):
+            calls.append(1)
+            return getrf(*args)
 
-            def counted(*args, **kwargs):
-                calls.append(1)
-                return getrf(*args, **kwargs)
-
-            funcs[i] = counted
-        return funcs
-
-    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", counted_funcs)
+        monkeypatch.setitem(routines, name, counted)
     return calls

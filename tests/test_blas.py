@@ -53,7 +53,11 @@ def _names_openblas(show_config):
 
 
 def test_openblas_is_found_when_numpy_uses_it():
-    # a failed symbol lookup must not turn the policy into a silent no-op
+    # a failed symbol lookup must not turn the policy into a silent no-op;
+    # itpencil itself never loads scipy's OpenBLAS, so load it here, after a scan
+    openblas_controls()
+    import scipy.linalg  # noqa: F401
+
     expected = sum(_names_openblas(mod.show_config) for mod in (np, scipy))
     if expected == 0:
         pytest.skip("neither numpy nor scipy is built on OpenBLAS")

@@ -4,10 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from itpencil import MediumProfile, PencilKind, resolvent, solve_spectrum
-from itpencil._blas import single_blas_thread
+from itpencil._blas import lapack, single_blas_thread
 from itpencil.discretize import DiscretePencil, assemble_pencil, make_grid
 from itpencil.exceptions import (
     ClusterAmbiguityError,
@@ -423,13 +422,8 @@ def svd_calls(monkeypatch):
 
 
 def _getri_inverse(X):
-    """X^-1 by LAPACK getrf + getri, the route _checked_inverse takes."""
-    getrf, getri = scipy.linalg.lapack.get_lapack_funcs(("getrf", "getri"), (X,))
-    lu, piv, info = getrf(X)
-    assert info == 0
-    Xinv, info = getri(lu, piv)
-    assert info == 0
-    return Xinv
+    """X^-1 by LAPACK getrf + getri through the binding, the route _checked_inverse takes."""
+    return lapack().lu_inverse(X)
 
 
 def _outcome(f):

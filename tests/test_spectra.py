@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from itpencil import MediumProfile, PencilKind, ray_scan, solve_spectrum, solve_spectrum_2d
@@ -124,13 +123,13 @@ def test_spectrum_equivalence_small_pencils():
 @pytest.mark.parametrize("lambda_prime", ["auto", 3.0])
 def test_solve_spectrum_one_eig_per_grid(monkeypatch, lambda_prime):
     calls = []
-    eig = scipy.linalg.eig
+    eig = np.linalg.eig
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return eig(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eig", counted)
+    monkeypatch.setattr(np.linalg, "eig", counted)
     profile = MediumProfile.constant(PencilKind.HELMHOLTZ, 1.0)
     sol = solve_spectrum(profile, 0.0, 1.0, 24, (0, 1), lambda_prime=lambda_prime)
     assert len(calls) == 2
