@@ -346,9 +346,6 @@ def _source(cfg, poles=True, refine=True):
         raise ConfigError("config needs a pencil section or a scalar fixture")
     if listed is not None or not poles:
         return assemble_pencil(*_pencil_spec(cfg)), None, listed
-    if refine and cfg["pencil"]["q"]["type"] == "samples":
-        raise ConfigError("q samples fit the base grid only; sampled q needs "
-                          "spectrum --no-refine (no two-grid solve)")
     profile, grid, bc = _pencil_spec(cfg)
     lp = cfg.get("lambda_prime", "auto")
     lp = lp if lp == "auto" else _l2c(lp)
@@ -660,12 +657,8 @@ def _build_parser():
         p = sub.add_parser(name, parents=[common])
         if name == "spectrum":
             p.add_argument("--verify-oracle", action="store_true")
-            p.add_argument(
-                "--refine",
-                action=argparse.BooleanOptionalAction,
-                default=True,
-                help="two-grid trust filtering (default on)",
-            )
+            p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True,
+                           help="two-grid trust for any q (default); --no-refine: one grid")
     return parser
 
 

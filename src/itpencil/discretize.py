@@ -8,7 +8,8 @@ a 1D grid with n points yields square matrices of size n - 4.  A 2D pencil
 uses the tensor product of the axis bases, which depend only on the grid and
 the boundary pair: they and their derivative blocks are computed once per
 (grid, bc) per process and held read-only.  The quadrature weights induce the
-discrete L2 inner product used for all norms downstream.
+discrete L2 inner product used for all norms downstream.  Only MediumProfile
+knows the form of q: it gives q and its edge slopes on any grid.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class Grid1D:
     n_pts: int
     nodes: np.ndarray
     weights: np.ndarray
-    diff: np.ndarray
 
 
 def _clenshaw_curtis(n_cells):
@@ -57,8 +57,30 @@ def _clenshaw_curtis(n_cells):
     return w
 
 
+def _lobatto_nodes(a, b, n):
+    """n ascending Chebyshev-Gauss-Lobatto points on [a, b], both ends included."""
+    return a + (b - a) * (-np.cos(np.pi * np.arange(n) / (n - 1)) + 1.0) / 2.0
+
+
+def _barycentric(t, x=None, side=0):
+    """Rows taking values at the Lobatto points t to their barycentric interpolant
+    (Berrut & Trefethen, SIAM Rev. 46, 2004) at the points x, or with x None to
+    its slope at the end t[side]; a point of x equal to one of t returns its sample."""
+    w = (-1.0) ** np.arange(t.size)
+    w[[0, -1]] *= 0.5
+    if x is None:  # the end row of the differentiation matrix, negative-sum diagonal
+        row = np.divide(w / w[side], t[side] - t, out=np.zeros(t.size), where=t != t[side])
+        row[side] = -row.sum()
+        return row[None]
+    d = np.subtract.outer(x, t)
+    hit = d == 0.0
+    c = np.divide(w, d, out=np.zeros(d.shape), where=~hit)
+    c = np.where(hit.any(axis=1, keepdims=True), hit, c)
+    return c / c.sum(axis=1, keepdims=True)
+
+
 def make_grid(a, b, n_pts):
-    """Lobatto grid on [a, b] with quadrature weights and differentiation matrix.
+    """Lobatto grid on [a, b] with Clenshaw-Curtis quadrature weights.
 
     Nodes are ascending and include both endpoints; weights sum to b - a.
     """
@@ -66,31 +88,18 @@ def make_grid(a, b, n_pts):
         raise ConfigError("need b > a")
     if n_pts < MIN_POINTS:
         raise ConfigError(f"need at least {MIN_POINTS} grid points, got {n_pts}")
-    N = n_pts - 1
-    y = -np.cos(np.pi * np.arange(N + 1) / N)  # ascending on [-1, 1]
-    x = a + (b - a) * (y + 1.0) / 2.0
-    w = _clenshaw_curtis(N) * (b - a) / 2.0
-
-    # barycentric differentiation with the negative-sum trick
-    beta = np.ones(N + 1)
-    beta[1::2] = -1.0
-    beta[0] *= 0.5
-    beta[N] *= 0.5
-    dx = x[:, None] - x[None, :]
-    np.fill_diagonal(dx, 1.0)
-    D = (beta[None, :] / beta[:, None]) / dx
-    np.fill_diagonal(D, 0.0)
-    np.fill_diagonal(D, -D.sum(axis=1))
-    return Grid1D(a=float(a), b=float(b), n_pts=n_pts, nodes=x, weights=w, diff=D)
+    w = _clenshaw_curtis(n_pts - 1) * (b - a) / 2.0
+    return Grid1D(a=float(a), b=float(b), n_pts=n_pts, nodes=_lobatto_nodes(a, b, n_pts), weights=w)
 
 
 @dataclass
 class MediumProfile:
-    """Contrast profile q for one pencil kind.
+    """Contrast profile q for one pencil kind, the one place that knows q's form.
 
     q is given as a constant, ascending polynomial coefficients in x, or
-    point samples on the assembly grid.  Bounds default to the sampled range
-    and are enforced at assembly time.
+    samples at the Lobatto points of their own count (at least 2 per axis, a
+    tensor product in 2D) over the assembly interval, which evaluate on any
+    grid.  Bounds default to the range on the assembly nodes and are enforced.
     """
 
     kind: PencilKind
@@ -111,22 +120,28 @@ class MediumProfile:
     def sampled(cls, kind, values):
         return cls(kind=kind, q_type="samples", q_data=np.asarray(values, dtype=float))
 
-    def values(self, x):
-        """Samples of q at the nodes x, validated against the declared bounds."""
-        x = np.asarray(x, dtype=float)
-        if self.q_type == "constant":
-            qv = np.full(x.shape, float(self.q_data))
-        elif self.q_type == "polynomial":
-            # an overflow or a non-finite coefficient is left to the check below
+    def _interpolate(self, axes, slope=None, side=0):
+        """The samples' interpolant on the tensor product of the node arrays axes,
+        with its slope at the end side of axis slope in place of that axis's nodes."""
+        qv = np.asarray(self.q_data, dtype=float)
+        if qv.ndim != len(axes) or min(qv.shape) < 2:
+            raise ConfigError(f"need at least 2 q samples along each of {len(axes)} axes")
+        for k, (m, x) in enumerate(zip(qv.shape, axes)):
+            rows = _barycentric(_lobatto_nodes(x[0], x[-1], m), None if k == slope else x, side)
+            qv = np.moveaxis(np.tensordot(rows, qv, axes=(1, k)), 0, k)
+        return qv
+
+    def values(self, *axes):
+        """q on the tensor product of the node arrays axes (one per grid axis, ascending,
+        first and last at the interval's ends), checked against the declared bounds."""
+        if self.q_type == "samples":
+            qv = self._interpolate(axes)
+        elif self.q_type == "constant":
+            qv = np.full([len(x) for x in axes], float(self.q_data))
+        elif self.q_type == "polynomial":  # in x alone; overflow and non-finite q are caught below
             with np.errstate(over="ignore", invalid="ignore"):
+                x = np.meshgrid(*axes, indexing="ij", copy=False)[0]
                 qv = np.polynomial.polynomial.polyval(x, self.q_data)
-            qv = np.broadcast_to(qv, x.shape).copy()
-        elif self.q_type == "samples":
-            qv = np.asarray(self.q_data, dtype=float)
-            if qv.shape != x.shape:
-                raise ConfigError(
-                    f"q samples have shape {qv.shape}, grid has shape {x.shape}"
-                )
         else:
             raise ConfigError(f"unknown q type: {self.q_type!r}")
         if not np.all(np.isfinite(qv)):
@@ -139,6 +154,16 @@ class MediumProfile:
         if qv.min() < lo - slack or qv.max() > hi + slack:
             raise ConfigError("q out of declared bounds")
         return qv
+
+    def edge_slope(self, grids, axis, side):
+        """Slope of q along an axis at its side (0 at a, -1 at b), per edge node:
+        exact for a polynomial, the end slope of the interpolant for samples."""
+        if self.q_type == "samples":
+            return self._interpolate([g.nodes for g in grids], axis, side).reshape(-1)
+        P, end = np.polynomial.polynomial, (grids[0].a, grids[0].b)[side]
+        poly = self.q_type == "polynomial" and axis == 0
+        slope = P.polyval(end, P.polyder(self.q_data)) if poly else 0.0
+        return np.full(int(np.prod([g.n_pts for g in grids])) // grids[axis].n_pts, slope)
 
 
 def _endpoint_trace(k, m):
@@ -345,21 +370,6 @@ def _axis_blocks(n_pts, a, b, bc):
     return V, Z, tuple(G)
 
 
-def _q_slope(profile, grid, qg, axis, side):
-    """Slope of q along an axis on its side (0 at a, -1 at b), per edge node.
-
-    Polynomial q depends on x alone; samples fall back to spectral
-    differentiation along the axis.
-    """
-    if profile.q_type == "samples":
-        return np.tensordot(grid.diff, qg, axes=(1, axis))[side].reshape(-1)
-    n_edge = qg.size // grid.n_pts
-    if profile.q_type == "polynomial" and axis == 0:
-        dcoef = np.polynomial.polynomial.polyder(np.asarray(profile.q_data, dtype=float))
-        return np.full(n_edge, np.polynomial.polynomial.polyval((grid.a, grid.b)[side], dcoef))
-    return np.zeros(n_edge)
-
-
 def _assemble(profile, grids, bc):
     """Weak-form pencil on the tensor grid of one or two axes.
 
@@ -371,13 +381,10 @@ def _assemble(profile, grids, bc):
     """
     if isinstance(bc, tuple):
         bc = BoundaryPair(*bc)
-    shape = tuple(g.n_pts for g in grids)
-    n_unknowns = int(np.prod([n - 4 for n in shape]))
+    n_unknowns = int(np.prod([g.n_pts - 4 for g in grids]))
     if len(grids) > 1 and n_unknowns > MAX_UNKNOWNS_2D:
         raise ConfigError(f"2D problem has {n_unknowns} unknowns, cap is {MAX_UNKNOWNS_2D}")
-    # x-coordinate of every tensor node; samples must come in this shape
-    x = np.broadcast_to(grids[0].nodes.reshape((-1,) + (1,) * (len(grids) - 1)), shape)
-    qg = profile.values(x)
+    qg = profile.values(*(g.nodes for g in grids))
     qv = qg.reshape(-1)
     blocks = [_axis_blocks(g.n_pts, g.a, g.b, bc) for g in grids]
     axes = range(len(grids))
@@ -408,7 +415,7 @@ def _assemble(profile, grids, bc):
             np.kron, [np.ones(1) if j == k else g.weights for j, g in enumerate(grids)]
         )
         wq = w_edge * np.take(qg, [side], axis=k).reshape(-1)
-        wdq = w_edge * _q_slope(profile, grids[k], qg, k, side)
+        wdq = w_edge * profile.edge_slope(grids, k, side)
         g0, g1 = edge_trace(k, side, 0, order), edge_trace(k, side, 1, order)
         flux = wdq[:, None] * g0 + wq[:, None] * g1
         return edge_trace(k, side, 0, 0).T @ flux, edge_trace(k, side, 1, 0).T @ (wq[:, None] * g0)
@@ -474,6 +481,6 @@ def assemble_pencil_2d(profile, grid_x, grid_y, bc):
     The same weak form as in 1D, with the tensor-product basis of the 1D
     stencil bases and the boundary traces taken in the normal direction on
     all four sides, so the matrices have size (nx - 4)(ny - 4).  q is
-    constant, polynomial in x, or samples of shape (nx, ny).
+    constant, polynomial in x, or samples of any shape (mx, my), mx, my >= 2.
     """
     return _assemble(profile, (grid_x, grid_y), bc)

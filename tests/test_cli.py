@@ -199,21 +199,41 @@ def test_negative_q_is_config_error(tmp_path, command):
     assert code == 2
 
 
-def test_sampled_q_needs_single_grid(tmp_path):
-    # samples match the base grid; the refined grid of the two-grid solve
-    # has more nodes, so only --no-refine can use them
+def test_sampled_q_takes_every_solving_command(tmp_path):
+    # 24 samples stand for their interpolant, so they fit the 32-point base
+    # grid and the refined grid of the two-grid solve alike
     pencil = {
         "kind": "helmholtz",
         "q": {"type": "samples", "data": [1.0 + 0.02 * k for k in range(24)]},
         "interval": [0.0, 1.0],
-        "n_pts": 24,
+        "n_pts": 32,
         "bc": [0, 1],
     }
-    code, _ = _run(tmp_path, "spectrum", {"pencil": pencil})
-    assert code == 2
-    code, out = _run(tmp_path, "spectrum", {"pencil": pencil}, "--no-refine")
-    assert code == 0
-    assert (out / "spectrum_eigenvalues.csv").exists()
+    for args in (("--no-refine",), ()):
+        code, out = _run(tmp_path, "spectrum", {"pencil": pencil}, *args)
+        assert code == 0
+        assert json.loads((out / "spectrum_manifest.json").read_text())["results"]["n_trusted"] > 0
+    # a contour around the smallest trusted eigenvalue of the two-grid solve, the last run
+    rows = (out / "spectrum_eigenvalues.csv").read_text().splitlines()[1:]
+    trusted = sorted(
+        (complex(*map(float, r.split(",")[:2])) for r in rows if r.endswith(",1")), key=abs
+    )
+    gap = min(abs(lam - trusted[0]) for lam in trusted[1:])
+    jobs = {
+        "resolvent-scan": {"radii": [10.0, 1000.0, 7],
+                           "circles": {"r_min": 8.0, "r_max": 256.0, "p": 1.0, "n_theta": 16}},
+        "counting": {"p": 1.0, "t_values": [1.0, 10.0, 100.0, 400.0]},
+        "laurent": {"lambda0": [trusted[0].real, trusted[0].imag], "radius": 0.4 * gap},
+    }
+    for command, extra in jobs.items():
+        code, _ = _run(tmp_path, command, {"pencil": pencil, **extra})
+        assert code == 0, command
+    # completeness exits with its own verdict, which its manifest records
+    code, out = _run(tmp_path, "completeness", {"pencil": pencil, "n_samples": 2})
+    res = json.loads((out / "completeness_manifest.json").read_text())["results"]
+    passed = (res["worst_final_residual"] < res["residual_tol"] and res["monotone"]
+              and res["chain_vector_residual"] <= res["chain_tol"])
+    assert code == (0 if passed else 1)
 
 
 _THREADS_CASES = {
@@ -552,6 +572,12 @@ _CONFIG_ERRORS = {
     "polynomial-q-number": ("spectrum",
                             {"pencil": _h1_pencil(q={"type": "polynomial", "data": 1.0})},
                             "polynomial q takes an array"),
+    "samples-one-value": ("spectrum",
+                          {"pencil": _h1_pencil(q={"type": "samples", "data": [1.5]})},
+                          "need at least 2"),
+    "samples-nested": ("spectrum",
+                       {"pencil": _h1_pencil(q={"type": "samples", "data": [[1.0, 1.1]]})},
+                       "config rejected"),
     "pencil-and-scalar": ("laurent", {"pencil": _h1_pencil(), "scalar": [0.0, 1.0, 1.0],
                                       "lambda0": [0.0, 0.0], "radius": 0.5},
                           "not both"),

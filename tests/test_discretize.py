@@ -12,6 +12,7 @@ from itpencil import (
     discretize,
     make_grid,
 )
+from itpencil.exceptions import ConfigError
 
 H = PencilKind.HELMHOLTZ
 S = PencilKind.SCHRODINGER
@@ -274,16 +275,48 @@ def test_2d_samples_respect_declared_bounds():
 
 
 def test_2d_samples_match_polynomial_q():
-    # samples of a quadratic q(x): spectral edge slopes along either axis are
-    # exact, so the pencil equals the polynomial-q one up to roundoff
+    # samples of a quadratic q(x) stand for q itself: on their own 12 x 10
+    # grid, on the refined grids of the two-grid solve (+4 per axis in 2D,
+    # n + 8 in 1D) their interpolated values and edge slopes are exact up to
+    # roundoff, so the pencil equals the polynomial-q one
     gx, gy = make_grid(0.0, 1.0, 12), make_grid(-0.5, 0.7, 10)
     coeffs = [1.3, 0.4, 0.2]
-    samples = np.repeat(P.polyval(gx.nodes, coeffs)[:, None], gy.n_pts, axis=1)
+    q_x = P.polyval(gx.nodes, coeffs)
+    samples = np.repeat(q_x[:, None], gy.n_pts, axis=1)
+    cases = [
+        (samples, (gx, gy)),
+        (samples, (make_grid(0.0, 1.0, 16), make_grid(-0.5, 0.7, 14))),
+        (q_x, (make_grid(0.0, 1.0, 20),)),
+    ]
     for kind in (H, S):
-        exact = assemble_pencil_2d(MediumProfile.polynomial(kind, coeffs), gx, gy, (2, 3))
-        sampled = assemble_pencil_2d(MediumProfile.sampled(kind, samples), gx, gy, (2, 3))
-        for A, B in ((exact.A0, sampled.A0), (exact.A1, sampled.A1), (exact.A2, sampled.A2)):
-            assert np.max(np.abs(A - B)) <= 1e-10 * np.max(np.abs(A))
+        for data, grids in cases:
+            assemble = assemble_pencil_2d if len(grids) == 2 else assemble_pencil
+            exact = assemble(MediumProfile.polynomial(kind, coeffs), *grids, (2, 3))
+            sampled = assemble(MediumProfile.sampled(kind, data), *grids, (2, 3))
+            for A, B in ((exact.A0, sampled.A0), (exact.A1, sampled.A1), (exact.A2, sampled.A2)):
+                assert np.max(np.abs(A - B)) <= 1e-12 * np.max(np.abs(A))
+
+
+def _refuse_assembly(*args):
+    raise AssertionError("axis blocks formed before the samples were checked")
+
+
+def test_samples_need_one_axis_per_grid(monkeypatch):
+    monkeypatch.setattr(discretize, "_axis_blocks", _refuse_assembly)
+    g = make_grid(0.0, 1.0, 12)
+    with pytest.raises(ConfigError, match="along each of 2 axes"):
+        assemble_pencil_2d(MediumProfile.sampled(H, np.full(12, 1.5)), g, g, (0, 1))
+    with pytest.raises(ConfigError, match="along each of 1 axes"):
+        assemble_pencil(MediumProfile.sampled(H, np.full((12, 12), 1.5)), g, (0, 1))
+
+
+def test_samples_need_two_values_per_axis(monkeypatch):
+    monkeypatch.setattr(discretize, "_axis_blocks", _refuse_assembly)
+    g = make_grid(0.0, 1.0, 12)
+    with pytest.raises(ConfigError, match="need at least 2"):
+        assemble_pencil(MediumProfile.sampled(H, [1.5]), g, (0, 1))
+    with pytest.raises(ConfigError, match="need at least 2"):
+        assemble_pencil_2d(MediumProfile.sampled(H, np.full((12, 1), 1.5)), g, g, (0, 1))
 
 
 def test_from_matrices_and_norms():

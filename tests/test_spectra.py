@@ -461,6 +461,22 @@ def test_find_reference_point_all_candidates_blocked():
         find_reference_point(cands.astype(complex), candidates=cands)
 
 
+@pytest.mark.parametrize("bc", [(0, 1), (0, 2), (1, 3), (2, 3)], ids=lambda bc: "bc%d%d" % bc)
+@pytest.mark.parametrize("kind", list(PencilKind), ids=lambda k: k.value)
+def test_solve_spectrum_on_samples_trusts_the_polynomial_spectrum(kind, bc):
+    # samples of 1 + 0.5 x - 0.3 x^2 on the n = 48 grid are interpolated onto
+    # the refined grid, so the two-grid solve trusts what the polynomial-q
+    # solve trusts, with the same eigenvalues up to roundoff
+    coeffs = [1.0, 0.5, -0.3]
+    samples = np.polynomial.polynomial.polyval(make_grid(0.0, 1.0, 48).nodes, coeffs)
+    exact = solve_spectrum(MediumProfile.polynomial(kind, coeffs), 0.0, 1.0, 48, bc)
+    sampled = solve_spectrum(MediumProfile.sampled(kind, samples), 0.0, 1.0, 48, bc)
+    ref, tr = exact.trusted_eigenvalues, sampled.trusted_eigenvalues
+    assert tr.size == ref.size > 0
+    for lam in tr[np.abs(tr) <= 200.0]:
+        assert np.min(np.abs(ref - lam)) <= 1e-9 * (1.0 + abs(lam))
+
+
 def test_solve_spectrum_2d_trusts_low_spectrum():
     profile = MediumProfile.constant(PencilKind.HELMHOLTZ, 1.3)
     sol = solve_spectrum_2d(profile, (0.0, 1.0, 0.0, 1.0), 12, 12, (1, 3))
