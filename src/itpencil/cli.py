@@ -25,12 +25,11 @@ from . import spectra as sp
 from ._blas import single_blas_thread
 from .discretize import DiscretePencil, MediumProfile, assemble_pencil, make_grid
 from .exceptions import ConfigError, PencilError
-from .oracle import CharacteristicFunction, find_roots
+from .oracle import CharacteristicFunction, compare_spectrum, find_roots
 from .symbols import BoundaryPair, Cone, PencilKind, check_condition1, check_condition2
 
 # the thresholds each checked property is judged by
-_ORACLE_CAP = 200.0  # spectrum --verify-oracle compares trusted eigenvalues with |lam| <= this
-_ORACLE_RTOL = 1e-6  # largest relative distance of such an eigenvalue to its oracle root
+_ORACLE_RTOL = 1e-6  # spectrum --verify-oracle: compare_spectrum's largest max_rel_error
 _SLOPE_TARGET = -2.0  # resolvent-scan: ||T^{-1}|| decays like |lam|^-2 along each ray
 _SLOPE_TOL = 0.15  # largest distance of a fitted ray slope from _SLOPE_TARGET
 _RESIDUAL_TOL = 0.1  # completeness: largest final residual of a sample
@@ -323,13 +322,13 @@ def _given(section, *keys):
     return {k: section[k] for k in keys if k in section}
 
 
-def _source(cfg, poles=True, refine=True):
+def _source(cfg, poles=True):
     """The config's pencil, its EigenSolution or None, and its poles or None.
 
     Listed "eigenvalues" are the poles as written.  Otherwise, when poles are
-    wanted, a pencil section is solved (on two grids unless refine is off) and
-    gives its trusted eigenvalues, and a scalar fixture gives all of its
-    eigenvalues.  A pencil section that need not be solved is only assembled.
+    wanted, a pencil section is solved on two grids and gives its trusted
+    eigenvalues, and a scalar fixture gives all of its eigenvalues.  A pencil
+    section that need not be solved is only assembled.
     """
     if "scalar" in cfg and "pencil" in cfg:
         raise ConfigError("give either a pencil section or a scalar fixture, not both")
@@ -349,10 +348,7 @@ def _source(cfg, poles=True, refine=True):
     profile, grid, bc = _pencil_spec(cfg)
     lp = cfg.get("lambda_prime", "auto")
     lp = lp if lp == "auto" else _l2c(lp)
-    if refine:
-        sol = sp.solve_spectrum(profile, grid.a, grid.b, grid.n_pts, bc, lambda_prime=lp)
-    else:
-        sol = sp.eigen(sp.linearize(assemble_pencil(profile, grid, bc)), lambda_prime=lp)
+    sol = sp.solve_spectrum(profile, grid.a, grid.b, grid.n_pts, bc, lambda_prime=lp)
     return sol.pencil, sol, sol.trusted_eigenvalues
 
 
@@ -389,7 +385,7 @@ def cmd_spectrum(cfg, args):
     pc = cfg["pencil"]
     if args.verify_oracle and pc["q"]["type"] != "constant":
         raise ConfigError("oracle verification needs constant q")
-    _, sol, _ = _source(cfg, refine=args.refine)
+    _, sol, _ = _source(cfg)
 
     mult = {}
     chain_len = {}
@@ -425,36 +421,10 @@ def cmd_spectrum(cfg, args):
     passed = True
     if args.verify_oracle:
         a, b = pc["interval"]
-        cf = CharacteristicFunction(
-            PencilKind(pc["kind"]), pc["q"]["data"], b - a, BoundaryPair(*pc["bc"])
-        )
-        tr = sol.trusted_eigenvalues
-        tr_cap = tr[np.abs(tr) <= _ORACLE_CAP]
-        immax = max(5.0, 1.5 * float(np.abs(tr_cap.imag).max()) if tr_cap.size else 5.0)
-        remin = min(-_ORACLE_CAP - 30.0, float(tr_cap.real.min()) - 10.0 if tr_cap.size else 0.0)
-        rect = (remin, 8.0, -immax, immax)
-        roots = find_roots(cf, rect, max_roots=4 * max(tr.size, 1))
-        rootvals = np.array([r[0] for r in roots])
-        mults = np.array([r[1] for r in roots])
-        in_rect = tr[
-            (tr.real > rect[0]) & (tr.real < rect[1])
-            & (tr.imag > rect[2]) & (tr.imag < rect[3])
-        ]
-        errs = [
-            float(np.min(np.abs(rootvals - lam)) / (1.0 + abs(lam)))
-            for lam in tr_cap
-        ] if rootvals.size else []
-        count_match = int(mults.sum()) == in_rect.size
-        max_err = max(errs) if errs else 0.0
-        results["oracle"] = {
-            "rect": list(rect),
-            "n_roots_weighted": int(mults.sum()),
-            "n_trusted_in_rect": int(in_rect.size),
-            "count_match": count_match,
-            "max_rel_error": max_err,
-            "rtol": _ORACLE_RTOL,
-        }
-        passed = count_match and not max_err > _ORACLE_RTOL
+        cf = CharacteristicFunction(PencilKind(pc["kind"]), pc["q"]["data"], b - a, tuple(pc["bc"]))
+        rep = compare_spectrum(sol, cf)
+        results["oracle"] = {k: v for k, v in rep.items() if k != "roots"} | {"rtol": _ORACLE_RTOL}
+        passed = rep["count_match"] and not rep["max_rel_error"] > _ORACLE_RTOL
     return {"spectrum_eigenvalues.csv": (header, rows)}, results, passed
 
 
@@ -657,8 +627,6 @@ def _build_parser():
         p = sub.add_parser(name, parents=[common])
         if name == "spectrum":
             p.add_argument("--verify-oracle", action="store_true")
-            p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True,
-                           help="two-grid trust for any q (default); --no-refine: one grid")
     return parser
 
 

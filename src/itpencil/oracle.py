@@ -377,6 +377,41 @@ def _sorted_roots(roots):
     return [r for run in runs for r in sorted(run, key=lambda r: r[0].imag)]
 
 
+_COMPARE_CAP = 200.0  # compare_spectrum checks the trusted eigenvalues with |lam| <= this
+
+
+def compare_spectrum(solution, f):
+    """An EigenSolution's trusted eigenvalues against the zeros of f, by one find_roots census.
+
+    Returns a dict.  The trusted eigenvalues with |lam| <= _COMPARE_CAP (200)
+    set "rect", re from min(-230, min re - 10) to 8 and im within
+    +-max(5, 1.5 max |im|), and "max_rel_error" is the largest
+    |lam - root| / (1 + |lam|) from one of them to its nearest root (0 for
+    none).  "count_match" says whether "n_trusted_in_rect", the trusted
+    eigenvalues strictly inside rect, equals "n_roots_weighted", the roots'
+    summed multiplicity.  "roots" holds per census root, in find_roots order,
+    (root, m, nearest, trusted, rel_errors): the m eigenvalues of any trust
+    nearest it, nearest first, their trust flags and |eig - root| / (1 + |eig|).
+    `itpencil spectrum --verify-oracle` passes on count_match and
+    max_rel_error <= 1e-6.
+    """
+    tr, eig = solution.trusted_eigenvalues, solution.eigenvalues
+    cap = tr[np.abs(tr) <= _COMPARE_CAP]
+    immax = max(5.0, 1.5 * float(np.abs(cap.imag).max()) if cap.size else 5.0)
+    remin = min(-_COMPARE_CAP - 30.0, float(cap.real.min()) - 10.0 if cap.size else 0.0)
+    rect = (remin, 8.0, -immax, immax)
+    found = find_roots(f, rect, max_roots=4 * max(tr.size, 1))
+    zeros = np.array([r for r, _m, _s in found])
+    errs = [float(np.min(np.abs(zeros - lam)) / (1.0 + abs(lam))) for lam in cap] if found else []
+    inside = (tr.real > rect[0]) & (tr.real < rect[1]) & (tr.imag > rect[2]) & (tr.imag < rect[3])
+    w, n_in = sum(m for _r, m, _s in found), int(inside.sum())
+    near = [np.argsort(np.abs(eig - r), kind="stable")[:m] for r, m, _s in found]
+    roots = [(r, m, eig[i], solution.trust_mask[i], np.abs(eig[i] - r) / (1.0 + np.abs(eig[i])))
+             for (r, m, _s), i in zip(found, near)]
+    return {"rect": list(rect), "n_roots_weighted": w, "n_trusted_in_rect": n_in,
+            "count_match": w == n_in, "max_rel_error": max(errs, default=0.0), "roots": roots}
+
+
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39, 0.55, 0.45, 0.635, 0.365)
 
 

@@ -7,9 +7,9 @@ condition at most 1e14 (spectra._sigma_min), and samples are evaluated in order
 in the calling thread.  A pencil sample is checked in mass-scaled form,
 B0 + lam B1 + lam^2 B2 with B_k = S^{-1} A_k S^{-1} cached once per pencil
 (DiscretePencil._scaled_T), so no sample pays for scaling products.  Every
-inverse is one LU, getrf then getri in numpy's OpenBLAS (spectra._lu_inverse,
-through itpencil._blas.lapack), the one OpenBLAS itpencil loads.  A sample whose
-result is an inverse is certified from that inverse by a Frobenius bound
+inverse is one LU, getrf then getri in numpy's OpenBLAS (itpencil._blas.lapack,
+2/3 of the flops of np.linalg.inv), the one OpenBLAS itpencil loads.  A sample
+whose result is an inverse is certified from that inverse by a Frobenius bound
 (spectra._checked_inverse), with ||B||_F bounded by sum |lam|^k ||B_k||_F from
 norms cached per pencil, so a certified sample costs its LU and nothing else;
 an SVD, on B formed only then, runs only where the bound exceeds 1e12.
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._blas import single_blas_thread
+from ._blas import lapack, single_blas_thread
 from .exceptions import (
     BoundViolationError,
     ClusterAmbiguityError,
@@ -54,7 +54,6 @@ from .exceptions import (
 )
 from .spectra import (
     _checked_inverse,
-    _lu_inverse,
     _sigma_min,
     _sigma_range,
     linearize,
@@ -173,7 +172,7 @@ def companion_block_inverse_check(pencil, lam):
     up to a relative and absolute slack of 1e-12.
     """
     tnorm = resolvent_norm(pencil, lam)
-    Tinv = _lu_inverse(pencil.T(lam))
+    Tinv = lapack().lu_inverse(pencil.T(lam))
     A2 = pencil.A2
     B = pencil.A1 + lam * A2
     TB = Tinv @ B

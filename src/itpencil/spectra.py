@@ -44,16 +44,9 @@ def _sigma_min(X, where):
     return _sigma_range(X, where)[1]
 
 
-def _lu_inverse(X):
-    """X^{-1} from one LU, LAPACK getrf then getri on a Fortran-order copy
-    (about 2/3 of the flops of np.linalg.inv, which solves against I), in the
-    OpenBLAS numpy runs on (_blas.lapack); LinAlgError on an exact zero pivot."""
-    return lapack().lu_inverse(X)
-
-
 def _checked_inverse(X, where, pencil=None):
-    """_lu_inverse(X), raising exactly where "_sigma_min(C, where), then
-    _lu_inverse(X)" would.
+    """X^{-1} by lapack().lu_inverse, raising exactly where "_sigma_min(C, where),
+    then lapack().lu_inverse(X)" would.
 
     C is X, or B = pencil._scaled_T(where) for a weak-form X = pencil.T(where).
     The inverse certifies C without an SVD, as kappa_2(C) <= ||C||_F ||C^-1||_F,
@@ -67,7 +60,7 @@ def _checked_inverse(X, where, pencil=None):
     else:
         bound = pencil._scaled_norm_bound(where) * pencil._mass_norm()
     try:
-        Xinv = _lu_inverse(X)
+        Xinv = lapack().lu_inverse(X)
     except np.linalg.LinAlgError:
         Xinv = None
     if Xinv is None or not bound * np.linalg.norm(Xinv) <= _FROB_CAP:

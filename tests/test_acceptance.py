@@ -15,7 +15,7 @@ from scipy.optimize import linear_sum_assignment
 from itpencil import MediumProfile, PencilKind, cli, solve_spectrum
 from itpencil.discretize import DiscretePencil, assemble_pencil, make_grid
 from itpencil.exceptions import SingularAtLambdaError
-from itpencil.oracle import CharacteristicFunction, find_roots, winding_number
+from itpencil.oracle import CharacteristicFunction, compare_spectrum, winding_number
 from itpencil.resolvent import (
     WeierstrassProduct,
     carleman_check,
@@ -50,27 +50,11 @@ def _oracle_case(kind, q, bc):
     """Solve one constant-q pencil and cross-check against the root oracle."""
     profile = MediumProfile.constant(kind, q)
     eig = solve_spectrum(profile, 0.0, 1.0, 96, bc)
-    tr = eig.trusted_eigenvalues
-    sel = tr[np.abs(tr) <= 200.0]
-    immax = max(5.0, 1.5 * float(np.abs(sel.imag).max()) if sel.size else 5.0)
-    remin = min(-230.0, float(sel.real.min()) - 10.0 if sel.size else -230.0)
-    rect = (remin, 8.0, -immax, immax)
     cf = CharacteristicFunction(kind, q, 1.0, bc)
-    roots = find_roots(cf, rect, max_roots=4 * max(len(tr), 1))
-    total_mult = sum(m for _r, m, _s in roots)
-    wind = winding_number(cf, rect)
-    in_rect = tr[
-        (tr.real >= rect[0])
-        & (tr.real <= rect[1])
-        & (tr.imag >= rect[2])
-        & (tr.imag <= rect[3])
-    ]
-    rts = np.array([r for r, _m, _s in roots])
-    if sel.size and rts.size:
-        err = max(float(np.min(np.abs(rts - v)) / (1.0 + abs(v))) for v in sel)
-    else:
-        err = 0.0
-    return total_mult == len(in_rect), total_mult == wind, err
+    rep = compare_spectrum(eig, cf)
+    total_mult = rep["n_roots_weighted"]
+    wind = winding_number(cf, tuple(rep["rect"]))
+    return total_mult == rep["n_trusted_in_rect"], total_mult == wind, rep["max_rel_error"]
 
 
 def test_criterion_01_oracle_agreement_clamped():
@@ -107,11 +91,10 @@ def test_schrodinger_bc03_trusted_eigenvalue_matches_oracle(q):
     # eigenvalue at n = 48 sits 1.6e-5 (q = 0.75) and 6.5e-6 (q = 1.3) from
     # the oracle root, and refining to n = 96 moves it by 4e-6 at most
     kind = PencilKind.SCHRODINGER
-    tr = solve_spectrum(MediumProfile.constant(kind, q), 0.0, 1.0, 48, (0, 3)).trusted_eigenvalues
-    cf = CharacteristicFunction(kind, q, 1.0, (0, 3))
-    roots = np.array([r for r, _m, _s in find_roots(cf, (-230.0, 8.0, -105.0, 105.0))])
-    assert tr.size
-    assert max(float(np.min(np.abs(roots - v))) / (1.0 + abs(v)) for v in tr) <= 1e-6
+    sol = solve_spectrum(MediumProfile.constant(kind, q), 0.0, 1.0, 48, (0, 3))
+    rep = compare_spectrum(sol, CharacteristicFunction(kind, q, 1.0, (0, 3)))
+    assert sol.trusted_eigenvalues.size
+    assert rep["max_rel_error"] <= 1e-6
 
 
 def test_criterion_03_chain_equivalence():

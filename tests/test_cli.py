@@ -149,28 +149,25 @@ def test_spectrum_small_grid(tmp_path):
     assert vals[0] == pytest.approx(-9.5566231218 - 13.0585180527j, rel=1e-4) or vals[
         0
     ] == pytest.approx(-9.5566231218 + 13.0585180527j, rel=1e-4)
-
-
-def test_spectrum_single_grid(tmp_path):
-    code, out = _run(
-        tmp_path,
-        "spectrum",
-        {
-            "pencil": {
-                "kind": "helmholtz",
-                "q": {"type": "constant", "data": 1.0},
-                "interval": [0.0, 1.0],
-                "n_pts": 48,
-                "bc": [0, 1],
-            }
-        },
-        "--no-refine",
-    )
-    assert code == 0
+    # auto picks a real reference point in [1, 100]
     res = json.loads((out / "spectrum_manifest.json").read_text())["results"]
-    assert res["n_trusted"] > 0
     lp = complex(*res["lambda_prime"])
     assert lp.imag == 0.0 and 1.0 <= lp.real <= 100.0
+
+
+def test_no_refine_flag_is_gone(tmp_path):
+    # every pencil section is solved on two grids; argparse rejects the old
+    # one-grid flag with the config-error code before anything is written
+    pencil = {"kind": "helmholtz", "q": {"type": "constant", "data": 1.0},
+              "interval": [0.0, 1.0], "n_pts": 24, "bc": [0, 1]}
+    cfg = _write(tmp_path / "spectrum.json", {"pencil": pencil})
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--no-refine", "--config", cfg, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    # the same config without the flag runs
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
 
 
 _NEGATIVE_Q_PENCIL = {
@@ -209,11 +206,10 @@ def test_sampled_q_takes_every_solving_command(tmp_path):
         "n_pts": 32,
         "bc": [0, 1],
     }
-    for args in (("--no-refine",), ()):
-        code, out = _run(tmp_path, "spectrum", {"pencil": pencil}, *args)
-        assert code == 0
-        assert json.loads((out / "spectrum_manifest.json").read_text())["results"]["n_trusted"] > 0
-    # a contour around the smallest trusted eigenvalue of the two-grid solve, the last run
+    code, out = _run(tmp_path, "spectrum", {"pencil": pencil})
+    assert code == 0
+    assert json.loads((out / "spectrum_manifest.json").read_text())["results"]["n_trusted"] > 0
+    # a contour around the smallest trusted eigenvalue
     rows = (out / "spectrum_eigenvalues.csv").read_text().splitlines()[1:]
     trusted = sorted(
         (complex(*map(float, r.split(",")[:2])) for r in rows if r.endswith(",1")), key=abs

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 from itpencil import MediumProfile, PencilKind, solve_spectrum, solve_spectrum_2d
-from itpencil._blas import lapack, single_blas_thread
+from itpencil._blas import _scipy_lapack, lapack, single_blas_thread
 from itpencil.discretize import assemble_pencil, make_grid
 
 H = PencilKind.HELMHOLTZ
@@ -35,9 +35,8 @@ _SCHUR_SOLVES = {
 }
 
 
-@pytest.mark.parametrize("case", list(_SCHUR_SOLVES))
-def test_sorted_schur_matches_scipy_bit_for_bit(case, monkeypatch):
-    # every Schur form a solve asks for, against scipy's zgees with the same sort
+def _schur_forms(monkeypatch, case):
+    """The solve of `case`, and (A, select, (T, Z, sdim)) for every Schur form it asks for."""
     seen = []
     binding = lapack()
     sorted_schur = binding.sorted_schur
@@ -48,7 +47,13 @@ def test_sorted_schur_matches_scipy_bit_for_bit(case, monkeypatch):
         return out
 
     monkeypatch.setattr(binding, "sorted_schur", recording)
-    sol = _SCHUR_SOLVES[case]()
+    return _SCHUR_SOLVES[case](), seen
+
+
+@pytest.mark.parametrize("case", list(_SCHUR_SOLVES))
+def test_sorted_schur_matches_scipy_bit_for_bit(case, monkeypatch):
+    # every Schur form a solve asks for, against scipy's zgees with the same sort
+    sol, seen = _schur_forms(monkeypatch, case)
     assert seen and len(seen) == sum(c.multiplicity > 1 for c in sol.clusters)
     for A, select, (T, Z, sdim) in seen:
         T_ref, Z_ref, sdim_ref = scipy.linalg.schur(A, output="complex", sort=select)
@@ -95,6 +100,34 @@ def test_non_square_input_raises_before_lapack_runs():
         lapack().lu_inverse(np.ones((3, 4)))
     with pytest.raises(ValueError):
         lapack().sorted_schur(np.ones(5, complex), lambda z: z == 0)
+
+
+def _close(a, b):
+    return np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
+
+
+def test_scipy_lapack_fallback_agrees_with_the_primary_binding(monkeypatch):
+    # the binding taken where numpy carries no OpenBLAS, built here in-process:
+    # scipy's cython_lapack takes C ints
+    fallback, primary = _scipy_lapack(), lapack()
+    assert fallback.integer is np.intc
+    for X in _resolvent_matrices():
+        for A in (X, X.real):
+            ref = primary.lu_inverse(A)
+            inv = fallback.lu_inverse(A)
+            assert inv.dtype == ref.dtype and inv.flags.f_contiguous and _close(inv, ref)
+    for dtype in (float, complex):
+        X = np.arange(16.0).reshape(4, 4).astype(dtype)
+        X[:, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            fallback.lu_inverse(X)
+    # every Schur form a solve asks for: the same sdim and captured eigenvalues
+    _sol, seen = _schur_forms(monkeypatch, "1d-bc23")
+    assert seen
+    for A, select, (T_ref, _Z, sdim_ref) in seen:
+        T, _Z, sdim = fallback.sorted_schur(A, select)
+        assert sdim == sdim_ref > 1
+        assert _close(np.diag(T)[:sdim], np.diag(T_ref)[:sdim])
 
 
 _FALLBACK = r"""

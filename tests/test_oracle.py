@@ -1,5 +1,6 @@
 import warnings
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from itpencil import (
 )
 from itpencil.discretize import MediumProfile, assemble_pencil, make_grid
 from itpencil.exceptions import WindingNumberError
-from itpencil.spectra import linearize
+from itpencil.oracle import compare_spectrum
+from itpencil.spectra import linearize, solve_spectrum
 
 H = PencilKind.HELMHOLTZ
 S = PencilKind.SCHRODINGER
@@ -611,3 +613,63 @@ def test_find_roots_raises_when_a_floor_box_root_escapes():
     R = 2.0 + 2.0j
     with pytest.raises(WindingNumberError, match="root escaped its isolating box"):
         find_roots(lambda z: ((z - c) ** 5 - 5e-6**5) * (z - R) ** 5, (0.0, 1.0, 0.0, 1.0))
+
+
+def _fake_solution(eigenvalues, trusted):
+    """The fields of an EigenSolution that compare_spectrum reads."""
+    eigenvalues = np.asarray(eigenvalues, dtype=complex)
+    trust_mask = np.asarray(trusted, dtype=bool)
+    return SimpleNamespace(eigenvalues=eigenvalues, trust_mask=trust_mask,
+                           trusted_eigenvalues=eigenvalues[trust_mask])
+
+
+def test_compare_spectrum_takes_any_f_and_names_each_root():
+    # f = (z + 2)^2 (z + 50 - 10i) (z + 50 + 10i): a double root and a pair
+    f = np.polynomial.Polynomial.fromroots([-2.0, -2.0, -50.0 + 10j, -50.0 - 10j])
+    eig = [-2.0 + 1e-9, -2.0 - 1e-9, -50.0 + 10j + 1e-4, -50.0 - 10j, 300.0]
+    rep = compare_spectrum(_fake_solution(eig, [1, 1, 0, 1, 1]), f)
+    # |lam| <= 200 sets the box: the pair's |im| 10 gives +-15, and 300 stays out
+    assert rep["rect"] == [-230.0, 8.0, -15.0, 15.0]
+    assert rep["n_roots_weighted"] == 4 and rep["n_trusted_in_rect"] == 3
+    assert not rep["count_match"]
+    assert rep["max_rel_error"] == pytest.approx(1e-9 / 3.0, rel=1e-3)
+    (r0, m0, _n0, tr0, rel0), (r1, m1, _n1, tr1, rel1), (r2, m2, near2, tr2, _rel2) = rep["roots"]
+    assert (m0, m1, m2) == (1, 1, 2)
+    assert r0 == pytest.approx(-50.0 - 10j) and tr0.tolist() == [True] and rel0[0] < 1e-12
+    assert r1 == pytest.approx(-50.0 + 10j) and tr1.tolist() == [False]
+    assert rel1[0] == pytest.approx(1e-4 / (1.0 + abs(eig[2])), rel=1e-9)
+    assert r2 == pytest.approx(-2.0) and tr2.tolist() == [True, True]
+    assert sorted(near2.tolist(), key=lambda z: z.real) == [eig[1], eig[0]]
+    # no trusted eigenvalue: the default box, and no error without a root inside
+    far = np.polynomial.Polynomial([1.0, 1.0 / 500.0])  # its root -500 lies outside
+    rep = compare_spectrum(_fake_solution([1.0], [0]), far)
+    assert rep["rect"] == [-230.0, 8.0, -5.0, 5.0]
+    assert rep["roots"] == [] and rep["max_rel_error"] == 0.0 and rep["count_match"]
+
+
+def test_compare_spectrum_shows_why_helmholtz_bc23_fails_below_n64():
+    # `spectrum --verify-oracle` on Helmholtz q = 1, bc (2, 3) exits 1 at
+    # n = 32 and 48 (an open defect); the per-root report says why
+    cf = _cf(q=1.0, bc=(2, 3))
+
+    def report(n):
+        sol = solve_spectrum(MediumProfile.constant(H, 1.0), 0.0, 1.0, n, (2, 3))
+        return compare_spectrum(sol, cf)
+
+    # n = 48: three roots each have an untrusted nearest eigenvalue 2.4e-6 to
+    # 2.7e-6 away, which trust rightly rejects; the trusted ones all lie within 1e-6
+    rep = report(48)
+    assert rep["n_roots_weighted"] == 13 and rep["n_trusted_in_rect"] == 10
+    assert rep["max_rel_error"] <= 1e-6
+    missed = [(r, rel[0]) for r, m, _near, trusted, rel in rep["roots"] if not trusted.any()]
+    assert [r for r, _rel in missed] == pytest.approx(
+        [-205.541, -142.93 - 41.8346j, -142.93 + 41.8346j], abs=1e-3)
+    assert all(2.4e-6 <= rel <= 2.8e-6 for _r, rel in missed)
+    kept = [rel for _r, _m, _near, trusted, rel in rep["roots"] if trusted.all()]
+    assert len(kept) == len(rep["roots"]) - 3 and max(map(max, kept)) <= 1e-6
+    # n = 32: the trusted pair near -9.557 +- 13.059i is just above the 1e-6 rtol
+    rep = report(32)
+    pair = [(trusted, rel[0]) for r, m, _near, trusted, rel in rep["roots"]
+            if abs(abs(r) - abs(-9.557 + 13.059j)) < 1e-2]
+    assert len(pair) == 2 and all(t.all() and 1e-6 < rel < 1.1e-6 for t, rel in pair)
+    assert rep["max_rel_error"] == pytest.approx(max(rel for _t, rel in pair), rel=1e-2)

@@ -350,6 +350,10 @@ _SINGULAR_CASES = {
         ),
         1.0, 1.0, n_quad=16,
     ),
+    # T(lam) = lam (1 + lam); the circle |lam| = 1 runs through the listed pole -1
+    "laurent_coefficients_contour_on_pole": lambda: laurent_coefficients(
+        _scalar(0.0, 1.0, 1.0), 0.0, 1.0, eigenvalues=[0.0, -1.0]
+    ),
 }
 
 
@@ -404,6 +408,33 @@ _NON_FINITE_CASES = {
 def test_non_finite_arguments_raise_config_error(case, svd_calls, getrf_calls):
     with pytest.raises(ConfigError):
         _NON_FINITE_CASES[case]()
+    assert not svd_calls and not getrf_calls
+
+
+# each entry point given a finite argument out of its range, with the typed
+# error it raises before any sample is factored
+_OUT_OF_RANGE_CASES = {
+    "ray_scan-direction-zero": (
+        ConfigError, lambda: ray_scan(_scalar(0.0, 1.0, 1.0), 0, [1.0, 2.0])
+    ),
+    "laurent_coefficients-n_coeffs-zero": (
+        ConfigError, lambda: laurent_coefficients(_scalar(0.0, 1.0, 1.0), 0.0, 0.5, n_coeffs=0)
+    ),
+    "laurent_coefficients-n_quad-8": (
+        ConfigError, lambda: laurent_coefficients(_scalar(0.0, 1.0, 1.0), 0.0, 0.5, n_quad=8)
+    ),
+    # the band [1, 2] has the candidates 1 and 2 only, both pole moduli
+    "pole_avoiding_radii-no-admissible-radius": (
+        PoleOnRayError, lambda: pole_avoiding_radii([1.0, 2.0], 1.0, 2.0, n_candidates=2)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_OUT_OF_RANGE_CASES))
+def test_out_of_range_arguments_raise_typed_errors(case, svd_calls, getrf_calls):
+    error, call = _OUT_OF_RANGE_CASES[case]
+    with pytest.raises(error):
+        call()
     assert not svd_calls and not getrf_calls
 
 
