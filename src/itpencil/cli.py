@@ -509,8 +509,8 @@ def cmd_completeness(cfg, args):
         mv = sorted(set(int(m) for m in mv))
 
     rng = np.random.default_rng(args.seed)
-    grid_x = pencil.grid.nodes
-    a, b = cfg["pencil"]["interval"]
+    grid = pencil.grids[0]
+    t = (grid.nodes - grid.a) / (grid.b - grid.a)
 
     rows = []
     worst_final = 0.0
@@ -519,10 +519,9 @@ def cmd_completeness(cfg, args):
         # random smooth sample: decaying cosine series on the interval
         coeffs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         coeffs /= (1.0 + np.arange(12)) ** 2
-        t = (grid_x - a) / (b - a)
         f_grid = sum(c * np.cos(k * np.pi * t) for k, c in enumerate(coeffs))
         f = pencil.project(f_grid)
-        resid = [sp.completeness_residual(sol, pencil, f, m) for m in mv]
+        resid = [sp.completeness_residual(sol, f, m) for m in mv]
         for m, r in zip(mv, resid):
             rows.append((s, m, r))
         worst_final = max(worst_final, resid[-1])
@@ -532,7 +531,7 @@ def cmd_completeness(cfg, args):
     # a chain vector itself must project to numerical zero residual
     cl = sol.clusters[int(rng.integers(n_clusters))]
     chain_vec = cl.chains[0].vectors[0]
-    chain_resid = sp.completeness_residual(sol, pencil, chain_vec, n_clusters)
+    chain_resid = sp.completeness_residual(sol, chain_vec, n_clusters)
 
     results = {
         "m_values": [int(m) for m in mv],

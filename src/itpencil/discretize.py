@@ -9,13 +9,15 @@ uses the tensor product of the axis bases, which depend only on the grid and
 the boundary pair: they and their derivative blocks are computed once per
 (grid, bc) per process and held read-only.  The quadrature weights induce the
 discrete L2 inner product used for all norms downstream.  Only MediumProfile
-knows the form of q: it gives q and its edge slopes on any grid.
+knows the form of q: it gives q and its edge slopes on any grid.  1D and 2D
+pencils come from one assembly route and are one DiscretePencil type: its
+grids are a tuple of axes, and its derived scalings are cached properties.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,20 +220,23 @@ def _stencil_coeffs(n_pts, bc):
 class DiscretePencil:
     """Recombined quadratic pencil T(lam) = A0 + lam A1 + lam^2 A2.
 
-    basis maps recombined coefficients to grid values (unit-norm stencil
-    columns, not orthogonal); mass is the Gram matrix of the quadrature inner
-    product in recombined coordinates.  Raw pencils built from explicit
-    matrices carry an identity mass and no grid.
+    grids holds the Grid1D of each axis, one in 1D and two in 2D; basis maps
+    recombined coefficients to grid values (unit-norm stencil columns, not
+    orthogonal); mass is the Gram matrix of the quadrature inner product in
+    recombined coordinates.  Raw pencils built from explicit matrices carry an
+    identity mass and no grids.  The coefficient norms, the mass square root,
+    the scaled coefficients and the companion scaling are cached properties,
+    computed on first use from this pencil's own matrices, so a copy made by
+    dataclasses.replace never sees its parent's.
     """
 
     A0: np.ndarray
     A1: np.ndarray
     A2: np.ndarray
     mass: np.ndarray
-    grid: object = None
+    grids: tuple = ()
     weights: np.ndarray | None = None
     basis: np.ndarray | None = None
-    _scale_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         n = self.A0.shape[0]
@@ -241,9 +246,7 @@ class DiscretePencil:
 
     @classmethod
     def from_matrices(cls, A0, A1, A2):
-        A0 = np.atleast_2d(np.asarray(A0))
-        A1 = np.atleast_2d(np.asarray(A1))
-        A2 = np.atleast_2d(np.asarray(A2))
+        A0, A1, A2 = (np.atleast_2d(np.asarray(M)) for M in (A0, A1, A2))
         return cls(A0=A0, A1=A1, A2=A2, mass=np.eye(A0.shape[0]))
 
     @property
@@ -255,65 +258,52 @@ class DiscretePencil:
 
     def coefficient_scale(self, lam):
         """Norm scale of T(lam), used to make residuals relative; lam may be an array."""
-        key = "coeff_norms"
-        if key not in self._scale_cache:
-            self._scale_cache[key] = tuple(
-                float(np.linalg.norm(M, 2)) for M in (self.A0, self.A1, self.A2)
-            )
-        n0, n1, n2 = self._scale_cache[key]
+        n0, n1, n2 = self._coefficient_norms
         a = np.abs(lam)
         return np.maximum(n0 + a * n1 + a * a * n2, 1e-300)
 
+    @functools.cached_property
+    def _coefficient_norms(self):
+        """(||A0||_2, ||A1||_2, ||A2||_2)."""
+        return tuple(float(np.linalg.norm(M, 2)) for M in (self.A0, self.A1, self.A2))
+
+    @functools.cached_property
     def _scaling(self):
-        """(S, S^{-1}) with S the symmetric square root of the mass."""
-        if "sqrt" not in self._scale_cache:
-            vals, vecs = np.linalg.eigh(self.mass)
-            if vals.min() <= 0:
-                raise SingularPencilError("mass matrix not positive definite")
-            S = (vecs * np.sqrt(vals)) @ vecs.T
-            Sinv = (vecs / np.sqrt(vals)) @ vecs.T
-            self._scale_cache["sqrt"] = (S, Sinv)
-            self._scale_cache["mass_norm"] = float(vals[-1])
-        return self._scale_cache["sqrt"]
+        """(S, S^{-1}, ||M||_2) with S the symmetric square root of the mass."""
+        vals, vecs = np.linalg.eigh(self.mass)
+        if vals.min() <= 0:
+            raise SingularPencilError("mass matrix not positive definite")
+        return (vecs * np.sqrt(vals)) @ vecs.T, (vecs / np.sqrt(vals)) @ vecs.T, float(vals[-1])
 
-    def _mass_norm(self):
-        """||M||_2, the largest mass eigenvalue, cached by _scaling."""
-        self._scaling()
-        return self._scale_cache["mass_norm"]
-
+    @functools.cached_property
     def _scaled_coefficients(self):
-        """[B0, B1, B2] with B_k = S^{-1} A_k S^{-1}, and their Frobenius norms,
-        cached once per pencil."""
-        if "scaled" not in self._scale_cache:
-            _, Sinv = self._scaling()
-            B = [Sinv @ M @ Sinv for M in (self.A0, self.A1, self.A2)]
-            self._scale_cache["scaled"] = (B, [float(np.linalg.norm(b)) for b in B])
-        return self._scale_cache["scaled"]
+        """([B0, B1, B2], their Frobenius norms) with B_k = S^{-1} A_k S^{-1}."""
+        Sinv = self._scaling[1]
+        B = [Sinv @ M @ Sinv for M in (self.A0, self.A1, self.A2)]
+        return B, [float(np.linalg.norm(b)) for b in B]
 
     def _scaled_T(self, lam):
-        """S^{-1} T(lam) S^{-1}, from the scaled coefficients cached per pencil."""
-        B0, B1, B2 = self._scaled_coefficients()[0]
+        """S^{-1} T(lam) S^{-1}, from the cached scaled coefficients."""
+        B0, B1, B2 = self._scaled_coefficients[0]
         return B0 + lam * B1 + lam**2 * B2
 
     def _scaled_norm_bound(self, lam):
         """||B0||_F + |lam| ||B1||_F + |lam|^2 ||B2||_F, an upper bound on
         ||_scaled_T(lam)||_F by the triangle inequality, from cached norms."""
-        n0, n1, n2 = self._scaled_coefficients()[1]
+        n0, n1, n2 = self._scaled_coefficients[1]
         a = abs(lam)
         return n0 + a * n1 + a * a * n2
 
+    @functools.cached_property
     def _companion_scaling(self):
         """(S2, S2^{-1}) on companion state pairs: S2 = diag(S, S^{-1}).
 
         The first companion coordinate holds coefficient vectors, the second
         holds weak-form (mass-multiplied) vectors.
         """
-        if "companion" not in self._scale_cache:
-            S, Sinv = self._scaling()
-            zero = np.zeros_like(S)
-            self._scale_cache["companion"] = (np.block([[S, zero], [zero, Sinv]]),
-                                              np.block([[Sinv, zero], [zero, S]]))
-        return self._scale_cache["companion"]
+        S, Sinv, _ = self._scaling
+        zero = np.zeros_like(S)
+        return np.block([[S, zero], [zero, Sinv]]), np.block([[Sinv, zero], [zero, S]])
 
     def vector_norm(self, u):
         """Quadrature L2 norm of a recombined coefficient vector."""
@@ -322,7 +312,7 @@ class DiscretePencil:
 
     def companion_norm(self, G):
         """Operator norm of a 2N x 2N block matrix on companion state pairs."""
-        S2, S2inv = self._companion_scaling()
+        S2, S2inv = self._companion_scaling
         return float(np.linalg.norm(S2 @ G @ S2inv, 2))
 
     def prolong(self, u):
@@ -450,15 +440,7 @@ def _assemble(profile, grids, bc):
     else:
         raise ConfigError(f"unknown pencil kind: {profile.kind!r}")
 
-    return DiscretePencil(
-        A0=A0,
-        A1=A1,
-        A2=A2,
-        grid=grids[0] if len(grids) == 1 else grids,
-        weights=w,
-        basis=V,
-        mass=ident,
-    )
+    return DiscretePencil(A0=A0, A1=A1, A2=A2, mass=ident, grids=tuple(grids), weights=w, basis=V)
 
 
 @single_blas_thread

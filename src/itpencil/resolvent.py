@@ -289,7 +289,7 @@ def carleman_check(comp, wp, circle_radius, n_samples=64):
     # conjugate pair of samples needs one when lam' and P are real
     P = _checked_inverse(M - lamp * eye, f"lambda_prime {lamp}")
     if hasattr(comp, "source"):
-        S2, S2inv = comp.source._companion_scaling()
+        S2, S2inv = comp.source._companion_scaling
         P = S2 @ P @ S2inv
 
     if r == 0:

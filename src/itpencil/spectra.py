@@ -58,7 +58,7 @@ def _checked_inverse(X, where, pencil=None):
     if pencil is None:
         bound = np.linalg.norm(X)
     else:
-        bound = pencil._scaled_norm_bound(where) * pencil._mass_norm()
+        bound = pencil._scaled_norm_bound(where) * pencil._scaling[2]
     try:
         Xinv = lapack().lu_inverse(X)
     except np.linalg.LinAlgError:
@@ -136,8 +136,11 @@ class EigenSolution:
     trust_mask: np.ndarray
     clusters: list
     lambda_prime: complex
-    pencil: DiscretePencil
     companion: CompanionOperator
+
+    @property
+    def pencil(self):
+        return self.companion.source
 
     @property
     def trusted_eigenvalues(self):
@@ -198,7 +201,6 @@ def eigen(comp, lambda_prime=0.0, reference=None):
     eigensolved once, and clusters and chains are built once, on the
     returned solution.
     """
-    pencil = comp.source
     lam, U, residuals = _eig_residuals(comp)
     trust = residuals <= _RESIDUAL_TOL
     if reference is not None:
@@ -220,7 +222,6 @@ def eigen(comp, lambda_prime=0.0, reference=None):
         trust_mask=trust,
         clusters=_build_clusters(comp, lam, U, residuals, trust),
         lambda_prime=complex(lambda_prime),
-        pencil=pencil,
         companion=comp,
     )
 
@@ -323,12 +324,12 @@ def _cluster_chains(comp, center, size, diam):
     chains = []
     for coeff_chain in _nilpotent_chains(G, tol):
         full = [Wb @ c for c in coeff_chain]
-        chains.append(keldysh_from_jordan(comp, comp.source, full, center))
+        chains.append(keldysh_from_jordan(comp, full, center))
     return chains
 
 
 @single_blas_thread
-def keldysh_from_jordan(comp, pencil, jordan_chain, lambda0):
+def keldysh_from_jordan(comp, jordan_chain, lambda0):
     """Extract pencil-space chain vectors from a companion Jordan chain.
 
     jordan_chain holds stacked vectors x_j with (A - lambda0) x_{j+1} = x_j
@@ -336,7 +337,7 @@ def keldysh_from_jordan(comp, pencil, jordan_chain, lambda0):
     ||A||; the u components alone satisfy the cascaded pencil equations at
     lambda0.
     """
-    A = comp.matrix
+    A, pencil = comp.matrix, comp.source
     n = pencil.dim
     xs = [np.asarray(x, dtype=complex).reshape(-1) for x in jordan_chain]
     scale = max(np.linalg.norm(x) for x in xs)
@@ -531,12 +532,12 @@ def chain_matrix(eig, m):
 
 
 @single_blas_thread
-def completeness_residual(eig, pencil, f, m):
+def completeness_residual(eig, f, m):
     """Relative weighted distance from f to the span of the nearest m chains."""
     if m > len(eig.clusters):
         raise ConfigError(f"only {len(eig.clusters)} trusted clusters available")
     X = chain_matrix(eig, m)
-    S, _ = pencil._scaling()
+    S = eig.pencil._scaling[0]
     fs = S @ np.asarray(f, dtype=complex)
     Xs = S @ X
     sol, res, rank, sv = np.linalg.lstsq(Xs, fs, rcond=None)
@@ -571,13 +572,18 @@ def find_reference_point(eigenvalues, candidates=None):
     return complex(best)
 
 
-def _two_grid(base, fine, lambda_prime):
-    """Trusted eigensolve of base against the refined pencil fine.
+def _two_grid(profile, grids, bc, refine, lambda_prime):
+    """Two-grid trusted eigensolve of the 1D or 2D pencil on grids, one per axis.
 
-    The refined grid gets one eigensolve and the residual filter only; its
-    residual-trusted eigenvalues are the reference for the one eigen call on
-    the base grid, which alone builds clusters and chains.
+    The one solve for both dimensions: the pencil is assembled on grids and on
+    refined grids with refine more points per axis, and each is eigensolved
+    once.  The refined grid gets the residual filter only; its residual-trusted
+    eigenvalues are the reference for the one eigen call on the base grid,
+    which alone builds clusters and chains.
     """
+    assemble = assemble_pencil if len(grids) == 1 else assemble_pencil_2d
+    base = assemble(profile, *grids, bc)
+    fine = assemble(profile, *(make_grid(g.a, g.b, g.n_pts + refine) for g in grids), bc)
     lam, _, residuals = _eig_residuals(linearize(fine))
     return eigen(linearize(base), lambda_prime=lambda_prime,
                  reference=lam[residuals <= _RESIDUAL_TOL])
@@ -593,9 +599,7 @@ def solve_spectrum(profile, a, b, n_pts, bc, lambda_prime="auto"):
     residual filter lies within _TRUST_RTOL (1e-6) relative distance.
     lambda_prime="auto" is resolved by eigen from the trusted spectrum.
     """
-    base = assemble_pencil(profile, make_grid(a, b, n_pts), bc)
-    fine = assemble_pencil(profile, make_grid(a, b, n_pts + _REFINE_1D), bc)
-    return _two_grid(base, fine, lambda_prime)
+    return _two_grid(profile, (make_grid(a, b, n_pts),), bc, _REFINE_1D, lambda_prime)
 
 
 @single_blas_thread
@@ -606,13 +610,4 @@ def solve_spectrum_2d(profile, rect, n_x, n_y, bc):
     is sorted by distance to lambda_prime = 0.
     """
     x0, x1, y0, y1 = rect
-    base = assemble_pencil_2d(
-        profile, make_grid(x0, x1, n_x), make_grid(y0, y1, n_y), bc
-    )
-    fine = assemble_pencil_2d(
-        profile,
-        make_grid(x0, x1, n_x + _REFINE_2D),
-        make_grid(y0, y1, n_y + _REFINE_2D),
-        bc,
-    )
-    return _two_grid(base, fine, 0.0)
+    return _two_grid(profile, (make_grid(x0, x1, n_x), make_grid(y0, y1, n_y)), bc, _REFINE_2D, 0.0)

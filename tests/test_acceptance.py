@@ -125,7 +125,7 @@ def test_criterion_03_chain_equivalence():
         xs = [np.concatenate([us[0], lam0 * (A2 @ us[0])])]
         for j in range(1, L):
             xs.append(np.concatenate([us[j], lam0 * (A2 @ us[j]) + A2 @ us[j - 1]]))
-        chain = keldysh_from_jordan(comp, pen, xs, lam0)
+        chain = keldysh_from_jordan(comp, xs, lam0)
         worst = max(worst, max(verify_chain(pen, chain)))
         back = jordan_from_keldysh(pen, chain)
         for j, x in enumerate(back):
@@ -271,7 +271,7 @@ def test_criterion_09_completeness(h1_solution):
     eig = h1_solution
     pen = eig.pencil
     rng = np.random.default_rng(9)
-    x = pen.grid.nodes
+    x = pen.grids[0].nodes
     n_cl = len(eig.clusters)
     ms = [1, 2, 4, 8, 16, 32, n_cl]
     worst_final = 0.0
@@ -282,7 +282,7 @@ def test_criterion_09_completeness(h1_solution):
         ) ** 2
         fg = sum(c * np.cos(k * np.pi * x) for k, c in enumerate(coeffs))
         f = pen.project(fg)
-        rs = [completeness_residual(eig, pen, f, m) for m in ms]
+        rs = [completeness_residual(eig, f, m) for m in ms]
         monotone = monotone and all(
             rs[i + 1] <= rs[i] + 1e-9 for i in range(len(rs) - 1)
         )
@@ -291,7 +291,7 @@ def test_criterion_09_completeness(h1_solution):
     for cl in eig.clusters[:3]:
         for ch in cl.chains:
             worst_chain = max(
-                worst_chain, completeness_residual(eig, pen, ch.vectors[0], n_cl)
+                worst_chain, completeness_residual(eig, ch.vectors[0], n_cl)
             )
     ok = worst_final < 0.1 and monotone and worst_chain <= 1e-8
     _report(

@@ -478,7 +478,7 @@ def test_completeness_explicit_m_values(tmp_path):
 def test_completeness_rising_residuals_fail_monotone(tmp_path, monkeypatch):
     # residuals that grow with m: the one failed property is monotonicity,
     # and a failed property still writes the CSV and the manifest
-    def rising(eig, pencil, f, m):
+    def rising(eig, f, m):
         return 0.0 if m == len(eig.clusters) else 1e-3 * m
 
     monkeypatch.setattr(cli.sp, "completeness_residual", rising)

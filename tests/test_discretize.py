@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,7 @@ def test_make_grid_rejects_small():
 
 def _smooth_members(pencil):
     """Two smooth vectors inside the clamped boundary space."""
-    x = pencil.grid.nodes
+    x = pencil.grids[0].nodes
     u = pencil.project(x**2 * (1 - x) ** 2 * np.sin(3 * x))
     w = pencil.project(x**2 * (1 - x) ** 2 * np.cos(2 * x + 0.3))
     return u, w
@@ -64,9 +66,9 @@ def test_helmholtz_q1_factorization():
 def _apply_factored(pencil, lam, u, shifts=None):
     """(D^2 + s_out)(D^2 + s_in) u on the grid, via Chebyshev differentiation."""
     s_out, s_in = shifts if shifts is not None else (-2 * lam, -lam)
-    n = pencil.grid.n_pts
+    n = pencil.grids[0].n_pts
     cheb = np.polynomial.chebyshev
-    zeta = 2.0 / (pencil.grid.b - pencil.grid.a)
+    zeta = 2.0 / (pencil.grids[0].b - pencil.grids[0].a)
     xhat = np.cos(np.pi * np.arange(n) / (n - 1))
     up = pencil.prolong(u)
     c = cheb.chebfit(xhat, up[::-1], n - 1)
@@ -387,3 +389,30 @@ def test_axis_blocks_are_kept_per_interval_and_boundary_pair():
     for c, w in zip(cold, warm):
         for a, b in zip(c, w):
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("change", ["A0", "mass"])
+def test_replaced_pencil_derives_from_its_own_matrices(change):
+    # a copy made by dataclasses.replace after the parent's derived data are
+    # warm must compute its own: scaled samples, norm scale, companion norm
+    p = assemble_pencil(MediumProfile.constant(H, 1.0), make_grid(0.0, 1.0, 24), (0, 1))
+    G = np.random.default_rng(6).standard_normal((2 * p.dim, 2 * p.dim))
+
+    def derived(q):
+        return q._scaled_T(1.0), q.coefficient_scale(0), q.companion_norm(G)
+
+    derived(p)
+    scale = {"A0": 2.0, "mass": 4.0}[change]
+    copy = dataclasses.replace(p, **{change: scale * getattr(p, change)})
+    fresh = DiscretePencil(A0=copy.A0, A1=p.A1, A2=p.A2, mass=copy.mass)
+    for got, want in zip(derived(copy), derived(fresh)):
+        assert np.array_equal(got, want)
+    assert not np.array_equal(derived(copy)[0], derived(p)[0])
+
+
+def test_grids_hold_one_axis_per_dimension():
+    gx, gy = make_grid(0.0, 1.0, 10), make_grid(0.0, 2.0, 12)
+    profile = MediumProfile.constant(H, 1.0)
+    assert assemble_pencil(profile, gx, (0, 1)).grids == (gx,)
+    assert assemble_pencil_2d(profile, gx, gy, (0, 1)).grids == (gx, gy)
+    assert DiscretePencil.from_matrices([[1.0]], [[0.0]], [[1.0]]).grids == ()

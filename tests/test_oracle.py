@@ -17,7 +17,7 @@ from itpencil import (
     winding_number,
 )
 from itpencil.discretize import MediumProfile, assemble_pencil, make_grid
-from itpencil.exceptions import WindingNumberError
+from itpencil.exceptions import ConfigError, WindingNumberError
 from itpencil.oracle import compare_spectrum
 from itpencil.spectra import linearize, solve_spectrum
 
@@ -27,6 +27,12 @@ S = PencilKind.SCHRODINGER
 
 def _cf(kind=H, q=1.0, length=1.0, bc=(0, 1)):
     return CharacteristicFunction(kind, q, length, BoundaryPair(*bc))
+
+
+@pytest.mark.parametrize("q,length,match", [(0.0, 1.0, "q must"), (1.0, -1.0, "length must")])
+def test_characteristic_function_rejects_nonpositive_q_and_length(q, length, match):
+    with pytest.raises(ConfigError, match=match):
+        _cf(q=q, length=length)
 
 
 def test_char_det_positive_axis_nonzero():

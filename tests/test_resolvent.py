@@ -9,10 +9,12 @@ from itpencil import MediumProfile, PencilKind, resolvent, solve_spectrum
 from itpencil._blas import lapack, single_blas_thread
 from itpencil.discretize import DiscretePencil, assemble_pencil, make_grid
 from itpencil.exceptions import (
+    BoundViolationError,
     ClusterAmbiguityError,
     ConfigError,
     MaskedSampleError,
     PoleOnRayError,
+    QuadratureConvergenceError,
     SingularAtLambdaError,
 )
 from itpencil.resolvent import (
@@ -67,7 +69,7 @@ def test_cached_scaled_coefficients_match_explicit_scaling():
     profile = MediumProfile.constant(PencilKind.HELMHOLTZ, 1.3)
     sol = solve_spectrum(profile, 0.0, 1.0, 64, (0, 1))
     pen = sol.pencil
-    _, Sinv = pen._scaling()
+    Sinv = pen._scaling[1]
     radii = np.geomspace(10.0, 1000.0, 40)
     lams = [r * np.exp(1j * np.pi * f) for f in (0.0, 0.25, 0.5, 0.75) for r in radii]
     ring = np.exp(2j * np.pi * np.arange(64) / 64)
@@ -438,6 +440,35 @@ def test_out_of_range_arguments_raise_typed_errors(case, svd_calls, getrf_calls)
     assert not svd_calls and not getrf_calls
 
 
+# each entry point whose samples are all factored but fail the property it
+# checks, with the typed error and the message that names the failure
+_FAILED_CHECK_CASES = {
+    # ||T^-1|| = 1 / |1 - 1e-4 r^2| grows past exp(C r^{1.1}) from r = 10 to 90
+    "circle_growth_scan-exponent": (
+        BoundViolationError, r"growth exponent 2\.324",
+        lambda: circle_growth_scan(_scalar(1.0, 0.0, 1e-4), [10.0, 90.0], 1.0),
+    ),
+    # T(lam) = lam^2 - 4 has a pole at lam = 2, the first node of the circle |lam| = 2
+    "circle_growth_scan-circle-on-pole": (
+        PoleOnRayError, "touches a pole",
+        lambda: circle_growth_scan(_scalar(-4.0, 0.0, 1.0), [2.0, 3.0], 1.0),
+    ),
+    # T(lam) = lam^2 - 1 has its other pole -1 just 0.1 outside the contour
+    # |lam - 1| = 1.9, so the 16-node rule and its halved 8-node rule disagree
+    "laurent_coefficients-halved-rule": (
+        QuadratureConvergenceError, "halved-rule disagreement",
+        lambda: laurent_coefficients(_scalar(-1.0, 0.0, 1.0), 1.0, 1.9, n_quad=16),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILED_CHECK_CASES))
+def test_failed_checks_raise_typed_errors(case):
+    error, match, call = _FAILED_CHECK_CASES[case]
+    with pytest.raises(error, match=match):
+        call()
+
+
 @pytest.fixture
 def svd_calls(monkeypatch):
     """Counts np.linalg.svd calls made after the fixture is set up."""
@@ -497,7 +528,7 @@ def test_checked_inverse_decides_as_sigma_min(case, h64_pencil, svd_calls):
     # the getrf + getri inverse otherwise
     n = h64_pencil.dim
     C = _guard_matrix(n, case)
-    S, _ = h64_pencil._scaling()
+    S = h64_pencil._scaling[0]
     with np.errstate(invalid="ignore"):  # inf * 0 in the non-finite case
         A0 = S @ C @ S
     weak = DiscretePencil(A0=A0, A1=np.zeros((n, n)), A2=np.zeros((n, n)), mass=h64_pencil.mass)

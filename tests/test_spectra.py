@@ -207,7 +207,7 @@ def test_keldysh_from_eigenpair(h48):
     j = int(np.flatnonzero(h48.trust_mask)[0])
     lam0, u0 = h48.eigenvalues[j], h48.right_u[:, j]
     v0 = lam0 * (pen.A2 @ u0)
-    ch = keldysh_from_jordan(comp, pen, [np.concatenate([u0, v0])], lam0)
+    ch = keldysh_from_jordan(comp, [np.concatenate([u0, v0])], lam0)
     assert len(ch.vectors) == 1
     assert max(ch.residuals) <= 1e-7
     assert np.allclose(ch.vectors[0], u0)
@@ -232,7 +232,7 @@ def test_keldysh_length_two_planted_chain():
     comp = linearize(pen)
     x0 = np.concatenate([u0, lam0 * (A2 @ u0)])
     x1 = np.concatenate([u1, lam0 * (A2 @ u1) + A2 @ u0])
-    ch = keldysh_from_jordan(comp, pen, [x0, x1], lam0)
+    ch = keldysh_from_jordan(comp, [x0, x1], lam0)
     assert len(ch.vectors) == 2
     assert max(ch.residuals) <= 1e-7
     # B1 u0 + B0 u1 = 0 is exactly the second chain equation
@@ -245,10 +245,9 @@ def test_keldysh_length_two_planted_chain():
 
 
 def test_keldysh_rejects_non_eigenvector():
-    pen = _scalar(2.0, -3.0, 1.0)
-    comp = linearize(pen)
+    comp = linearize(_scalar(2.0, -3.0, 1.0))
     with pytest.raises(ValueError):
-        keldysh_from_jordan(comp, pen, [np.array([1.0, 0.0], complex)], 1.0)
+        keldysh_from_jordan(comp, [np.array([1.0, 0.0], complex)], 1.0)
 
 
 def test_verify_chain_exact_and_perturbed(h48):
@@ -377,6 +376,19 @@ def test_counting_monotone_and_bounded(h48):
     assert np.all(rep.counts <= rep.discrete_bounds)
 
 
+def test_counting_rejects_an_empty_spectrum():
+    with pytest.raises(ValueError, match="no trusted eigenvalues"):
+        counting(np.array([], complex), 1.0, 1.0, [1.0])
+
+
+def test_eigen_with_an_empty_reference_trusts_none():
+    # both eigenvalues +-1 of lam^2 - 1 pass the residual filter, but an empty
+    # refined-grid reference has no partner for either
+    sol = eigen(linearize(_scalar(-1.0, 0.0, 1.0)), reference=[])
+    assert np.all(sol.residuals <= 1e-7)
+    assert not sol.trust_mask.any() and sol.clusters == []
+
+
 def test_counting_rejects_reference_on_eigenvalue():
     with pytest.raises(SingularAtLambdaError):
         counting(np.array([1.0, 2.0, 4.0]), 1.0, 1.0, [3.0])
@@ -403,23 +415,22 @@ def test_counting_rejects_a_schatten_p_below_one_before_the_inverse(h48, getrf_c
 
 
 def test_completeness_own_eigenvector(h64):
-    pen = h64.pencil
     cl = sorted(h64.clusters, key=lambda c: abs(c.center - h64.lambda_prime))[0]
     f = cl.chains[0].vectors[0]
-    assert completeness_residual(h64, pen, f, 1) <= 1e-8
+    assert completeness_residual(h64, f, 1) <= 1e-8
 
 
 def test_completeness_nonincreasing_and_small(h64):
     pen = h64.pencil
     rng = np.random.default_rng(3)
-    x = pen.grid.nodes
+    x = pen.grids[0].nodes
     coeffs = (rng.standard_normal(12) + 1j * rng.standard_normal(12)) / (
         1.0 + np.arange(12)
     ) ** 2
     fg = sum(c * np.cos(k * np.pi * x) for k, c in enumerate(coeffs))
     f = pen.project(fg)
     ms = [1, 2, 4, 8, 16, len(h64.clusters)]
-    rs = [completeness_residual(h64, pen, f, m) for m in ms]
+    rs = [completeness_residual(h64, f, m) for m in ms]
     assert all(rs[i + 1] <= rs[i] + 1e-9 for i in range(len(rs) - 1))
     assert rs[-1] < 0.1
 
@@ -427,9 +438,9 @@ def test_completeness_nonincreasing_and_small(h64):
 def test_rank_deficient_warning_names_the_caller(h1_solution):
     # the warning must point past the single-BLAS-thread wrapper to this file
     pen = h1_solution.pencil
-    f = pen.project(np.cos(np.pi * pen.grid.nodes))
+    f = pen.project(np.cos(np.pi * pen.grids[0].nodes))
     with pytest.warns(UserWarning, match=r"rank deficient \(81 of 87\)") as record:
-        completeness_residual(h1_solution, pen, f, len(h1_solution.clusters))
+        completeness_residual(h1_solution, f, len(h1_solution.clusters))
     assert [w.filename for w in record] == [__file__]
 
 
@@ -437,7 +448,7 @@ def test_completeness_rejects_oversized_m(h64):
     pen = h64.pencil
     f = np.ones(pen.dim, dtype=complex)
     with pytest.raises(ValueError):
-        completeness_residual(h64, pen, f, len(h64.clusters) + 1)
+        completeness_residual(h64, f, len(h64.clusters) + 1)
 
 
 def test_chain_matrix_width_counts_chain_vectors(h64):

@@ -81,6 +81,8 @@ def test_characteristic_roots_reproduce_squares():
 def test_characteristic_roots_degenerate_rejected():
     with pytest.raises(DegenerateInputError):
         characteristic_roots(H, 1.0, 0.0, -1.0)
+    with pytest.raises(DegenerateInputError, match="excluded"):
+        lopatinsky_determinant(H, (0, 1), 1.0, 0.0, 0.0)
 
 
 def test_lopatinsky_single_point_value():
