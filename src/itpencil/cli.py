@@ -295,26 +295,20 @@ def _load_config(command, path):
     return _apply_defaults(cfg, _SCHEMAS[command])
 
 
-def _profile_from(cfg_pencil):
-    kind = PencilKind(cfg_pencil["kind"])
-    q = cfg_pencil["q"]
-    if q["type"] == "constant":
-        if not isinstance(q["data"], (int, float)):
-            raise ConfigError("constant q takes a single number")
-        return MediumProfile.constant(kind, q["data"])
-    if not isinstance(q["data"], list):
-        raise ConfigError(f"{q['type']} q takes an array of numbers")
-    if q["type"] == "polynomial":
-        return MediumProfile.polynomial(kind, q["data"])
-    return MediumProfile.sampled(kind, q["data"])
-
-
 def _pencil_spec(cfg):
-    """Profile, grid and boundary pair of the config's pencil section; assembly checks q."""
+    """Profile, grid and boundary pair of the config's pencil section; MediumProfile
+    checks q's format, and assembly checks its values."""
     pc = cfg["pencil"]
-    profile = _profile_from(pc)
+    profile = MediumProfile(PencilKind(pc["kind"]), pc["q"]["type"], pc["q"]["data"])
     bc = BoundaryPair(*pc["bc"])
     return profile, make_grid(*pc["interval"], pc["n_pts"]), bc
+
+
+def _solve(cfg, profile, grid, bc):
+    """Two-grid solve of a pencil section at the config's lambda_prime."""
+    lp = cfg.get("lambda_prime", "auto")
+    lp = lp if lp == "auto" else _l2c(lp)
+    return sp.solve_spectrum(profile, grid.a, grid.b, grid.n_pts, bc, lambda_prime=lp)
 
 
 def _given(section, *keys):
@@ -345,10 +339,7 @@ def _source(cfg, poles=True):
         raise ConfigError("config needs a pencil section or a scalar fixture")
     if listed is not None or not poles:
         return assemble_pencil(*_pencil_spec(cfg)), None, listed
-    profile, grid, bc = _pencil_spec(cfg)
-    lp = cfg.get("lambda_prime", "auto")
-    lp = lp if lp == "auto" else _l2c(lp)
-    sol = sp.solve_spectrum(profile, grid.a, grid.b, grid.n_pts, bc, lambda_prime=lp)
+    sol = _solve(cfg, *_pencil_spec(cfg))
     return sol.pencil, sol, sol.trusted_eigenvalues
 
 
@@ -382,10 +373,10 @@ def cmd_check_ellipticity(cfg, args):
 
 
 def cmd_spectrum(cfg, args):
-    pc = cfg["pencil"]
-    if args.verify_oracle and pc["q"]["type"] != "constant":
+    profile, grid, bc = _pencil_spec(cfg)
+    if args.verify_oracle and profile.q_type != "constant":
         raise ConfigError("oracle verification needs constant q")
-    _, sol, _ = _source(cfg)
+    sol = _solve(cfg, profile, grid, bc)
 
     mult = {}
     chain_len = {}
@@ -420,8 +411,7 @@ def cmd_spectrum(cfg, args):
     }
     passed = True
     if args.verify_oracle:
-        a, b = pc["interval"]
-        cf = CharacteristicFunction(PencilKind(pc["kind"]), pc["q"]["data"], b - a, tuple(pc["bc"]))
+        cf = CharacteristicFunction(profile.kind, profile.q_data, grid.b - grid.a, bc)
         rep = compare_spectrum(sol, cf)
         results["oracle"] = {k: v for k, v in rep.items() if k != "roots"} | {"rtol": _ORACLE_RTOL}
         passed = rep["count_match"] and not rep["max_rel_error"] > _ORACLE_RTOL

@@ -17,6 +17,7 @@ grids are a tuple of axes, and its derived scalings are cached properties.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,32 +102,46 @@ class MediumProfile:
     q is given as a constant, ascending polynomial coefficients in x, or
     samples at the Lobatto points of their own count (at least 2 per axis, a
     tensor product in 2D) over the assembly interval, which evaluate on any
-    grid.  Bounds default to the range on the assembly nodes and are enforced.
+    grid.  Construction checks the type and the data's shape and converts the
+    data to float; evaluation checks that q is finite and positive.
     """
 
     kind: PencilKind
     q_type: str
     q_data: object
-    q_min: float | None = None
-    q_max: float | None = None
+
+    def __post_init__(self):
+        if self.q_type == "constant":
+            if not isinstance(self.q_data, numbers.Real):
+                raise ConfigError("constant q takes a single number")
+            self.q_data = float(self.q_data)
+            return
+        if self.q_type not in ("polynomial", "samples"):
+            raise ConfigError(f"unknown q type: {self.q_type!r}")
+        ndim = np.ndim(self.q_data)
+        if ndim == 0 or (self.q_type == "polynomial" and ndim != 1):
+            raise ConfigError(f"{self.q_type} q takes an array of numbers")
+        self.q_data = np.asarray(self.q_data, dtype=float)
+        if self.q_type == "samples" and min(self.q_data.shape) < 2:
+            raise ConfigError(f"need at least 2 q samples along each of {self.q_data.ndim} axes")
 
     @classmethod
     def constant(cls, kind, value):
-        return cls(kind=kind, q_type="constant", q_data=float(value))
+        return cls(kind=kind, q_type="constant", q_data=value)
 
     @classmethod
     def polynomial(cls, kind, coeffs):
-        return cls(kind=kind, q_type="polynomial", q_data=np.asarray(coeffs, dtype=float))
+        return cls(kind=kind, q_type="polynomial", q_data=coeffs)
 
     @classmethod
     def sampled(cls, kind, values):
-        return cls(kind=kind, q_type="samples", q_data=np.asarray(values, dtype=float))
+        return cls(kind=kind, q_type="samples", q_data=values)
 
     def _interpolate(self, axes, slope=None, side=0):
         """The samples' interpolant on the tensor product of the node arrays axes,
         with its slope at the end side of axis slope in place of that axis's nodes."""
-        qv = np.asarray(self.q_data, dtype=float)
-        if qv.ndim != len(axes) or min(qv.shape) < 2:
+        qv = self.q_data
+        if qv.ndim != len(axes):
             raise ConfigError(f"need at least 2 q samples along each of {len(axes)} axes")
         for k, (m, x) in enumerate(zip(qv.shape, axes)):
             rows = _barycentric(_lobatto_nodes(x[0], x[-1], m), None if k == slope else x, side)
@@ -135,26 +150,19 @@ class MediumProfile:
 
     def values(self, *axes):
         """q on the tensor product of the node arrays axes (one per grid axis, ascending,
-        first and last at the interval's ends), checked against the declared bounds."""
+        first and last at the interval's ends), checked finite and positive."""
         if self.q_type == "samples":
             qv = self._interpolate(axes)
         elif self.q_type == "constant":
-            qv = np.full([len(x) for x in axes], float(self.q_data))
-        elif self.q_type == "polynomial":  # in x alone; overflow and non-finite q are caught below
+            qv = np.full([len(x) for x in axes], self.q_data)
+        else:  # polynomial in x alone; overflow and non-finite q are caught below
             with np.errstate(over="ignore", invalid="ignore"):
                 x = np.meshgrid(*axes, indexing="ij", copy=False)[0]
                 qv = np.polynomial.polynomial.polyval(x, self.q_data)
-        else:
-            raise ConfigError(f"unknown q type: {self.q_type!r}")
         if not np.all(np.isfinite(qv)):
             raise ConfigError("q must be finite everywhere")
-        lo = self.q_min if self.q_min is not None else float(qv.min())
-        hi = self.q_max if self.q_max is not None else float(qv.max())
-        if lo <= 0.0:
+        if qv.min() <= 0.0:
             raise ConfigError("q must be positive everywhere")
-        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if qv.min() < lo - slack or qv.max() > hi + slack:
-            raise ConfigError("q out of declared bounds")
         return qv
 
     def edge_slope(self, grids, axis, side):
@@ -316,15 +324,12 @@ class DiscretePencil:
         return float(np.linalg.norm(S2 @ G @ S2inv, 2))
 
     def prolong(self, u):
-        """Grid values of a recombined coefficient vector."""
-        if self.basis is None:
-            return np.asarray(u)
+        """Grid values of a recombined coefficient vector; an assembled pencil's only."""
         return self.basis @ np.asarray(u)
 
     def project(self, f_grid):
-        """Quadrature-orthogonal projection of grid values onto the recombined space."""
-        if self.basis is None:
-            return np.asarray(f_grid)
+        """Quadrature-orthogonal projection of grid values onto the recombined space;
+        an assembled pencil's only."""
         rhs = self.basis.T @ (self.weights * np.asarray(f_grid))
         return np.linalg.solve(self.mass, rhs)
 

@@ -3,7 +3,7 @@
 Everything here consumes a DiscretePencil (or its companion form) and a list of
 trusted eigenvalues produced by the spectra module.  Every sample, the Carleman
 circle and probe samples included, passes one conditioning check: the 2-norm
-condition at most 1e14 (spectra._sigma_min), and samples are evaluated in order
+condition at most 1e14 (spectra._sigma_range), and samples are evaluated in order
 in the calling thread.  A pencil sample is checked in mass-scaled form,
 B0 + lam B1 + lam^2 B2 with B_k = S^{-1} A_k S^{-1} cached once per pencil
 (DiscretePencil._scaled_T), so no sample pays for scaling products.  Every
@@ -38,7 +38,7 @@ a real centre pairs every sample but those at k = 0 and k = n/2.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .exceptions import (
 )
 from .spectra import (
     _checked_inverse,
-    _sigma_min,
     _sigma_range,
     linearize,
     pencil_derivatives,
@@ -62,6 +61,7 @@ from .spectra import (
 
 _GROWTH_EPS = 0.1  # circle_growth_scan raises on a growth exponent above p + this
 _LAURENT_CHUNK = 32  # samples per laurent_coefficients sum; even, so [::2] is the halved rule
+_RADIUS_CANDIDATES = 128  # candidate radii per dyadic band in pole_avoiding_radii
 
 
 @single_blas_thread
@@ -72,7 +72,7 @@ def resolvent_norm(pencil, lam):
     matrix; this is the quadrature L2 operator norm of the inverse and is
     stable under grid refinement.
     """
-    return 1.0 / _sigma_min(pencil._scaled_T(lam), lam)
+    return 1.0 / _sigma_range(pencil._scaled_T(lam), lam)[1]
 
 
 def _unit_ring(n):
@@ -218,7 +218,6 @@ class WeierstrassProduct:
     lambda_prime: complex
     zeros: np.ndarray
     p: float
-    k: int = field(default=0)
 
     def __post_init__(self):
         zeros = np.asarray(self.zeros, dtype=complex).ravel()
@@ -226,10 +225,6 @@ class WeierstrassProduct:
         object.__setattr__(self, "lambda_prime", complex(self.lambda_prime))
         if not 0 < self.p < math.inf:
             raise ConfigError("p must be positive and finite")
-        k = self.k if self.k else int(math.ceil(self.p))
-        if not (k - 1 <= self.p <= k):
-            raise ConfigError(f"genus {k} incompatible with p = {self.p}")
-        object.__setattr__(self, "k", k)
         gaps = np.abs(zeros - self.lambda_prime)
         if zeros.size and gaps.min() == 0:
             raise ConfigError("lambda_prime coincides with a zero")
@@ -239,6 +234,11 @@ class WeierstrassProduct:
         if self.zeros.size == 0:
             return 0.0
         return float(np.sum(np.abs(self.zeros - self.lambda_prime) ** -self.p))
+
+    @property
+    def k(self):
+        """The genus ceil(p), so that k - 1 <= p <= k."""
+        return math.ceil(self.p)
 
 
 def log_phi(wp, lam):
@@ -330,12 +330,13 @@ def carleman_check(comp, wp, circle_radius, n_samples=64):
     }
 
 
-def pole_avoiding_radii(eigenvalues, r_min, r_max, n_candidates=128):
+def pole_avoiding_radii(eigenvalues, r_min, r_max):
     """Pick one radius per dyadic band of [r_min, r_max], far from pole moduli.
 
-    Within each band the candidate maximizing the distance to every |eigenvalue|
-    wins.  A band whose best candidate still sits closer than 1e-3 times its
-    radius to a pole modulus has no admissible radius.
+    Each band has _RADIUS_CANDIDATES (128) geometrically spaced candidates, and
+    the one maximizing the distance to every |eigenvalue| wins.  A band whose
+    best candidate still sits closer than 1e-3 times its radius to a pole
+    modulus has no admissible radius.
     """
     if not 0 < r_min < r_max < math.inf:
         raise ConfigError("need 0 < r_min < r_max < inf")
@@ -345,7 +346,7 @@ def pole_avoiding_radii(eigenvalues, r_min, r_max, n_candidates=128):
         edges.append(min(edges[-1] * 2, r_max))
     chosen = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        cand = np.geomspace(lo, hi, n_candidates)
+        cand = np.geomspace(lo, hi, _RADIUS_CANDIDATES)
         if moduli.size:
             score = np.min(np.abs(moduli[:, None] - cand[None, :]), axis=0)
         else:

@@ -25,6 +25,7 @@ _COND_CAP = 1e14
 _FROB_CAP = 1e12  # a factor 100 under _COND_CAP for roundoff in a computed inverse
 _REFINE_1D = 8  # extra grid points of the refined grid in solve_spectrum
 _REFINE_2D = 4  # extra grid points per axis of the refined grid in solve_spectrum_2d
+_REFERENCE_CANDIDATES = tuple(np.geomspace(1.0, 100.0, 13))  # find_reference_point's positive reals
 
 
 def _sigma_range(X, where):
@@ -39,20 +40,15 @@ def _sigma_range(X, where):
     return float(sv[0]), float(sv[-1])
 
 
-def _sigma_min(X, where):
-    """Smallest singular value of X, checked as in _sigma_range."""
-    return _sigma_range(X, where)[1]
-
-
 def _checked_inverse(X, where, pencil=None):
-    """X^{-1} by lapack().lu_inverse, raising exactly where "_sigma_min(C, where),
+    """X^{-1} by lapack().lu_inverse, raising exactly where "_sigma_range(C, where),
     then lapack().lu_inverse(X)" would.
 
     C is X, or B = pencil._scaled_T(where) for a weak-form X = pencil.T(where).
     The inverse certifies C without an SVD, as kappa_2(C) <= ||C||_F ||C^-1||_F,
     ||B||_F <= pencil._scaled_norm_bound(where) and ||B^-1||_F = ||S X^-1 S||_F
     <= ||M||_2 ||X^-1||_F.  A bound above _FROB_CAP, a NaN bound or a singular
-    LU falls back to _sigma_min(C), the only place B is formed, so a loose
+    LU falls back to _sigma_range(C), the only place B is formed, so a loose
     bound costs an SVD but never changes a decision.
     """
     if pencil is None:
@@ -64,7 +60,7 @@ def _checked_inverse(X, where, pencil=None):
     except np.linalg.LinAlgError:
         Xinv = None
     if Xinv is None or not bound * np.linalg.norm(Xinv) <= _FROB_CAP:
-        _sigma_min(X if pencil is None else pencil._scaled_T(where), where)
+        _sigma_range(X if pencil is None else pencil._scaled_T(where), where)
         if Xinv is None:
             raise np.linalg.LinAlgError("Singular matrix")
     return Xinv
@@ -552,18 +548,18 @@ def completeness_residual(eig, f, m):
     return float(np.linalg.norm(Xs @ sol - fs) / nf)
 
 
-def find_reference_point(eigenvalues, candidates=None):
-    """Positive real point maximizing relative distance to the spectrum."""
+def find_reference_point(eigenvalues):
+    """Positive real point maximizing relative distance to the spectrum: the t of
+    _REFERENCE_CANDIDATES (13, geometrically spaced over [1, 100]) farthest from
+    the eigenvalues relative to 1 + t."""
     vals = np.asarray(
         eigenvalues.trusted_eigenvalues
         if isinstance(eigenvalues, EigenSolution)
         else eigenvalues,
         dtype=complex,
     )
-    if candidates is None:
-        candidates = np.geomspace(1.0, 100.0, 13)
     best, best_score = None, -1.0
-    for t in candidates:
+    for t in _REFERENCE_CANDIDATES:
         score = float(np.abs(vals - t).min() / (1.0 + t)) if vals.size else 1.0
         if score > best_score:
             best, best_score = float(t), score

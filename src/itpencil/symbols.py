@@ -183,6 +183,20 @@ def _cone_samples(q_range, cone, samples, seed):
     return qs, xi_sq, lam
 
 
+def _report(qs, xi_sq, lam, modulus, values):
+    """ConditionReport of a scan over the samples (qs, xi_sq, lam): the witness is
+    the sample j of least modulus, with the value values[j]."""
+    j = int(np.argmin(modulus))
+    return ConditionReport(
+        min_modulus=float(modulus[j]),
+        witness=SymbolPoint(float(qs[j]), float(xi_sq[j]), complex(lam[j])),
+        witness_value=complex(values[j]),
+        passed=bool(modulus[j] > _ELLIPTIC_TOL),
+        tolerance=_ELLIPTIC_TOL,
+        n_samples=len(qs),
+    )
+
+
 def check_condition1(kind, q_range, cone, samples=2000, seed=0):
     """Scan |principal symbol| over the normalized set xi_sq + |lam| = 1.
 
@@ -193,17 +207,7 @@ def check_condition1(kind, q_range, cone, samples=2000, seed=0):
     """
     qs, xi_sq, lam = _cone_samples(q_range, cone, samples, seed)
     vals = _symbol_values(kind, qs, xi_sq, lam)
-    mod = np.abs(vals)
-    j = int(np.argmin(mod))
-    witness = SymbolPoint(float(qs[j]), float(xi_sq[j]), complex(lam[j]))
-    return ConditionReport(
-        min_modulus=float(mod[j]),
-        witness=witness,
-        witness_value=complex(vals[j]),
-        passed=bool(mod[j] > _ELLIPTIC_TOL),
-        tolerance=_ELLIPTIC_TOL,
-        n_samples=len(qs),
-    )
+    return _report(qs, xi_sq, lam, np.abs(vals), vals)
 
 
 def _decaying_pair(kind, q, xi_prime_sq, lam):
@@ -287,14 +291,4 @@ def check_condition2(kind, bc, q_range, cone, samples=2000, seed=0):
     (a1, b1), (a2, b2) = _decaying_rows(kind, qs, xi_sq, (bc.m1, bc.m2), lam)
     raw = a1 * b2 - a2 * b1
     scale = np.hypot(np.abs(a1), np.abs(b1)) * np.hypot(np.abs(a2), np.abs(b2))
-    normed = np.abs(raw) / np.maximum(scale, 1e-300)
-    j = int(np.argmin(normed))
-    witness = SymbolPoint(float(qs[j]), float(xi_sq[j]), complex(lam[j]))
-    return ConditionReport(
-        min_modulus=float(normed[j]),
-        witness=witness,
-        witness_value=complex(raw[j]),
-        passed=bool(normed[j] > _ELLIPTIC_TOL),
-        tolerance=_ELLIPTIC_TOL,
-        n_samples=len(qs),
-    )
+    return _report(qs, xi_sq, lam, np.abs(raw) / np.maximum(scale, 1e-300), raw)

@@ -263,17 +263,30 @@ def test_2d_manufactured_weak_form(kind, bc, q):
     assert np.vdot(w, pencil.T(lam) @ u) == pytest.approx(exact, rel=1e-8)
 
 
-def test_2d_samples_respect_declared_bounds():
-    # a sample above the declared q_max is rejected in 2D as in 1D
+def test_2d_samples_respect_the_positive_rule():
+    # a negative sample is rejected in 2D as in 1D; a large positive one assembles
     gx, gy = make_grid(0.0, 1.0, 10), make_grid(0.0, 2.0, 12)
     samples = np.full((10, 12), 1.5)
+    samples[3, 4] = -0.5
+    with pytest.raises(ConfigError, match="positive everywhere"):
+        assemble_pencil_2d(MediumProfile(H, "samples", samples), gx, gy, (0, 1))
+    with pytest.raises(ConfigError, match="positive everywhere"):
+        assemble_pencil(MediumProfile(H, "samples", samples[:, 4]), gx, (0, 1))
     samples[3, 4] = 2.5
-    with pytest.raises(ValueError, match="out of declared bounds"):
-        assemble_pencil_2d(MediumProfile(H, "samples", samples, q_max=2.0), gx, gy, (0, 1))
-    with pytest.raises(ValueError, match="out of declared bounds"):
-        assemble_pencil(MediumProfile(H, "samples", samples[:, 4], q_max=2.0), gx, (0, 1))
-    within = MediumProfile(H, "samples", samples, q_max=3.0)
-    assert assemble_pencil_2d(within, gx, gy, (0, 1)).dim == 6 * 8
+    assert assemble_pencil_2d(MediumProfile(H, "samples", samples), gx, gy, (0, 1)).dim == 6 * 8
+    assert assemble_pencil(MediumProfile(H, "samples", samples[:, 4]), gx, (0, 1)).dim == 6
+
+
+@pytest.mark.parametrize("q_type,data,match", [
+    ("constant", [1.0], "constant q takes a single number"),
+    ("polynomial", 1.0, "polynomial q takes an array of numbers"),
+    ("samples", 1.0, "samples q takes an array of numbers"),
+    ("tabulated", [1.0, 1.1], "unknown q type: 'tabulated'"),
+])
+def test_profile_checks_q_format_at_construction(q_type, data, match):
+    # the format is the profile's to check, before any grid is built
+    with pytest.raises(ConfigError, match=match):
+        MediumProfile(H, q_type, data)
 
 
 def test_2d_samples_match_polynomial_q():

@@ -179,6 +179,19 @@ def test_floor_box_resolves_a_fivefold_root(monkeypatch):
     assert abs(root - a) <= 1e-7
 
 
+@pytest.mark.xfail(strict=True, raises=WindingNumberError, reason=(
+    "_winding accepts an aliased count: the box (0.28125, 0.3125, 0.178125, 0.2001563) "
+    "has its top edge 1.56e-4 above the 5-fold root and reads winding 3 at 128 points "
+    "per side, every phase step below 2.5 rad (the largest 2.393); 256 points read 4 "
+    "and 512 read 5, so no split of it sums to 5 (FOUND)"))
+def test_find_roots_fivefold_root_near_a_box_edge():
+    # the bisection of (-2, 2, -1.5, 1.5) leaves a box edge just above the root
+    a = 0.3 + 0.2j
+    roots = find_roots(lambda z: (z - a) ** 5 * np.exp(z / 7.0), (-2.0, 2.0, -1.5, 1.5))
+    assert [m for _r, m, _s in roots] == [5]
+    assert abs(roots[0][0] - a) <= 1e-7
+
+
 def test_symmetric_floor_box_sets_its_root_real(monkeypatch):
     # real coefficients give exact conjugate values, so the census mirrors;
     # the real 5-fold root is split down to a floor box symmetric about the
