@@ -385,14 +385,12 @@ def cmd_spectrum(cfg, args):
         lengths = [len(ch.vectors) for ch in cl.chains]
         for i in cl.indices:
             mult[i] = cl.multiplicity
-            chain_len[i] = max(lengths) if lengths else 1
+            chain_len[i] = max(lengths)
         chain_info.append({
             "center": _c2l(cl.center),
             "multiplicity": cl.multiplicity,
             "chain_lengths": lengths,
-            "max_chain_residual": max(
-                (float(r) for ch in cl.chains for r in ch.residuals), default=0.0
-            ),
+            "max_chain_residual": max(float(r) for ch in cl.chains for r in ch.residuals),
         })
 
     rows = []
@@ -493,8 +491,7 @@ def cmd_completeness(cfg, args):
         raise PencilError("no trusted clusters to project on")
     mv = cfg.get("m_values", "auto")
     if mv == "auto":
-        mv = sorted({min(2**k, n_clusters) for k in range(20) if 2**k <= n_clusters}
-                    | {n_clusters})
+        mv = sorted({2**k for k in range(20) if 2**k <= n_clusters} | {n_clusters})
     else:
         mv = sorted(set(int(m) for m in mv))
 

@@ -102,8 +102,9 @@ class MediumProfile:
     q is given as a constant, ascending polynomial coefficients in x, or
     samples at the Lobatto points of their own count (at least 2 per axis, a
     tensor product in 2D) over the assembly interval, which evaluate on any
-    grid.  Construction checks the type and the data's shape and converts the
-    data to float; evaluation checks that q is finite and positive.
+    grid.  A constant evaluates as the degree-0 polynomial.  Construction
+    checks the type and the data's shape and converts the data to float;
+    evaluation checks that q is finite and positive.
     """
 
     kind: PencilKind
@@ -142,7 +143,8 @@ class MediumProfile:
         with its slope at the end side of axis slope in place of that axis's nodes."""
         qv = self.q_data
         if qv.ndim != len(axes):
-            raise ConfigError(f"need at least 2 q samples along each of {len(axes)} axes")
+            have = f"{qv.ndim} axis" if qv.ndim == 1 else f"{qv.ndim} axes"
+            raise ConfigError(f"q samples have {have}, the grid {len(axes)}")
         for k, (m, x) in enumerate(zip(qv.shape, axes)):
             rows = _barycentric(_lobatto_nodes(x[0], x[-1], m), None if k == slope else x, side)
             qv = np.moveaxis(np.tensordot(rows, qv, axes=(1, k)), 0, k)
@@ -153,12 +155,10 @@ class MediumProfile:
         first and last at the interval's ends), checked finite and positive."""
         if self.q_type == "samples":
             qv = self._interpolate(axes)
-        elif self.q_type == "constant":
-            qv = np.full([len(x) for x in axes], self.q_data)
-        else:  # polynomial in x alone; overflow and non-finite q are caught below
+        else:  # polynomial in x alone, constant q of degree 0; overflow is caught below
             with np.errstate(over="ignore", invalid="ignore"):
                 x = np.meshgrid(*axes, indexing="ij", copy=False)[0]
-                qv = np.polynomial.polynomial.polyval(x, self.q_data)
+                qv = np.polynomial.polynomial.polyval(x, np.ravel(self.q_data))
         if not np.all(np.isfinite(qv)):
             raise ConfigError("q must be finite everywhere")
         if qv.min() <= 0.0:
@@ -171,8 +171,7 @@ class MediumProfile:
         if self.q_type == "samples":
             return self._interpolate([g.nodes for g in grids], axis, side).reshape(-1)
         P, end = np.polynomial.polynomial, (grids[0].a, grids[0].b)[side]
-        poly = self.q_type == "polynomial" and axis == 0
-        slope = P.polyval(end, P.polyder(self.q_data)) if poly else 0.0
+        slope = P.polyval(end, P.polyder(np.ravel(self.q_data))) if axis == 0 else 0.0
         return np.full(int(np.prod([g.n_pts for g in grids])) // grids[axis].n_pts, slope)
 
 

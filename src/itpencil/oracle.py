@@ -206,13 +206,12 @@ def winding_number(f, rect):
     return _winding(f, rect)
 
 
-def _winding(f, rect, vals=None, mirror=False):
-    """winding_number, with vals (if given) the values of f at _PTS_PER_SIDE."""
-    pts = _PTS_PER_SIDE
+def _winding(f, rect, vals=None, mirror=False, pts=_PTS_PER_SIDE):
+    """winding_number from pts points per side, with vals (if given) the values of f there."""
     while pts <= _MAX_PTS:
         if vals is None:
             vals = _contour_values(f, _rect_boundary(rect, pts), mirror and rect[2] == -rect[3])
-        if np.any(vals == 0.0) or np.any(np.abs(vals) < 1e-280):
+        if np.any(np.abs(vals) < 1e-280):
             raise WindingNumberError("f vanishes on the contour")
         dphi = np.angle(_ratios(vals))
         total = dphi.sum() / (2.0 * np.pi)
@@ -334,7 +333,11 @@ def find_roots(f, rect, max_roots=200):
     multiplicity-corrected Newton, unless one of the checks of _moment_roots
     fails.  Boxes of winding above 4, and those the moments cannot resolve,
     are split until they fall below the floor diameter, then polished with
-    a multiplicity-corrected Newton step.  A root of
+    a multiplicity-corrected Newton step.  A box that no split divides into
+    child windings summing to its own is recounted from twice _PTS_PER_SIDE
+    points per side, since a count can alias with every phase step under
+    the test; a different recount is split instead (0 ends the box), and an
+    equal one raises.  A root of
     multiplicity m > 1 is placed at its centroid on a circle (_centroid).
     If rect is symmetric about the real axis and its boundary values (the
     data, not the type of f) are exact conjugates at mirrored samples, only
@@ -383,9 +386,11 @@ _COMPARE_CAP = 200.0  # compare_spectrum checks the trusted eigenvalues with |la
 def compare_spectrum(solution, f):
     """An EigenSolution's trusted eigenvalues against the zeros of f, by one find_roots census.
 
-    Returns a dict.  The trusted eigenvalues with |lam| <= _COMPARE_CAP (200)
-    set "rect", re from min(-230, min re - 10) to 8 and im within
-    +-max(5, 1.5 max |im|), and "max_rel_error" is the largest
+    The census keeps find_roots's own root cap (200), whatever the trusted
+    count, so a census that finds more roots than trusted eigenvalues still
+    returns its verdict.  Returns a dict.  The trusted eigenvalues with
+    |lam| <= _COMPARE_CAP (200) set "rect", re from min(-230, min re - 10)
+    to 8 and im within +-max(5, 1.5 max |im|), and "max_rel_error" is the largest
     |lam - root| / (1 + |lam|) from one of them to its nearest root (0 for
     none).  "count_match" says whether "n_trusted_in_rect", the trusted
     eigenvalues strictly inside rect, equals "n_roots_weighted", the roots'
@@ -397,10 +402,10 @@ def compare_spectrum(solution, f):
     """
     tr, eig = solution.trusted_eigenvalues, solution.eigenvalues
     cap = tr[np.abs(tr) <= _COMPARE_CAP]
-    immax = max(5.0, 1.5 * float(np.abs(cap.imag).max()) if cap.size else 5.0)
-    remin = min(-_COMPARE_CAP - 30.0, float(cap.real.min()) - 10.0 if cap.size else 0.0)
+    immax = max(5.0, 1.5 * float(np.abs(cap.imag).max(initial=0.0)))
+    remin = min(-_COMPARE_CAP - 30.0, float(cap.real.min(initial=0.0)) - 10.0)
     rect = (remin, 8.0, -immax, immax)
-    found = find_roots(f, rect, max_roots=4 * max(tr.size, 1))
+    found = find_roots(f, rect)
     zeros = np.array([r for r, _m, _s in found])
     errs = [float(np.min(np.abs(zeros - lam)) / (1.0 + abs(lam))) for lam in cap] if found else []
     inside = (tr.real > rect[0]) & (tr.real < rect[1]) & (tr.imag > rect[2]) & (tr.imag < rect[3])
@@ -550,5 +555,13 @@ def _subdivide(f, rect, w, roots, vals, mirror):
             raise WindingNumberError(f"root escaped its isolating box near {center}")
         roots.append((root, w, step))
         return
-    for child, wc, vc in _split_once(f, rect, w, mirror):
+    try:
+        children = _split_once(f, rect, w, mirror)
+    except WindingNumberError:
+        # w may be aliased at _PTS_PER_SIDE: recount from twice the points
+        recount = _winding(f, rect, mirror=mirror, pts=2 * _PTS_PER_SIDE)
+        if recount == w:
+            raise
+        children = _split_once(f, rect, recount, mirror) if recount else ()
+    for child, wc, vc in children:
         _subdivide(f, child, wc, roots, vc, mirror)

@@ -225,14 +225,11 @@ class WeierstrassProduct:
         object.__setattr__(self, "lambda_prime", complex(self.lambda_prime))
         if not 0 < self.p < math.inf:
             raise ConfigError("p must be positive and finite")
-        gaps = np.abs(zeros - self.lambda_prime)
-        if zeros.size and gaps.min() == 0:
+        if np.abs(zeros - self.lambda_prime).min(initial=np.inf) == 0:
             raise ConfigError("lambda_prime coincides with a zero")
 
     def zero_sum(self):
         """sum |zero_j - lambda_prime|^{-p} over the trusted zeros."""
-        if self.zeros.size == 0:
-            return 0.0
         return float(np.sum(np.abs(self.zeros - self.lambda_prime) ** -self.p))
 
     @property
@@ -243,8 +240,6 @@ class WeierstrassProduct:
 
 def log_phi(wp, lam):
     """Complex logarithm of the product, or None when a factor vanishes."""
-    if wp.zeros.size == 0:
-        return 0j
     z = (complex(lam) - wp.lambda_prime) / (wp.zeros - wp.lambda_prime)
     if np.any(z == 1):
         return None
@@ -258,8 +253,6 @@ def phi_eval(wp, lam):
     lg = log_phi(wp, lam)
     if lg is None:
         return 0j
-    if lg == 0:
-        return 1 + 0j
     return complex(np.exp(lg))
 
 
@@ -347,10 +340,7 @@ def pole_avoiding_radii(eigenvalues, r_min, r_max):
     chosen = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         cand = np.geomspace(lo, hi, _RADIUS_CANDIDATES)
-        if moduli.size:
-            score = np.min(np.abs(moduli[:, None] - cand[None, :]), axis=0)
-        else:
-            score = np.full(cand.shape, np.inf)
+        score = np.abs(moduli[:, None] - cand).min(axis=0, initial=np.inf)
         best = int(np.argmax(score))
         if score[best] < 1e-3 * cand[best]:
             raise PoleOnRayError(
@@ -387,9 +377,7 @@ def circle_growth_scan(pencil, radii, p, n_theta=64, eigenvalues=None):
         raise ConfigError("radii must be finite and positive")
     if not math.isfinite(p):
         raise ConfigError("p must be finite")
-    moduli = None
-    if eigenvalues is not None:
-        moduli = np.abs(np.asarray(eigenvalues, dtype=complex).ravel())
+    moduli = np.abs(np.asarray([] if eigenvalues is None else eigenvalues, dtype=complex).ravel())
     ring = _unit_ring(n_theta)
 
     norms = _resolvent_norms(pencil, [r * w for r in radii for w in ring])
@@ -398,10 +386,7 @@ def circle_growth_scan(pencil, radii, p, n_theta=64, eigenvalues=None):
     if touching.any():
         raise PoleOnRayError(f"circle of radius {radii[touching][0]} touches a pole")
     max_logs = np.array([max(math.log(x) for x in row) for row in norms])
-    if moduli is not None and moduli.size:
-        dists = np.min(np.abs(moduli[:, None] - radii[None, :]), axis=0)
-    else:
-        dists = np.full(radii.shape, np.inf)
+    dists = np.abs(moduli[:, None] - radii).min(axis=0, initial=np.inf)
     clamped = np.maximum(max_logs, 1e-6)
     exponent = float(np.polyfit(np.log(radii), np.log(clamped), 1)[0])
     if exponent > p + _GROWTH_EPS:
@@ -459,7 +444,7 @@ def laurent_coefficients(pencil, lambda0, radius, n_coeffs=4, n_quad=256,
     if eigenvalues is not None:
         ev = np.asarray(eigenvalues, dtype=complex).ravel()
         gap = np.abs(np.abs(ev - lam0) - r)
-        if ev.size and gap.min() < 1e-6 * (1.0 + r):
+        if gap.min(initial=np.inf) < 1e-6 * (1.0 + r):
             raise SingularAtLambdaError("contour passes through a trusted eigenvalue")
         inside = ev[np.abs(ev - lam0) < r]
         if inside.size == 0:
@@ -554,11 +539,8 @@ def t_infinity_estimate(pencil, radius, n_samples=256, eigenvalues=None):
         )
     avg = float(np.mean(good)) if good else 0.0
 
-    pole_term = 0.0
-    if eigenvalues is not None:
-        ev = np.asarray(eigenvalues, dtype=complex).ravel()
-        mods = np.abs(ev)
-        n_zero = int(np.sum(mods <= 1e-8))
-        mid = mods[(mods > 1e-8) & (mods <= r)]
-        pole_term = float(np.sum(np.log(r / mid))) + n_zero * math.log(r)
+    mods = np.abs(np.asarray([] if eigenvalues is None else eigenvalues, dtype=complex).ravel())
+    n_zero = int(np.sum(mods <= 1e-8))
+    mid = mods[(mods > 1e-8) & (mods <= r)]
+    pole_term = float(np.sum(np.log(r / mid))) + n_zero * math.log(r)
     return avg + pole_term

@@ -188,8 +188,9 @@ def eigen(comp, lambda_prime=0.0, reference=None):
     An eigenvalue passes the residual filter when its relative pencil residual
     is at most _RESIDUAL_TOL (1e-7).  reference, when given, is a refined-grid
     eigenvalue array, and a filtered eigenvalue is then trusted only with a
-    reference partner within _TRUST_RTOL (1e-6) relative distance.  Without a
-    reference only the residual filter applies.
+    reference partner within _TRUST_RTOL (1e-6) relative distance, so an
+    empty reference trusts nothing.  Without a reference only the residual
+    filter applies.
 
     lambda_prime="auto" picks the reference point with find_reference_point
     over this solution's own trusted eigenvalues; the result is then sorted
@@ -200,12 +201,8 @@ def eigen(comp, lambda_prime=0.0, reference=None):
     lam, U, residuals = _eig_residuals(comp)
     trust = residuals <= _RESIDUAL_TOL
     if reference is not None:
-        ref = np.asarray(reference)
-        if ref.size:
-            dist = np.abs(lam[:, None] - ref[None, :]).min(axis=1)
-            trust &= dist <= _TRUST_RTOL * (1.0 + np.abs(lam))
-        else:
-            trust[:] = False
+        dist = np.abs(lam[:, None] - np.asarray(reference)).min(axis=1, initial=np.inf)
+        trust &= dist <= _TRUST_RTOL * (1.0 + np.abs(lam))
     if lambda_prime == "auto":
         lambda_prime = find_reference_point(lam[trust])
 
@@ -281,15 +278,9 @@ def _nilpotent_chains(G, tol):
     used = np.zeros((m, 0), dtype=complex)
     for length in range(l, 0, -1):
         Kl = kernels[length]
-        low = kernels[length - 1] if length > 1 else np.zeros((m, 0))
-        S = np.hstack([low, used])
-        if S.shape[1]:
-            Qs, _ = np.linalg.qr(S)
-            proj = Kl - Qs @ (Qs.conj().T @ Kl)
-        else:
-            proj = Kl
-        if proj.shape[1] == 0:
-            continue
+        # kernels[0] is empty, as is used at first: QR and SVD take (m, 0) blocks
+        Qs, _ = np.linalg.qr(np.hstack([kernels[length - 1], used]))
+        proj = Kl - Qs @ (Qs.conj().T @ Kl)
         U, s, _ = np.linalg.svd(proj, full_matrices=False)
         for i in range(int(np.sum(s > 0.5))):
             # columns of Kl are orthonormal, so surviving directions have
@@ -551,16 +542,11 @@ def completeness_residual(eig, f, m):
 def find_reference_point(eigenvalues):
     """Positive real point maximizing relative distance to the spectrum: the t of
     _REFERENCE_CANDIDATES (13, geometrically spaced over [1, 100]) farthest from
-    the eigenvalues relative to 1 + t."""
-    vals = np.asarray(
-        eigenvalues.trusted_eigenvalues
-        if isinstance(eigenvalues, EigenSolution)
-        else eigenvalues,
-        dtype=complex,
-    )
+    the eigenvalue array relative to 1 + t, the first of them for no eigenvalue."""
+    vals = np.asarray(eigenvalues, dtype=complex)
     best, best_score = None, -1.0
     for t in _REFERENCE_CANDIDATES:
-        score = float(np.abs(vals - t).min() / (1.0 + t)) if vals.size else 1.0
+        score = float(np.abs(vals - t).min(initial=np.inf) / (1.0 + t))
         if score > best_score:
             best, best_score = float(t), score
     if best_score <= 1e-9:

@@ -417,6 +417,18 @@ def test_spectrum_verify_oracle_constant_q(tmp_path):
     assert oracle["max_rel_error"] <= oracle["rtol"]
 
 
+def test_spectrum_verify_oracle_writes_a_failed_count(tmp_path):
+    # Helmholtz q = 0.75, bc (0, 3) at n = 48 trusts one eigenvalue against six
+    # census roots: the census is not capped by the trusted count, so the
+    # verdict is written and the run exits 1 ("a checked property failed")
+    pencil = dict(_h1_pencil(48, {"type": "constant", "data": 0.75}), bc=[0, 3])
+    code, out = _run(tmp_path, "spectrum", {"pencil": pencil}, "--verify-oracle")
+    assert code == 1
+    oracle = json.loads((out / "spectrum_manifest.json").read_text())["results"]["oracle"]
+    assert (oracle["n_roots_weighted"], oracle["n_trusted_in_rect"]) == (6, 1)
+    assert oracle["count_match"] is False
+
+
 def test_spectrum_verify_oracle_rejects_polynomial_q(tmp_path):
     pencil = _h1_pencil(q={"type": "polynomial", "data": [1.0, 0.3]})
     code, out = _run(tmp_path, "spectrum", {"pencil": pencil}, "--verify-oracle")

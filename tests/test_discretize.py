@@ -319,9 +319,9 @@ def _refuse_assembly(*args):
 def test_samples_need_one_axis_per_grid(monkeypatch):
     monkeypatch.setattr(discretize, "_axis_blocks", _refuse_assembly)
     g = make_grid(0.0, 1.0, 12)
-    with pytest.raises(ConfigError, match="along each of 2 axes"):
+    with pytest.raises(ConfigError, match="q samples have 1 axis, the grid 2"):
         assemble_pencil_2d(MediumProfile.sampled(H, np.full(12, 1.5)), g, g, (0, 1))
-    with pytest.raises(ConfigError, match="along each of 1 axes"):
+    with pytest.raises(ConfigError, match="q samples have 2 axes, the grid 1"):
         assemble_pencil(MediumProfile.sampled(H, np.full((12, 12), 1.5)), g, (0, 1))
 
 

@@ -179,13 +179,11 @@ def test_floor_box_resolves_a_fivefold_root(monkeypatch):
     assert abs(root - a) <= 1e-7
 
 
-@pytest.mark.xfail(strict=True, raises=WindingNumberError, reason=(
-    "_winding accepts an aliased count: the box (0.28125, 0.3125, 0.178125, 0.2001563) "
-    "has its top edge 1.56e-4 above the 5-fold root and reads winding 3 at 128 points "
-    "per side, every phase step below 2.5 rad (the largest 2.393); 256 points read 4 "
-    "and 512 read 5, so no split of it sums to 5 (FOUND)"))
 def test_find_roots_fivefold_root_near_a_box_edge():
-    # the bisection of (-2, 2, -1.5, 1.5) leaves a box edge just above the root
+    # the bisection of (-2, 2, -1.5, 1.5) leaves the box (0.28125, 0.3125,
+    # 0.178125, 0.2001563) with its top edge 1.56e-4 above the root; at 128
+    # points per side it reads winding 3 with every phase step below 2.5 rad,
+    # so no split sums to 3 until the box is recounted from 256 points per side
     a = 0.3 + 0.2j
     roots = find_roots(lambda z: (z - a) ** 5 * np.exp(z / 7.0), (-2.0, 2.0, -1.5, 1.5))
     assert [m for _r, m, _s in roots] == [5]

@@ -205,6 +205,15 @@ def test_phi_at_reference_and_zeros():
     assert wp.k == 1
 
 
+def test_product_over_no_zeros_is_one():
+    # the empty product runs the general sums: no special case for no zeros
+    wp = WeierstrassProduct(lambda_prime=0.5, zeros=[], p=1.5)
+    assert wp.zero_sum() == 0.0
+    assert log_phi(wp, 3.0 - 2.0j) == 0j
+    phi = phi_eval(wp, 3.0 - 2.0j)
+    assert (phi.real, phi.imag) == (1.0, 0.0) and not np.signbit(phi.imag)
+
+
 def test_weierstrass_genus_validation():
     wp = WeierstrassProduct(lambda_prime=0.0, zeros=np.array([1.0]), p=1.5)
     assert wp.k == 2
@@ -274,6 +283,18 @@ def test_pole_avoiding_radii_properties():
     assert radii.min() >= 1.0 and radii.max() <= 1000.0
     dists = np.min(np.abs(np.abs(ev)[:, None] - radii[None, :]), axis=0)
     assert np.all(dists / radii >= 0.001)
+
+
+def test_pole_avoiding_radii_without_poles_takes_band_starts():
+    # every candidate is infinitely far from no pole, so argmax takes the first
+    assert pole_avoiding_radii([], 1.0, 8.0).tolist() == [1.0, 2.0, 4.0]
+
+
+def test_circle_growth_without_eigenvalues_reports_infinite_pole_distances():
+    pen = _scalar(0.0, 1.0, 1.0)
+    for eigenvalues in (None, []):
+        rep = circle_growth_scan(pen, [2.0, 20.0, 200.0], p=1.0, eigenvalues=eigenvalues)
+        assert rep.min_pole_distances.tolist() == [np.inf] * 3
 
 
 def test_circle_growth_scalar_decays():
@@ -678,6 +699,14 @@ def test_t_infinity_scalar_pole_term():
     pen = _scalar(0.0, 1.0, 1.0)
     est = t_infinity_estimate(pen, 10.0, eigenvalues=np.array([0.0, -1.0]))
     assert est == pytest.approx(2.0 * np.log(10.0), rel=1e-12)
+
+
+def test_t_infinity_without_eigenvalues_equals_an_empty_list():
+    pen = _scalar(2.0, 1.0, 1.0)
+    for r in (0.5, 3.0):
+        est = t_infinity_estimate(pen, r, eigenvalues=None)
+        assert est == t_infinity_estimate(pen, r, eigenvalues=[])
+        assert est == t_infinity_estimate(pen, r)
 
 
 def test_t_infinity_monotone_in_radius():

@@ -140,7 +140,7 @@ def test_eigen_auto_equals_explicit_reference_point():
     profile = MediumProfile.constant(PencilKind.SCHRODINGER, 1.5)
     comp = linearize(assemble_pencil(profile, make_grid(0.0, 1.0, 32), (1, 3)))
     auto = eigen(comp, lambda_prime="auto")
-    explicit = eigen(comp, lambda_prime=find_reference_point(eigen(comp)))
+    explicit = eigen(comp, lambda_prime=find_reference_point(eigen(comp).trusted_eigenvalues))
     assert auto.lambda_prime == explicit.lambda_prime
     assert np.array_equal(auto.eigenvalues, explicit.eigenvalues)
     assert np.array_equal(auto.trust_mask, explicit.trust_mask)
@@ -464,6 +464,13 @@ def test_chain_matrix_width_counts_chain_vectors(h64):
 
 def test_find_reference_point_prefers_far_candidates():
     assert find_reference_point(np.array([-1.0, -2.0])) == 1.0 + 0j
+
+
+def test_find_reference_point_without_eigenvalues_takes_the_first_candidate():
+    assert find_reference_point(np.array([], complex)) == 1.0 + 0j
+    # an auto reference point over an empty trusted set
+    sol = eigen(linearize(_scalar(-1.0, 0.0, 1.0)), lambda_prime="auto", reference=[])
+    assert sol.lambda_prime == 1.0 + 0j and not sol.trust_mask.any()
 
 
 def test_find_reference_point_all_candidates_blocked():
