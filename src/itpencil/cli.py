@@ -12,6 +12,7 @@ with 17 significant digits.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -34,6 +35,7 @@ _SLOPE_TARGET = -2.0  # resolvent-scan: ||T^{-1}|| decays like |lam|^-2 along ea
 _SLOPE_TOL = 0.15  # largest distance of a fitted ray slope from _SLOPE_TARGET
 _RESIDUAL_TOL = 0.1  # completeness: largest final residual of a sample
 _CHAIN_TOL = 1e-8  # completeness: largest residual of a chain vector itself
+_SOLVE_CACHE_SIZE = 1  # pencil sections whose solve is kept; their subcommands run in a row
 
 _Q_SCHEMA = {
     "type": "object",
@@ -295,20 +297,40 @@ def _load_config(command, path):
     return _apply_defaults(cfg, _SCHEMAS[command])
 
 
-def _pencil_spec(cfg):
-    """Profile, grid and boundary pair of the config's pencil section; MediumProfile
+def _pencil_spec(pc):
+    """Profile, grid and boundary pair of a config's pencil section; MediumProfile
     checks q's format, and assembly checks its values."""
-    pc = cfg["pencil"]
     profile = MediumProfile(PencilKind(pc["kind"]), pc["q"]["type"], pc["q"]["data"])
     bc = BoundaryPair(*pc["bc"])
     return profile, make_grid(*pc["interval"], pc["n_pts"]), bc
 
 
-def _solve(cfg, profile, grid, bc):
-    """Two-grid solve of a pencil section at the config's lambda_prime."""
-    lp = cfg.get("lambda_prime", "auto")
+def _solve(cfg):
+    """Two-grid solve of a pencil section at the config's lambda_prime.
+
+    Kept for the rest of the process, read-only, under the canonical JSON of
+    the section and of lambda_prime, so the next subcommand on the same
+    section reads the same solution; a solve that raises is not kept.
+    """
+    key = [cfg["pencil"], cfg.get("lambda_prime", "auto")]
+    return _stored_solve(json.dumps(key, sort_keys=True))
+
+
+@functools.lru_cache(maxsize=_SOLVE_CACHE_SIZE)
+def _stored_solve(key):
+    section, lp = json.loads(key)  # floats print as repr, so they load to the same bits
+    profile, grid, bc = _pencil_spec(section)
     lp = lp if lp == "auto" else _l2c(lp)
-    return sp.solve_spectrum(profile, grid.a, grid.b, grid.n_pts, bc, lambda_prime=lp)
+    sol = sp.solve_spectrum(profile, grid.a, grid.b, grid.n_pts, bc, lambda_prime=lp)
+    pencil = sol.pencil
+    for array in (
+        sol.eigenvalues, sol.right_u, sol.residuals, sol.trust_mask,
+        pencil.A0, pencil.A1, pencil.A2, pencil.mass, pencil.weights,
+        *(a for g in pencil.grids for a in (g.nodes, g.weights)),
+        *(u for cl in sol.clusters for ch in cl.chains for u in ch.vectors),
+    ):
+        array.flags.writeable = False
+    return sol
 
 
 def _given(section, *keys):
@@ -338,8 +360,8 @@ def _source(cfg, poles=True):
     if "pencil" not in cfg:
         raise ConfigError("config needs a pencil section or a scalar fixture")
     if listed is not None or not poles:
-        return assemble_pencil(*_pencil_spec(cfg)), None, listed
-    sol = _solve(cfg, *_pencil_spec(cfg))
+        return assemble_pencil(*_pencil_spec(cfg["pencil"])), None, listed
+    sol = _solve(cfg)
     return sol.pencil, sol, sol.trusted_eigenvalues
 
 
@@ -373,10 +395,10 @@ def cmd_check_ellipticity(cfg, args):
 
 
 def cmd_spectrum(cfg, args):
-    profile, grid, bc = _pencil_spec(cfg)
+    profile, grid, bc = _pencil_spec(cfg["pencil"])
     if args.verify_oracle and profile.q_type != "constant":
         raise ConfigError("oracle verification needs constant q")
-    sol = _solve(cfg, profile, grid, bc)
+    sol = _solve(cfg)
 
     mult = {}
     chain_len = {}

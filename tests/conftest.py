@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from itpencil import MediumProfile, PencilKind, solve_spectrum
+from itpencil import MediumProfile, PencilKind, cli, solve_spectrum
 from itpencil._blas import lapack
 
 
@@ -10,6 +10,13 @@ def pytest_configure(config):
     # numpy < 1.25 has no numpy.exceptions and keeps the class at top level
     warning = getattr(np, "exceptions", np).ComplexWarning
     config.addinivalue_line("filterwarnings", f"error::{warning.__module__}.{warning.__name__}")
+
+
+@pytest.fixture(autouse=True)
+def _no_stored_solve():
+    """Each test starts with no stored CLI solve, so a test that patches a step
+    of the solve cannot be handed a solution that an earlier test stored."""
+    cli._stored_solve.cache_clear()
 
 
 @pytest.fixture(scope="session")

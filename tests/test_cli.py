@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from itpencil import cli
+from itpencil.exceptions import EigensolverError
 from itpencil.spectra import find_reference_point
 
 
@@ -358,19 +359,23 @@ def test_missing_config_exits_two(tmp_path):
 
 
 def test_reruns_are_byte_identical(tmp_path):
-    payload = {
+    # the pencil section is solved afresh on each run: the stored solve is cleared between them
+    listed = {
         "eigenvalues": [[1.0, 0.0], [2.0, 0.0], [4.0, 0.0]],
         "lambda_prime": [0.0, 0.0],
         "p": 1.0,
         "t_values": [1.5, 3.0, 10.0],
     }
-    cfg = _write(tmp_path / "counting.json", payload)
-    out = tmp_path / "out"
-    assert cli.main(["counting", "--config", cfg, "--out", str(out)]) == 0
-    first = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert cli.main(["counting", "--config", cfg, "--out", str(out)]) == 0
-    second = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert first == second
+    section = {"pencil": _h1_pencil(), "p": 1.0, "t_values": [1.5, 3.0, 10.0]}
+    for name, payload in (("listed", listed), ("section", section)):
+        cfg = _write(tmp_path / f"{name}.json", payload)
+        out = tmp_path / name
+        runs = []
+        for _ in range(2):
+            cli._stored_solve.cache_clear()
+            assert cli.main(["counting", "--config", cfg, "--out", str(out)]) == 0
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert runs[0] == runs[1]
 
 
 def test_ellipticity_rerun_byte_identical(tmp_path):
@@ -774,3 +779,113 @@ def test_calls_in_one_process_match_a_fresh_process(tmp_path):
     assert len(fresh) >= 3
     for run in ("first", "again"):
         assert {p.name: p.read_bytes() for p in (tmp_path / run).iterdir()} == fresh
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Counts np.linalg.eig calls made after the fixture is set up."""
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    return calls
+
+
+# the five subcommands that solve a pencil section, all on one section
+_SECTION = _h1_pencil(48)
+_SECTION_JOBS = {
+    "spectrum": {},
+    "resolvent-scan": _THREAD_COUNT_CASES["resolvent-scan"],
+    "counting": _THREAD_COUNT_CASES["counting"],
+    "completeness": {"n_samples": 3},
+    "laurent": _THREAD_COUNT_CASES["laurent"],
+}
+
+
+def _section_outputs(tmp_path, command, section=_SECTION, **extra):
+    """Exit code and output bytes of one subcommand on a pencil section."""
+    tmp_path.mkdir(exist_ok=True)
+    code, out = _run(tmp_path, command, {"pencil": section, **_SECTION_JOBS[command], **extra})
+    return code, {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_pencil_subcommands_on_one_section_share_one_solve(tmp_path, eig_calls):
+    # the first solves on both grids; the other four read its stored solution,
+    # and none writes into it (a write would raise, exit 1 and write nothing)
+    calls = {}
+    for command in _SECTION_JOBS:
+        before = len(eig_calls)
+        code, files = _section_outputs(tmp_path, command)
+        assert code == 0 and files, command
+        calls[command] = len(eig_calls) - before
+    assert calls == {"spectrum": 2, "resolvent-scan": 0, "counting": 0, "completeness": 0,
+                     "laurent": 0}
+    # the canonical JSON keys the store: key order and a written-out default do not matter
+    shuffled = dict(reversed(list(_SECTION.items())))
+    assert _section_outputs(tmp_path, "spectrum", shuffled, lambda_prime="auto")[0] == 0
+    assert len(eig_calls) == 2
+
+
+_SECTION_CHANGES = {
+    "kind": {"kind": "schrodinger"},
+    "q": {"q": {"type": "constant", "data": 1.3}},
+    "interval": {"interval": [0.0, 2.0]},
+    "n_pts": {"n_pts": 40},
+    "bc": {"bc": [1, 3]},
+}
+
+
+@pytest.mark.parametrize("change", [*_SECTION_CHANGES, "lambda_prime"])
+def test_a_changed_section_or_reference_point_solves_again(tmp_path, eig_calls, change):
+    assert _section_outputs(tmp_path, "spectrum")[0] == 0
+    assert len(eig_calls) == 2
+    section = {**_SECTION, **_SECTION_CHANGES.get(change, {})}
+    extra = {"lambda_prime": [50.0, 0.0]} if change == "lambda_prime" else {}
+    assert _section_outputs(tmp_path, "spectrum", section, **extra)[0] == 0
+    assert len(eig_calls) == 4
+
+
+def test_a_stored_solve_writes_the_bytes_of_a_fresh_one(tmp_path):
+    fresh = {}
+    for command in _SECTION_JOBS:
+        cli._stored_solve.cache_clear()
+        fresh[command] = _section_outputs(tmp_path / "fresh", command)
+    kept = {command: _section_outputs(tmp_path / "kept", command) for command in _SECTION_JOBS}
+    assert cli._stored_solve.cache_info().hits == len(_SECTION_JOBS)
+    assert kept == fresh
+
+
+def test_a_solve_that_raises_is_not_kept(tmp_path, monkeypatch, eig_calls):
+    def no_convergence(*args, **kwargs):
+        eig_calls.append(1)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eig", no_convergence)
+        for calls in (1, 2):
+            with pytest.raises(EigensolverError, match="did not converge"):
+                cli._solve({"pencil": _SECTION})
+            assert len(eig_calls) == calls  # solved again: the refined grid's eig raised
+    assert _section_outputs(tmp_path, "spectrum")[0] == 0
+    assert len(eig_calls) == 4
+
+
+@pytest.mark.parametrize("q, bc", [(1.0, [0, 1]), (1.3, [1, 3])], ids=["simple", "double-at-0"])
+def test_a_stored_solution_is_read_only(q, bc):
+    # bc (1, 3) at q = 1.3 has a double eigenvalue at 0, whose chain is built from a Schur form
+    cfg = {"pencil": {**_SECTION, "q": {"type": "constant", "data": q}, "bc": bc}}
+    sol = cli._solve(cfg)
+    assert cli._solve(cfg) is sol
+    assert any(cl.multiplicity > 1 for cl in sol.clusters) == (q == 1.3)
+    pencil = sol.pencil
+    chains = [u for cl in sol.clusters for ch in cl.chains for u in ch.vectors]
+    arrays = [sol.eigenvalues, sol.right_u, sol.residuals, sol.trust_mask, sol.companion.matrix,
+              pencil.A0, pencil.A1, pencil.A2, pencil.mass, pencil.weights, pencil.basis,
+              pencil.grids[0].nodes, pencil.grids[0].weights, *chains]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = array
