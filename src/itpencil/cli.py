@@ -308,9 +308,9 @@ def _pencil_spec(pc):
 def _solve(cfg):
     """Two-grid solve of a pencil section at the config's lambda_prime.
 
-    Kept for the rest of the process, read-only, under the canonical JSON of
-    the section and of lambda_prime, so the next subcommand on the same
-    section reads the same solution; a solve that raises is not kept.
+    Cached for the rest of the process under the canonical JSON of the section
+    and of lambda_prime, so the next subcommand on the same section reads the
+    same (read-only) solution; a solve that raises is not kept.
     """
     key = [cfg["pencil"], cfg.get("lambda_prime", "auto")]
     return _stored_solve(json.dumps(key, sort_keys=True))
@@ -321,16 +321,7 @@ def _stored_solve(key):
     section, lp = json.loads(key)  # floats print as repr, so they load to the same bits
     profile, grid, bc = _pencil_spec(section)
     lp = lp if lp == "auto" else _l2c(lp)
-    sol = sp.solve_spectrum(profile, grid.a, grid.b, grid.n_pts, bc, lambda_prime=lp)
-    pencil = sol.pencil
-    for array in (
-        sol.eigenvalues, sol.right_u, sol.residuals, sol.trust_mask,
-        pencil.A0, pencil.A1, pencil.A2, pencil.mass, pencil.weights,
-        *(a for g in pencil.grids for a in (g.nodes, g.weights)),
-        *(u for cl in sol.clusters for ch in cl.chains for u in ch.vectors),
-    ):
-        array.flags.writeable = False
-    return sol
+    return sp.solve_spectrum(profile, grid.a, grid.b, grid.n_pts, bc, lambda_prime=lp)
 
 
 def _given(section, *keys):

@@ -82,29 +82,36 @@ def _barycentric(t, x=None, side=0):
     return c / c.sum(axis=1, keepdims=True)
 
 
+def _read_only(*arrays):
+    """The arrays as a list, each marked read-only where the library makes it."""
+    for M in arrays:
+        M.flags.writeable = False
+    return list(arrays)
+
+
 def make_grid(a, b, n_pts):
     """Lobatto grid on [a, b] with Clenshaw-Curtis quadrature weights.
 
-    Nodes are ascending and include both endpoints; weights sum to b - a.
+    Nodes are ascending and include both endpoints; weights sum to b - a; both are read-only.
     """
     if not b > a:
         raise ConfigError("need b > a")
     if n_pts < MIN_POINTS:
         raise ConfigError(f"need at least {MIN_POINTS} grid points, got {n_pts}")
     w = _clenshaw_curtis(n_pts - 1) * (b - a) / 2.0
-    return Grid1D(a=float(a), b=float(b), n_pts=n_pts, nodes=_lobatto_nodes(a, b, n_pts), weights=w)
+    return Grid1D(float(a), float(b), n_pts, *_read_only(_lobatto_nodes(a, b, n_pts), w))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MediumProfile:
     """Contrast profile q for one pencil kind, the one place that knows q's form.
 
     q is given as a constant, ascending polynomial coefficients in x, or
     samples at the Lobatto points of their own count (at least 2 per axis, a
     tensor product in 2D) over the assembly interval, which evaluate on any
-    grid.  A constant evaluates as the degree-0 polynomial.  Construction
-    checks the type and the data's shape and converts the data to float;
-    evaluation checks that q is finite and positive.
+    grid.  A constant evaluates as the degree-0 polynomial.  The frozen
+    profile checks at construction that kind is a PencilKind and q's type and
+    shape, converts q to float, and at evaluation that q is finite and positive.
     """
 
     kind: PencilKind
@@ -112,17 +119,19 @@ class MediumProfile:
     q_data: object
 
     def __post_init__(self):
+        if not isinstance(self.kind, PencilKind):
+            raise ConfigError(f"kind must be a PencilKind, got {self.kind!r}")
         if self.q_type == "constant":
             if not isinstance(self.q_data, numbers.Real):
                 raise ConfigError("constant q takes a single number")
-            self.q_data = float(self.q_data)
+            object.__setattr__(self, "q_data", float(self.q_data))
             return
         if self.q_type not in ("polynomial", "samples"):
             raise ConfigError(f"unknown q type: {self.q_type!r}")
         ndim = np.ndim(self.q_data)
         if ndim == 0 or (self.q_type == "polynomial" and ndim != 1):
             raise ConfigError(f"{self.q_type} q takes an array of numbers")
-        self.q_data = np.asarray(self.q_data, dtype=float)
+        object.__setattr__(self, "q_data", np.asarray(self.q_data, dtype=float))
         if self.q_type == "samples" and min(self.q_data.shape) < 2:
             raise ConfigError(f"need at least 2 q samples along each of {self.q_data.ndim} axes")
 
@@ -230,11 +239,11 @@ class DiscretePencil:
     grids holds the Grid1D of each axis, one in 1D and two in 2D; basis maps
     recombined coefficients to grid values (unit-norm stencil columns, not
     orthogonal); mass is the Gram matrix of the quadrature inner product in
-    recombined coordinates.  Raw pencils built from explicit matrices carry an
-    identity mass and no grids.  The coefficient norms, the mass square root,
-    the scaled coefficients and the companion scaling are cached properties,
-    computed on first use from this pencil's own matrices, so a copy made by
-    dataclasses.replace never sees its parent's.
+    recombined coordinates; an assembled pencil's arrays are read-only.  Raw
+    pencils built from explicit matrices keep the caller's arrays as given,
+    with an identity mass and no grids.  The coefficient norms, mass square
+    root, scaled coefficients and companion scaling are cached properties of
+    this pencil's own matrices, so a dataclasses.replace copy never sees its parent's.
     """
 
     A0: np.ndarray
@@ -359,8 +368,7 @@ def _axis_blocks(n_pts, a, b, bc):
     for m, cm in enumerate(deriv):
         alt = np.where(np.arange(cm.shape[0]) % 2 == 0, 1.0, -1.0)
         G.append(zeta**m * np.vstack([alt @ cm, cm.sum(axis=0)]))
-    for M in (V, Z, *G):
-        M.flags.writeable = False
+    _read_only(V, Z, *G)
     return V, Z, tuple(G)
 
 
@@ -437,13 +445,11 @@ def _assemble(profile, grids, bc):
         A0 = lap_q_lap
         A1 = -(lap_q + q_lap + lap)
         A2 = ident + q_ident
-    elif profile.kind is PencilKind.SCHRODINGER:
+    else:
         A0 = lap_q_lap + lap
         A1 = -(lap_q + q_lap + ident)
         A2 = q_ident
-    else:
-        raise ConfigError(f"unknown pencil kind: {profile.kind!r}")
-
+    _read_only(A0, A1, A2, ident, w, V)
     return DiscretePencil(A0=A0, A1=A1, A2=A2, mass=ident, grids=tuple(grids), weights=w, basis=V)
 
 

@@ -58,7 +58,7 @@ _CIRCLE_PTS = 64  # samples on the circle that places a multiple root at its cen
 
 @dataclass(frozen=True)
 class CharacteristicFunction:
-    """Constant-q characteristic determinant on (0, length)."""
+    """Constant-q characteristic determinant on (0, length) for a PencilKind."""
 
     kind: PencilKind
     q_val: float
@@ -66,6 +66,8 @@ class CharacteristicFunction:
     bc: BoundaryPair
 
     def __post_init__(self):
+        if not isinstance(self.kind, PencilKind):
+            raise ConfigError(f"kind must be a PencilKind, got {self.kind!r}")
         if self.q_val <= 0.0:
             raise ConfigError("q must be positive")
         if self.length <= 0.0:
@@ -199,9 +201,9 @@ def _contour_values(f, z, mirror):
 def winding_number(f, rect):
     """Winding number of f (a vectorized analytic function) along the rectangle boundary.
 
-    Sampling starts at _PTS_PER_SIDE (128) points per side and doubles, up to
-    _MAX_PTS (4096), when a phase step is too large to be trusted; raises
-    WindingNumberError if the count never settles to an integer.
+    Sampling starts at _PTS_PER_SIDE (128) points per side and doubles, up to _MAX_PTS
+    (4096), while a phase step is too large to trust or the count is negative, which
+    an analytic f cannot wind; raises WindingNumberError if it never settles.
     """
     return _winding(f, rect)
 
@@ -215,7 +217,7 @@ def _winding(f, rect, vals=None, mirror=False, pts=_PTS_PER_SIDE):
             raise WindingNumberError("f vanishes on the contour")
         dphi = np.angle(_ratios(vals))
         total = dphi.sum() / (2.0 * np.pi)
-        if np.max(np.abs(dphi)) < 2.5 and abs(total - round(total)) < 0.2:
+        if np.max(np.abs(dphi)) < 2.5 and abs(total - round(total)) < 0.2 and round(total) >= 0:
             return int(round(total))
         pts *= 2
         vals = None

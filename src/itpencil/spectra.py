@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._blas import lapack, single_blas_thread
-from .discretize import DiscretePencil, assemble_pencil, assemble_pencil_2d, make_grid
+from .discretize import DiscretePencil, _read_only, assemble_pencil, assemble_pencil_2d, make_grid
 from .exceptions import (
     ClusterAmbiguityError,
     ConfigError,
@@ -96,7 +96,7 @@ def linearize(pencil):
         [np.zeros((n, n), dtype=dtype), A2inv.astype(dtype)],
         [(-pencil.A0).astype(dtype), (-pencil.A1 @ A2inv).astype(dtype)],
     ])
-    matrix.flags.writeable = False
+    _read_only(matrix)
     return CompanionOperator(matrix=matrix, source=pencil)
 
 
@@ -123,7 +123,8 @@ class EigenSolution:
 
     eigenvalues are sorted by distance to lambda_prime; right_u holds the
     pencil-space components column-per-eigenvalue; residuals are relative to
-    the lambda-dependent coefficient scale of the pencil.
+    the lambda-dependent coefficient scale of the pencil.  Every array is
+    read-only, chain vectors too: a simple eigenvalue's is a column of right_u.
     """
 
     eigenvalues: np.ndarray
@@ -207,7 +208,7 @@ def eigen(comp, lambda_prime=0.0, reference=None):
         lambda_prime = find_reference_point(lam[trust])
 
     order = np.argsort(np.abs(lam - lambda_prime), kind="stable")
-    lam, U, residuals, trust = lam[order], U[:, order], residuals[order], trust[order]
+    lam, U, residuals, trust = _read_only(lam[order], U[:, order], residuals[order], trust[order])
     return EigenSolution(
         eigenvalues=lam,
         right_u=U,
@@ -322,7 +323,7 @@ def keldysh_from_jordan(comp, jordan_chain, lambda0):
     jordan_chain holds stacked vectors x_j with (A - lambda0) x_{j+1} = x_j
     and (A - lambda0) x_0 = 0, each to _TRUST_RTOL relative to the chain and
     ||A||; the u components alone satisfy the cascaded pencil equations at
-    lambda0.
+    lambda0, and are returned read-only.
     """
     A, pencil = comp.matrix, comp.source
     n = pencil.dim
@@ -342,8 +343,7 @@ def keldysh_from_jordan(comp, jordan_chain, lambda0):
     nu = pencil.vector_norm(us[0])
     if nu == 0.0:
         raise ValueError("chain has zero pencil component")
-    us = [u / nu for u in us]
-    chain = KeldyshChain(lambda0=complex(lambda0), vectors=us)
+    chain = KeldyshChain(lambda0=complex(lambda0), vectors=_read_only(*(u / nu for u in us)))
     chain.residuals = verify_chain(pencil, chain)
     return chain
 

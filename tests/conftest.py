@@ -6,10 +6,12 @@ from itpencil._blas import lapack
 
 
 def pytest_configure(config):
-    # a real array that silently drops an imaginary part fails the run;
+    # a real array that silently drops an imaginary part fails the run, and so
+    # does a RuntimeWarning (overflow, division by zero, an invalid value);
     # numpy < 1.25 has no numpy.exceptions and keeps the class at top level
     warning = getattr(np, "exceptions", np).ComplexWarning
     config.addinivalue_line("filterwarnings", f"error::{warning.__module__}.{warning.__name__}")
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
 
 
 @pytest.fixture(autouse=True)

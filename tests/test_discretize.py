@@ -14,7 +14,7 @@ from itpencil import (
     discretize,
     make_grid,
 )
-from itpencil.exceptions import ConfigError
+from itpencil.exceptions import ConfigError, SingularPencilError
 
 H = PencilKind.HELMHOLTZ
 S = PencilKind.SCHRODINGER
@@ -341,6 +341,17 @@ def test_from_matrices_and_norms():
     u = rng.standard_normal(5)
     assert np.array_equal(pencil.mass, np.eye(5))
     assert pencil.vector_norm(u) == pytest.approx(np.linalg.norm(u), rel=1e-12)
+
+
+def test_pencil_blocks_must_be_square():
+    with pytest.raises(ConfigError, match="square"):
+        DiscretePencil.from_matrices(np.ones((2, 3)), np.eye(2), np.eye(2))
+
+
+def test_a_mass_that_is_not_positive_definite_is_rejected():
+    pencil = DiscretePencil(A0=np.eye(2), A1=np.eye(2), A2=np.eye(2), mass=np.diag([1.0, -1.0]))
+    with pytest.raises(SingularPencilError, match="not positive definite"):
+        pencil.companion_norm(np.eye(4))
 
 
 def test_weighted_norm_matches_quadrature():

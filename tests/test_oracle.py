@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from collections import Counter
 from types import SimpleNamespace
@@ -246,6 +247,44 @@ def test_winding_number_raises_when_a_phase_jump_never_resolves(monkeypatch):
     with pytest.raises(WindingNumberError, match="did not settle"):
         winding_number(_cf(), (0.0, 1.0, -1.0, 1.0))
     assert sizes == [4 * n for n in (128, 256, 512, 1024, 2048, 4096)]
+
+
+def _g(q):
+    """Away from lam = 0 the Helmholtz constant-q eigenvalues lam = -k^2 of the
+    pairs (0, 1), (1, 2) and (2, 3) on (0, 1) are the zeros of this even entire
+    function of k, with beta = sqrt(1 + 1/q) and gamma = (1 + beta^2) / (2 beta)."""
+    beta = np.sqrt(1.0 + 1.0 / q)
+    gamma = (1.0 + beta**2) / (2.0 * beta)
+    return lambda k: ((1.0 + gamma) * np.cos((beta - 1.0) * k)
+                      - (gamma - 1.0) * np.cos((beta + 1.0) * k) - 2.0)
+
+
+def test_a_count_that_aliases_below_zero_is_refined():
+    # at 256 points per side every phase step of g on this rectangle reads
+    # under 2.5 rad and the count reads -192; an entire function cannot wind
+    # negatively, and from 512 points on the count is 320
+    g, rect = _g(0.75), (0.05, 400.0, -3.5, 3.5)
+    assert winding_number(g, rect) == 320
+    boxes = [r for x0 in range(0, 400, 50)
+             for r in find_roots(g, (max(x0, 0.05), x0 + 50.0, -3.5, 3.5))]
+    whole = find_roots(g, rect, max_roots=400)
+    assert [m for _r, m, _s in whole] == [m for _r, m, _s in boxes] == [1] * 320
+    for (r, _m, _s), (z, _mz, _sz) in zip(whole, boxes):
+        assert abs(r - z) <= 1e-12 * abs(z)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda kind: CharacteristicFunction(kind, 1.3, 1.0, (0, 1)), id="oracle"),
+    pytest.param(lambda kind: MediumProfile.constant(kind, 1.3), id="profile"),
+])
+def test_a_kind_that_is_not_a_pencil_kind_is_rejected(make):
+    # compared by identity, the string "helmholtz" fell through to the Schrodinger branch
+    with pytest.raises(ConfigError, match="PencilKind"):
+        make("helmholtz")
+    made = make(H)
+    assert made.kind is H
+    with pytest.raises(dataclasses.FrozenInstanceError):  # nor can it be set afterwards
+        made.kind = "helmholtz"
 
 
 def test_find_roots_raises_when_no_split_is_consistent():

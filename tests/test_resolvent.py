@@ -121,6 +121,14 @@ def test_ray_scan_scalar_slope():
     assert np.all(np.isfinite(scan.norms))
 
 
+def test_ray_scan_fits_every_radius_when_the_top_decade_holds_one():
+    pen = _scalar(1.0, 1.0, 1.0)
+    radii = np.array([1.0, 5.0, 100.0])
+    scan = ray_scan(pen, 1.0, radii)
+    slope = np.polyfit(np.log(radii), np.log(scan.norms), 1)[0]
+    assert scan.fitted_slope == pytest.approx(slope, rel=1e-12)
+
+
 def test_ray_scan_pencil_slopes(h48_pencil):
     for direction in (1j, np.exp(1j * np.pi / 4)):
         scan = ray_scan(h48_pencil, direction, np.geomspace(10.0, 1000.0, 13))
@@ -261,6 +269,14 @@ def test_carleman_at_reference_only():
     wp = WeierstrassProduct(lambda_prime=0.0, zeros=np.array([2.0, -2.0]), p=1.0)
     rep = carleman_check(np.diag([2.0 + 0j, -2.0 + 0j]), wp, 0.0)
     assert rep["max_lhs"] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_carleman_skips_a_sample_on_a_zero():
+    # the first of 3 samples on |lam| = 2 is the zero 2 itself, where (Id - K) is
+    # singular; the other two give max(|1 + lam/2|, |1 - lam/2|) = sqrt(3)
+    wp = WeierstrassProduct(lambda_prime=0.0, zeros=np.array([2.0, -2.0]), p=1.0)
+    rep = carleman_check(np.diag([2.0 + 0j, -2.0 + 0j]), wp, 2.0, n_samples=3)
+    assert rep["circle_median"] == pytest.approx(np.sqrt(3.0), rel=1e-12)
 
 
 def test_carleman_bounded_through_eigenvalue():

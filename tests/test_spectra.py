@@ -1,12 +1,20 @@
 """Companion linearization, chains, counting, and completeness checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from itpencil import MediumProfile, PencilKind, ray_scan, solve_spectrum, solve_spectrum_2d
 from itpencil.discretize import DiscretePencil, assemble_pencil, assemble_pencil_2d, make_grid
-from itpencil.exceptions import ConfigError, SingularAtLambdaError, SingularPencilError
+from itpencil.exceptions import (
+    ClusterAmbiguityError,
+    ConfigError,
+    EigensolverError,
+    SingularAtLambdaError,
+    SingularPencilError,
+)
 from itpencil.spectra import (
     KeldyshChain,
     _build_clusters,
@@ -248,6 +256,20 @@ def test_keldysh_rejects_non_eigenvector():
     comp = linearize(_scalar(2.0, -3.0, 1.0))
     with pytest.raises(ValueError):
         keldysh_from_jordan(comp, [np.array([1.0, 0.0], complex)], 1.0)
+
+
+def test_keldysh_rejects_a_broken_jordan_relation():
+    # (1, 1) is the companion eigenvector at the simple eigenvalue 1, which has no chain
+    comp = linearize(_scalar(2.0, -3.0, 1.0))
+    x0, x1 = np.array([1.0, 1.0], complex), np.array([1.0, 0.0], complex)
+    with pytest.raises(ValueError, match="Jordan relation violated at position 1"):
+        keldysh_from_jordan(comp, [x0, x1], 1.0)
+
+
+def test_non_finite_eigenvalues_raise(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eig", lambda M: (np.array([np.nan, 1.0]), np.eye(2)))
+    with pytest.raises(EigensolverError, match="non-finite"):
+        eigen(linearize(_scalar(2.0, -3.0, 1.0)))
 
 
 def test_verify_chain_exact_and_perturbed(h48):
@@ -500,6 +522,54 @@ def test_solve_spectrum_2d_trusts_low_spectrum():
     sol = solve_spectrum_2d(profile, (0.0, 1.0, 0.0, 1.0), 12, 12, (1, 3))
     assert sol.eigenvalues.size == 2 * 8 * 8
     assert np.count_nonzero(sol.trust_mask) >= 8
+
+
+@pytest.mark.xfail(raises=ClusterAmbiguityError, strict=True,
+                   reason="the cluster at -9 pi^2 captures 3 Schur eigenvalues, 2 trusted (FOUND)")
+def test_solve_spectrum_2d_builds_the_chains_of_q1_bc13():
+    profile = MediumProfile.constant(PencilKind.HELMHOLTZ, 1.0)
+    sol = solve_spectrum_2d(profile, (0.0, 1.0, 0.0, 1.0), 12, 12, (1, 3))
+    assert any(cl.multiplicity > 1 for cl in sol.clusters)
+
+
+def _held_arrays(obj):
+    """Every array held by obj through dataclass fields, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _held_arrays(getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _held_arrays(item)
+
+
+def test_grids_pencils_and_solutions_hold_read_only_arrays():
+    H = PencilKind.HELMHOLTZ
+    grid, q = make_grid(0.0, 1.0, 32), MediumProfile.constant(H, 1.3)
+    samples = MediumProfile.sampled(H, 1.0 + 0.2 * make_grid(0.0, 1.0, 12).nodes)
+    double = solve_spectrum(q, 0.0, 1.0, 48, (1, 3))  # the double eigenvalue at 0: a Schur chain
+    assert any(cl.multiplicity > 1 for cl in double.clusters)
+    made = [
+        grid,
+        assemble_pencil(q, grid, (0, 1)),
+        assemble_pencil_2d(q, make_grid(0.0, 1.0, 8), make_grid(0.0, 2.0, 9), (0, 2)),
+        solve_spectrum(q, 0.0, 1.0, 32, (0, 1)),
+        solve_spectrum(samples, 0.0, 1.0, 32, (2, 3)),
+        double,
+        solve_spectrum_2d(q, (0.0, 1.0, 0.0, 1.0), 8, 8, (1, 3)),
+    ]
+    for obj in made:
+        arrays = list(_held_arrays(obj))
+        assert len(arrays) >= 2
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = array
+    # a pencil from explicit matrices keeps the caller's arrays, writable, through a solve
+    A = [np.array([[2.0]]), np.array([[-3.0]]), np.array([[1.0]])]
+    pencil = DiscretePencil.from_matrices(*A)
+    eigen(linearize(pencil))
+    assert all(M is a and a.flags.writeable for M, a in zip((pencil.A0, pencil.A1, pencil.A2), A))
 
 
 def test_2d_ray_decay():
