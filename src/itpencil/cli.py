@@ -24,7 +24,7 @@ from . import __version__
 from . import resolvent as rv
 from . import spectra as sp
 from ._blas import single_blas_thread
-from .discretize import DiscretePencil, MediumProfile, assemble_pencil, make_grid
+from .discretize import Q_TYPES, DiscretePencil, MediumProfile, assemble_pencil, make_grid
 from .exceptions import ConfigError, PencilError
 from .oracle import CharacteristicFunction, compare_spectrum, find_roots
 from .symbols import BoundaryPair, Cone, PencilKind, check_condition1, check_condition2
@@ -37,197 +37,100 @@ _RESIDUAL_TOL = 0.1  # completeness: largest final residual of a sample
 _CHAIN_TOL = 1e-8  # completeness: largest residual of a chain vector itself
 _SOLVE_CACHE_SIZE = 1  # pencil sections whose solve is kept; their subcommands run in a row
 
-_Q_SCHEMA = {
-    "type": "object",
-    "required": ["type", "data"],
-    "additionalProperties": False,
-    "properties": {
-        "type": {"enum": ["constant", "polynomial", "samples"]},
-        "data": {
-            "anyOf": [
-                {"type": "number"},
-                {"type": "array", "items": {"type": "number"}, "minItems": 1},
-            ]
-        },
-    },
-}
 
-_PENCIL_SCHEMA = {
-    "type": "object",
-    "required": ["kind", "q", "interval", "n_pts", "bc"],
-    "additionalProperties": False,
-    "properties": {
-        "kind": {"enum": ["helmholtz", "schrodinger"]},
-        "q": _Q_SCHEMA,
-        "interval": {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-        "n_pts": {"type": "integer", "minimum": 12, "maximum": 512},
-        "bc": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0, "maximum": 3},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-    },
-}
+def _array(item, n=None, least=None):
+    """Schema of an array of item: exactly n long, at least least long, or any length."""
+    bounds = {"minItems": n, "maxItems": n} if n else {"minItems": least} if least else {}
+    return {"type": "array", "items": item, **bounds}
 
-_SCALAR_SCHEMA = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 3,
-    "maxItems": 3,
-}
 
-_COMPLEX_SCHEMA = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 2,
-    "maxItems": 2,
-}
+def _object(required, **properties):
+    """Schema of an object with these properties, the required ones among them, and no others."""
+    return {"type": "object", "required": required, "additionalProperties": False,
+            "properties": properties}
+
+
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_KIND = {"enum": [kind.value for kind in PencilKind]}
+_BC = _array({"type": "integer", "minimum": 0, "maximum": 3}, n=2)
+_COMPLEX = _array(_NUMBER, n=2)
+_SCALAR = _array(_NUMBER, n=3)
+_LAMBDA_PRIME = {"anyOf": [{"const": "auto"}, _COMPLEX]}
+_PENCIL = _object(
+    ["kind", "q", "interval", "n_pts", "bc"],
+    kind=_KIND,
+    q=_object(
+        ["type", "data"],
+        type={"enum": list(Q_TYPES)},
+        data={"anyOf": [_NUMBER, _array(_NUMBER, least=1)]},
+    ),
+    interval=_array(_NUMBER, n=2),
+    n_pts={"type": "integer", "minimum": 12, "maximum": 512},
+    bc=_BC,
+)
 
 _SCHEMAS = {
-    "check-ellipticity": {
-        "type": "object",
-        "required": ["kind", "bc", "q_range", "cone"],
-        "additionalProperties": False,
-        "properties": {
-            "kind": {"enum": ["helmholtz", "schrodinger"]},
-            "bc": _PENCIL_SCHEMA["properties"]["bc"],
-            "q_range": {
-                "type": "array",
-                "items": {"type": "number", "exclusiveMinimum": 0},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-            "cone": {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 2,
-                "maxItems": 2,
-            },
-            "samples": {"type": "integer", "minimum": 16, "default": 2000},
-        },
-    },
-    "spectrum": {
-        "type": "object",
-        "required": ["pencil"],
-        "additionalProperties": False,
-        "properties": {
-            "pencil": _PENCIL_SCHEMA,
-            "lambda_prime": {"anyOf": [{"const": "auto"}, _COMPLEX_SCHEMA]},
-        },
-    },
-    "resolvent-scan": {
-        "type": "object",
-        "required": ["radii"],
-        "additionalProperties": False,
-        "properties": {
-            "pencil": _PENCIL_SCHEMA,
-            "scalar": _SCALAR_SCHEMA,
-            "rays": {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 1,
-                "default": [0.0, 0.25, 0.5, 0.75],
-            },
-            "radii": {
-                "type": "array",
-                "items": {"type": "number", "exclusiveMinimum": 0},
-                "minItems": 3,
-                "maxItems": 3,
-            },
-            "circles": {
-                "type": "object",
-                "required": ["r_min", "r_max", "p"],
-                "additionalProperties": False,
-                "properties": {
-                    "r_min": {"type": "number", "exclusiveMinimum": 0},
-                    "r_max": {"type": "number", "exclusiveMinimum": 0},
-                    "p": {"type": "number", "exclusiveMinimum": 0},
-                    "n_theta": {"type": "integer", "minimum": 8},
-                },
-            },
-        },
-    },
-    "counting": {
-        "type": "object",
-        "required": ["p", "t_values"],
-        "additionalProperties": False,
-        "properties": {
-            "pencil": _PENCIL_SCHEMA,
-            "eigenvalues": {"type": "array", "items": _COMPLEX_SCHEMA, "minItems": 1},
-            "lambda_prime": {"anyOf": [{"const": "auto"}, _COMPLEX_SCHEMA]},
-            "p": {"type": "number", "exclusiveMinimum": 0},
-            "t_values": {
-                "type": "array",
-                "items": {"type": "number", "exclusiveMinimum": 0},
-                "minItems": 1,
-            },
-        },
-    },
-    "completeness": {
-        "type": "object",
-        "required": ["pencil"],
-        "additionalProperties": False,
-        "properties": {
-            "pencil": _PENCIL_SCHEMA,
-            "n_samples": {"type": "integer", "minimum": 1, "default": 20},
-            "m_values": {
-                "anyOf": [
-                    {"const": "auto"},
-                    {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 1},
-                        "minItems": 1,
-                    },
-                ]
-            },
-        },
-    },
-    "oracle": {
-        "type": "object",
-        "required": ["oracle", "rect"],
-        "additionalProperties": False,
-        "properties": {
-            "oracle": {
-                "type": "object",
-                "required": ["kind", "q", "length", "bc"],
-                "additionalProperties": False,
-                "properties": {
-                    "kind": {"enum": ["helmholtz", "schrodinger"]},
-                    "q": {"type": "number", "exclusiveMinimum": 0},
-                    "length": {"type": "number", "exclusiveMinimum": 0},
-                    "bc": _PENCIL_SCHEMA["properties"]["bc"],
-                },
-            },
-            "rect": {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 4,
-                "maxItems": 4,
-            },
-            "max_roots": {"type": "integer", "minimum": 1, "default": 200},
-        },
-    },
-    "laurent": {
-        "type": "object",
-        "required": ["lambda0", "radius"],
-        "additionalProperties": False,
-        "properties": {
-            "pencil": _PENCIL_SCHEMA,
-            "scalar": _SCALAR_SCHEMA,
-            "lambda0": _COMPLEX_SCHEMA,
-            "radius": {"type": "number", "exclusiveMinimum": 0},
-            "n_coeffs": {"type": "integer", "minimum": 1, "default": 4},
-            "n_quad": {"type": "integer", "minimum": 16, "default": 256},
-            "eigenvalues": {"type": "array", "items": _COMPLEX_SCHEMA},
-            "use_trusted": {"type": "boolean", "default": True},
-        },
-    },
+    "check-ellipticity": _object(
+        ["kind", "bc", "q_range", "cone"],
+        kind=_KIND,
+        bc=_BC,
+        q_range=_array(_POSITIVE, n=2),
+        cone=_array(_NUMBER, n=2),
+        samples={"type": "integer", "minimum": 16, "default": 2000},
+    ),
+    "spectrum": _object(["pencil"], pencil=_PENCIL, lambda_prime=_LAMBDA_PRIME),
+    "resolvent-scan": _object(
+        ["radii"],
+        pencil=_PENCIL,
+        scalar=_SCALAR,
+        rays={**_array(_NUMBER, least=1), "default": [0.0, 0.25, 0.5, 0.75]},
+        radii=_array(_POSITIVE, n=3),
+        circles=_object(
+            ["r_min", "r_max", "p"],
+            r_min=_POSITIVE,
+            r_max=_POSITIVE,
+            p=_POSITIVE,
+            n_theta={"type": "integer", "minimum": 8},
+        ),
+    ),
+    "counting": _object(
+        ["p", "t_values"],
+        pencil=_PENCIL,
+        eigenvalues=_array(_COMPLEX, least=1),
+        lambda_prime=_LAMBDA_PRIME,
+        p=_POSITIVE,
+        t_values=_array(_POSITIVE, least=1),
+    ),
+    "completeness": _object(
+        ["pencil"],
+        pencil=_PENCIL,
+        n_samples={"type": "integer", "minimum": 1, "default": 20},
+        m_values={"anyOf": [{"const": "auto"}, _array({"type": "integer", "minimum": 1}, least=1)]},
+    ),
+    "oracle": _object(
+        ["oracle", "rect"],
+        oracle=_object(
+            ["kind", "q", "length", "bc"],
+            kind=_KIND,
+            q=_POSITIVE,
+            length=_POSITIVE,
+            bc=_BC,
+        ),
+        rect=_array(_NUMBER, n=4),
+        max_roots={"type": "integer", "minimum": 1, "default": 200},
+    ),
+    "laurent": _object(
+        ["lambda0", "radius"],
+        pencil=_PENCIL,
+        scalar=_SCALAR,
+        lambda0=_COMPLEX,
+        radius=_POSITIVE,
+        n_coeffs={"type": "integer", "minimum": 1, "default": 4},
+        n_quad={"type": "integer", "minimum": 16, "default": 256},
+        eigenvalues=_array(_COMPLEX),
+        use_trusted={"type": "boolean", "default": True},
+    ),
 }
 
 # built once, without jsonschema.validate's per-call meta-schema check (a test runs it)
@@ -550,9 +453,6 @@ def cmd_oracle(cfg, args):
     cf = CharacteristicFunction(
         PencilKind(oc["kind"]), oc["q"], oc["length"], BoundaryPair(*oc["bc"])
     )
-    re0, re1, im0, im1 = cfg["rect"]
-    if not (re0 < re1 and im0 < im1):
-        raise ConfigError("rect must be (re_min, re_max, im_min, im_max) with min < max")
     roots = find_roots(cf, tuple(cfg["rect"]), max_roots=cfg["max_roots"])
     dets = cf(np.array([r for r, _m, _s in roots], dtype=complex))
     # scalar abs (hypot): numpy's array abs of complex can differ in the last bit

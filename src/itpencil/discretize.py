@@ -27,6 +27,7 @@ from .exceptions import ConfigError, SingularPencilError
 from .symbols import BoundaryPair, PencilKind
 
 MIN_POINTS = 8
+Q_TYPES = ("constant", "polynomial", "samples")  # the forms of q a MediumProfile takes
 MAX_UNKNOWNS_2D = 3600
 _AXIS_CACHE_SIZE = 32  # (grid, bc) pairs whose axis blocks are kept
 
@@ -111,7 +112,8 @@ class MediumProfile:
     tensor product in 2D) over the assembly interval, which evaluate on any
     grid.  A constant evaluates as the degree-0 polynomial.  The frozen
     profile checks at construction that kind is a PencilKind and q's type and
-    shape, converts q to float, and at evaluation that q is finite and positive.
+    shape, converts q to float (an array to a read-only copy, so the caller's
+    array stays its own), and at evaluation that q is finite and positive.
     """
 
     kind: PencilKind
@@ -121,17 +123,17 @@ class MediumProfile:
     def __post_init__(self):
         if not isinstance(self.kind, PencilKind):
             raise ConfigError(f"kind must be a PencilKind, got {self.kind!r}")
+        if self.q_type not in Q_TYPES:
+            raise ConfigError(f"unknown q type: {self.q_type!r}")
         if self.q_type == "constant":
             if not isinstance(self.q_data, numbers.Real):
                 raise ConfigError("constant q takes a single number")
             object.__setattr__(self, "q_data", float(self.q_data))
             return
-        if self.q_type not in ("polynomial", "samples"):
-            raise ConfigError(f"unknown q type: {self.q_type!r}")
         ndim = np.ndim(self.q_data)
         if ndim == 0 or (self.q_type == "polynomial" and ndim != 1):
             raise ConfigError(f"{self.q_type} q takes an array of numbers")
-        object.__setattr__(self, "q_data", np.asarray(self.q_data, dtype=float))
+        object.__setattr__(self, "q_data", *_read_only(np.array(self.q_data, dtype=float)))
         if self.q_type == "samples" and min(self.q_data.shape) < 2:
             raise ConfigError(f"need at least 2 q samples along each of {self.q_data.ndim} axes")
 

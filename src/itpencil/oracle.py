@@ -199,13 +199,21 @@ def _contour_values(f, z, mirror):
 
 @single_blas_thread
 def winding_number(f, rect):
-    """Winding number of f (a vectorized analytic function) along the rectangle boundary.
+    """Winding number of f (a vectorized analytic function) along the boundary of rect,
+    checked as find_roots checks it.
 
     Sampling starts at _PTS_PER_SIDE (128) points per side and doubles, up to _MAX_PTS
     (4096), while a phase step is too large to trust or the count is negative, which
     an analytic f cannot wind; raises WindingNumberError if it never settles.
     """
+    _check_rect(rect)
     return _winding(f, rect)
+
+
+def _check_rect(rect):
+    re0, re1, im0, im1 = rect
+    if not (re0 < re1 and im0 < im1 and np.isfinite(rect).all()):
+        raise ConfigError("rect must be (re_min, re_max, im_min, im_max) with min < max")
 
 
 def _winding(f, rect, vals=None, mirror=False, pts=_PTS_PER_SIDE):
@@ -215,10 +223,9 @@ def _winding(f, rect, vals=None, mirror=False, pts=_PTS_PER_SIDE):
             vals = _contour_values(f, _rect_boundary(rect, pts), mirror and rect[2] == -rect[3])
         if np.any(np.abs(vals) < 1e-280):
             raise WindingNumberError("f vanishes on the contour")
-        dphi = np.angle(_ratios(vals))
-        total = dphi.sum() / (2.0 * np.pi)
-        if np.max(np.abs(dphi)) < 2.5 and abs(total - round(total)) < 0.2 and round(total) >= 0:
-            return int(round(total))
+        count = _phase_count(_ratios(vals))
+        if count is not None:
+            return count
         pts *= 2
         vals = None
     raise WindingNumberError(f"winding number did not settle on rect {rect}")
@@ -232,6 +239,16 @@ def _ratios(vals):
     return ratios
 
 
+def _phase_count(ratios):
+    """The winding count of a closed contour from its _ratios, or None unless every
+    phase step is below 2.5 rad and the count is within 0.2 of an integer >= 0."""
+    dphi = np.angle(ratios)
+    total = dphi.sum() / (2.0 * np.pi)
+    count = int(round(total))
+    settled = np.max(np.abs(dphi)) < 2.5 and abs(total - count) < 0.2 and count >= 0
+    return count if settled else None
+
+
 def _moments(z, vals, w, center, radius):
     """s_k = (1/2 pi i) contour integral of u^k f'/f dz, u = (z - center)/radius, k < 2w.
 
@@ -240,11 +257,11 @@ def _moments(z, vals, w, center, radius):
     u^(k-1) log f du, with log f unwrapped from the phase steps relative to
     log f(z_0) and closed with 2 pi i w; the trapezoid rule runs over the
     polygon.  Zeros u_j of multiplicity m_j give s_k = sum_j m_j u_j^k, so
-    for one simple zero s_1 / s_0 is the zero.  Returns None when a phase
-    step fails the unwrap test of _winding.
+    for one simple zero s_1 / s_0 is the zero.  Returns None unless the
+    phase steps count w (_phase_count).
     """
     ratios = _ratios(vals)
-    if np.max(np.abs(np.angle(ratios))) >= 2.5:
+    if _phase_count(ratios) != w:
         return None
     # log f - log f(z_0) at z_0..z_{N-1}, then closed by the winding
     logf = np.concatenate(([0.0], np.cumsum(np.log(ratios[:-1])), [2j * np.pi * w]))
@@ -322,7 +339,8 @@ def _nudge_rect(rect, k):
 def find_roots(f, rect, max_roots=200):
     """All zeros of a vectorized analytic f in a rectangle, by argument principle bisection.
 
-    rect is (re_min, re_max, im_min, im_max).  Returns a list of
+    rect is (re_min, re_max, im_min, im_max), finite with min < max, or
+    ConfigError is raised.  Returns a list of
     (root, multiplicity, newton_step) sorted by real part, and by imaginary
     part among roots whose real parts agree to the Newton tolerance (a
     conjugate pair); the sum of multiplicities equals the winding number of
@@ -346,6 +364,7 @@ def find_roots(f, rect, max_roots=200):
     upper halves are evaluated, each root below the axis is the exact
     conjugate of one above, and a root alone in a symmetric box is real.
     """
+    _check_rect(rect)
     for k in range(6):
         vals = _clear_values(f, rect)
         if vals is not None:
@@ -531,8 +550,7 @@ def _centroid(f, root, m, zeros, rect, mirror):
     if np.any(vals == 0.0):
         return root
     ratios = _ratios(vals)
-    dphi = np.angle(ratios)
-    if np.max(np.abs(dphi)) >= 2.5 or round(dphi.sum() / (2.0 * np.pi)) != m:
+    if _phase_count(ratios) != m:
         return root
     g = np.concatenate(([0.0], np.cumsum(np.log(ratios[:-1])))) - 1j * m * theta
     s1 = -np.mean(g * u)

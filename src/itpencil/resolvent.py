@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import lapack, single_blas_thread
+from .discretize import _read_only
 from .exceptions import (
     BoundViolationError,
     ClusterAmbiguityError,
@@ -136,7 +137,7 @@ def ray_scan(pencil, direction, radii):
     over the top decade of radii.  For a pencil whose inverse decays like
     |lam|^{-2} the slope sits near -2.
     """
-    radii = np.asarray(radii, dtype=float)
+    radii, = _read_only(np.array(radii, dtype=float))
     if radii.ndim != 1 or radii.size < 2:
         raise ConfigError("need at least two radii")
     if not np.all(np.isfinite(radii) & (radii > 0)) or np.any(np.diff(radii) <= 0):
@@ -220,7 +221,7 @@ class WeierstrassProduct:
     p: float
 
     def __post_init__(self):
-        zeros = np.asarray(self.zeros, dtype=complex).ravel()
+        zeros, = _read_only(np.array(self.zeros, dtype=complex).ravel())
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "lambda_prime", complex(self.lambda_prime))
         if not 0 < self.p < math.inf:
@@ -370,7 +371,7 @@ def circle_growth_scan(pencil, radii, p, n_theta=64, eigenvalues=None):
     admissible pencil must grow no faster than exp(C r^{p+epsilon}) on good
     circles.
     """
-    radii = np.asarray(radii, dtype=float)
+    radii, = _read_only(np.array(radii, dtype=float))
     if radii.ndim != 1 or radii.size < 2:
         raise ConfigError("need at least two radii")
     if not np.all(np.isfinite(radii) & (radii > 0)):

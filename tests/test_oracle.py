@@ -119,6 +119,18 @@ def test_confluent_fallback_matches_distinct_limit():
     assert near == pytest.approx(on_axis, rel=1e-1)
 
 
+@pytest.mark.parametrize("rect", [
+    (5.0, -60.0, -40.0, 40.0),  # reversed: otherwise a winding count that never settles
+    (0.0, 0.0, -40.0, 40.0),  # zero width: otherwise no roots, silently
+    (np.nan, 5.0, -40.0, 40.0),
+    (-60.0, np.inf, -40.0, 40.0),
+])
+@pytest.mark.parametrize("count", [find_roots, winding_number])
+def test_a_rect_that_is_not_finite_with_min_below_max_is_config_error(count, rect):
+    with pytest.raises(ConfigError, match=r"rect must be \(re_min, re_max, im_min, im_max\)"):
+        count(_cf(), rect)
+
+
 def test_find_roots_empty_rectangle():
     assert find_roots(_cf(), (100.0, 200.0, -3.0, 3.0)) == []
 

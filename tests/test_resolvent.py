@@ -222,6 +222,33 @@ def test_product_over_no_zeros_is_one():
     assert (phi.real, phi.imag) == (1.0, 0.0) and not np.signbit(phi.imag)
 
 
+def test_results_do_not_alias_the_callers_arrays():
+    # a profile, scan or product keeps a read-only copy: writing into the caller's
+    # array afterwards changes neither it nor the next assembly
+    coeffs, samples = np.array([1.0, 0.3]), np.array([1.0, 1.2, 1.1])
+    radii, zeros = np.array([2.0, 4.0, 8.0]), np.array([2.0, -2.0 + 1.0j])
+    profiles = [MediumProfile.polynomial(PencilKind.HELMHOLTZ, coeffs),
+                MediumProfile.sampled(PencilKind.HELMHOLTZ, samples)]
+    grid = make_grid(0.0, 1.0, 16)
+    A0s = [assemble_pencil(prof, grid, (0, 1)).A0 for prof in profiles]
+    pen = _scalar(1.0, 0.0, 1.0)
+    kept = {
+        "polynomial q": (profiles[0].q_data, coeffs),
+        "sampled q": (profiles[1].q_data, samples),
+        "ray radii": (ray_scan(pen, 1.0, radii).radii, radii),
+        "circle radii": (circle_growth_scan(pen, radii, 1.0).radii, radii),
+        "zeros": (WeierstrassProduct(lambda_prime=0.0, zeros=zeros, p=1.0).zeros, zeros),
+    }
+    before = {name: held.copy() for name, (held, _given) in kept.items()}
+    coeffs[1], samples[1], radii[0], zeros[0] = 5.0, 0.2, 1.0, 3.0
+    for name, (held, given) in kept.items():
+        assert not np.shares_memory(held, given), name
+        assert not held.flags.writeable, name
+        np.testing.assert_array_equal(held, before[name], err_msg=name)
+    for prof, A0 in zip(profiles, A0s):
+        np.testing.assert_array_equal(assemble_pencil(prof, grid, (0, 1)).A0, A0)
+
+
 def test_weierstrass_genus_validation():
     wp = WeierstrassProduct(lambda_prime=0.0, zeros=np.array([1.0]), p=1.5)
     assert wp.k == 2

@@ -298,6 +298,15 @@ def test_verify_chain_scalar_double_root():
     assert verify_chain(pen, ch) == [0.0, 0.0]
 
 
+def test_verify_chain_rejects_an_empty_chain_and_zero_vectors():
+    pen = _scalar(1.0, -2.0, 1.0)
+    with pytest.raises(ValueError, match="empty chain"):
+        verify_chain(pen, KeldyshChain(lambda0=1.0 + 0j, vectors=[]))
+    zero = KeldyshChain(lambda0=1.0 + 0j, vectors=[np.zeros(1, dtype=complex)])
+    with pytest.raises(ValueError, match="chain of zero vectors"):
+        verify_chain(pen, zero)
+
+
 def test_cluster_multiplicity_four_at_zero_for_23():
     # bc=(2,3): kernel {1, x} at lam=0, each with a length-2 Jordan chain
     profile = MediumProfile.constant(PencilKind.HELMHOLTZ, 1.0)
@@ -366,6 +375,14 @@ def test_torus_sum_divergent_rejected():
         torus_embedding_sum(1, 0.5, 100)
     with pytest.raises(ValueError):
         torus_embedding_sum(2, 2.0, 0)
+
+
+def test_torus_sum_rejects_a_fractional_dimension_and_a_large_window():
+    with pytest.raises(ConfigError, match="positive integer"):
+        torus_embedding_sum(1.5, 2.0, 10)
+    # (2 * 200 + 1)^3 lattice points exceed the 5e7 window; it raises before allocating
+    with pytest.raises(ConfigError, match="lattice window too large"):
+        torus_embedding_sum(3, 2.0, 200)
 
 
 def test_torus_sum_2d_tail_formula():
@@ -471,6 +488,16 @@ def test_completeness_rejects_oversized_m(h64):
     f = np.ones(pen.dim, dtype=complex)
     with pytest.raises(ValueError):
         completeness_residual(h64, f, len(h64.clusters) + 1)
+
+
+def test_completeness_rejects_a_zero_sample(h64):
+    with pytest.raises(ValueError, match="zero sample vector"):
+        completeness_residual(h64, np.zeros(h64.pencil.dim, dtype=complex), 1)
+
+
+def test_chain_matrix_of_no_clusters_is_an_error(h64):
+    with pytest.raises(ValueError, match="no chains available"):
+        chain_matrix(h64, 0)
 
 
 def test_chain_matrix_width_counts_chain_vectors(h64):

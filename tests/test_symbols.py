@@ -220,3 +220,18 @@ def test_scalar_symbol_checks_raise_config_error(call, q, xi_sq):
     with pytest.raises(ConfigError, match="q must be positive" if q <= 0 else "nonnegative") as exc:
         call(q, xi_sq)
     assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("call", [
+    lambda kind: principal_symbol(kind, SymbolPoint(1.0, 1.0, 1.0j)),
+    lambda kind: check_condition1(kind, (0.5, 2.0), Cone(1.0, 2.2), samples=16),
+    lambda kind: check_condition2(kind, (0, 1), (0.5, 2.0), Cone(1.0, 2.2), samples=16),
+    lambda kind: condition1_roots(kind, 1.0, 1.0),
+    lambda kind: characteristic_roots(kind, 1.0, 1.0, 1.0j),
+    lambda kind: lopatinsky_determinant(kind, (0, 1), 1.0, 1.0, 1.0j),
+], ids=["principal_symbol", "check_condition1", "check_condition2", "condition1_roots",
+        "characteristic_roots", "lopatinsky_determinant"])
+def test_a_kind_given_as_its_string_is_config_error(call):
+    # the symbol functions take a PencilKind; its value string is not one
+    with pytest.raises(ConfigError, match="unknown pencil kind: 'helmholtz'"):
+        call("helmholtz")
