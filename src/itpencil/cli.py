@@ -27,7 +27,7 @@ from ._blas import single_blas_thread
 from .discretize import Q_TYPES, DiscretePencil, MediumProfile, assemble_pencil, make_grid
 from .exceptions import ConfigError, PencilError
 from .oracle import CharacteristicFunction, compare_spectrum, find_roots
-from .symbols import BoundaryPair, Cone, PencilKind, check_condition1, check_condition2
+from .symbols import Cone, PencilKind, check_condition1, check_condition2
 
 # the thresholds each checked property is judged by
 _ORACLE_RTOL = 1e-6  # spectrum --verify-oracle: compare_spectrum's largest max_rel_error
@@ -204,8 +204,7 @@ def _pencil_spec(pc):
     """Profile, grid and boundary pair of a config's pencil section; MediumProfile
     checks q's format, and assembly checks its values."""
     profile = MediumProfile(PencilKind(pc["kind"]), pc["q"]["type"], pc["q"]["data"])
-    bc = BoundaryPair(*pc["bc"])
-    return profile, make_grid(*pc["interval"], pc["n_pts"]), bc
+    return profile, make_grid(*pc["interval"], pc["n_pts"]), pc["bc"]
 
 
 def _solve(cfg):
@@ -260,11 +259,9 @@ def _source(cfg, poles=True):
 
 
 def cmd_check_ellipticity(cfg, args):
-    kind = PencilKind(cfg["kind"])
-    bc = BoundaryPair(*cfg["bc"])
-    cone = Cone(*cfg["cone"])
-    r1 = check_condition1(kind, cfg["q_range"], cone, samples=cfg["samples"], seed=args.seed)
-    r2 = check_condition2(kind, bc, cfg["q_range"], cone, samples=cfg["samples"], seed=args.seed)
+    kind, cone, q_range = PencilKind(cfg["kind"]), Cone(*cfg["cone"]), cfg["q_range"]
+    r1 = check_condition1(kind, q_range, cone, samples=cfg["samples"], seed=args.seed)
+    r2 = check_condition2(kind, cfg["bc"], q_range, cone, samples=cfg["samples"], seed=args.seed)
 
     def report(r):
         return {
@@ -450,9 +447,7 @@ def cmd_completeness(cfg, args):
 
 def cmd_oracle(cfg, args):
     oc = cfg["oracle"]
-    cf = CharacteristicFunction(
-        PencilKind(oc["kind"]), oc["q"], oc["length"], BoundaryPair(*oc["bc"])
-    )
+    cf = CharacteristicFunction(PencilKind(oc["kind"]), oc["q"], oc["length"], oc["bc"])
     roots = find_roots(cf, tuple(cfg["rect"]), max_roots=cfg["max_roots"])
     dets = cf(np.array([r for r, _m, _s in roots], dtype=complex))
     # scalar abs (hypot): numpy's array abs of complex can differ in the last bit

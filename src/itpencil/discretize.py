@@ -95,8 +95,8 @@ def make_grid(a, b, n_pts):
 
     Nodes are ascending and include both endpoints; weights sum to b - a; both are read-only.
     """
-    if not b > a:
-        raise ConfigError("need b > a")
+    if not -np.inf < a < b < np.inf:
+        raise ConfigError("need b > a, both finite")
     if n_pts < MIN_POINTS:
         raise ConfigError(f"need at least {MIN_POINTS} grid points, got {n_pts}")
     w = _clenshaw_curtis(n_pts - 1) * (b - a) / 2.0
@@ -121,8 +121,7 @@ class MediumProfile:
     q_data: object
 
     def __post_init__(self):
-        if not isinstance(self.kind, PencilKind):
-            raise ConfigError(f"kind must be a PencilKind, got {self.kind!r}")
+        PencilKind.checked(self.kind)
         if self.q_type not in Q_TYPES:
             raise ConfigError(f"unknown q type: {self.q_type!r}")
         if self.q_type == "constant":
@@ -383,8 +382,7 @@ def _assemble(profile, grids, bc):
     tensor matrix is a Kronecker product of the per-axis blocks, in the
     manner of Shen's tensor-product spectral-Galerkin method.
     """
-    if isinstance(bc, tuple):
-        bc = BoundaryPair(*bc)
+    bc = BoundaryPair.of(bc)
     n_unknowns = int(np.prod([g.n_pts - 4 for g in grids]))
     if len(grids) > 1 and n_unknowns > MAX_UNKNOWNS_2D:
         raise ConfigError(f"2D problem has {n_unknowns} unknowns, cap is {MAX_UNKNOWNS_2D}")

@@ -44,7 +44,7 @@ import numpy as np
 
 from ._blas import single_blas_thread
 from .exceptions import ConfigError, WindingNumberError
-from .symbols import BoundaryPair, PencilKind
+from .symbols import BoundaryPair, PencilKind, positive_finite
 
 _SERIES_CUT = 1e-6  # switch c, e to power series below |s| x^2 of this size
 _DD_CUT = 1e-2  # divided-difference columns by series below max(|s1|, |s2|) length^2
@@ -66,14 +66,10 @@ class CharacteristicFunction:
     bc: BoundaryPair
 
     def __post_init__(self):
-        if not isinstance(self.kind, PencilKind):
-            raise ConfigError(f"kind must be a PencilKind, got {self.kind!r}")
-        if self.q_val <= 0.0:
-            raise ConfigError("q must be positive")
-        if self.length <= 0.0:
-            raise ConfigError("length must be positive")
-        if isinstance(self.bc, tuple):
-            object.__setattr__(self, "bc", BoundaryPair(*self.bc))
+        PencilKind.checked(self.kind)
+        positive_finite(self.q_val, "q")
+        positive_finite(self.length, "length")
+        object.__setattr__(self, "bc", BoundaryPair.of(self.bc))
 
     def __call__(self, lam):
         """char_det(self, lam), with char_det looked up when the call runs."""

@@ -59,6 +59,7 @@ from .spectra import (
     linearize,
     pencil_derivatives,
 )
+from .symbols import positive_finite
 
 _GROWTH_EPS = 0.1  # circle_growth_scan raises on a growth exponent above p + this
 _LAURENT_CHUNK = 32  # samples per laurent_coefficients sum; even, so [::2] is the halved rule
@@ -224,8 +225,7 @@ class WeierstrassProduct:
         zeros, = _read_only(np.array(self.zeros, dtype=complex).ravel())
         object.__setattr__(self, "zeros", zeros)
         object.__setattr__(self, "lambda_prime", complex(self.lambda_prime))
-        if not 0 < self.p < math.inf:
-            raise ConfigError("p must be positive and finite")
+        positive_finite(self.p, "p")
         if np.abs(zeros - self.lambda_prime).min(initial=np.inf) == 0:
             raise ConfigError("lambda_prime coincides with a zero")
 
@@ -289,7 +289,7 @@ def carleman_check(comp, wp, circle_radius, n_samples=64):
     if r == 0:
         samples = [lamp]
     else:
-        samples = list(lamp + r * _unit_ring(n_samples))
+        samples = list(lamp + r * _unit_ring(positive_finite(n_samples, "n_samples")))
     probes = []
     for z in wp.zeros:
         if abs(z - lamp) <= r:
@@ -379,7 +379,7 @@ def circle_growth_scan(pencil, radii, p, n_theta=64, eigenvalues=None):
     if not math.isfinite(p):
         raise ConfigError("p must be finite")
     moduli = np.abs(np.asarray([] if eigenvalues is None else eigenvalues, dtype=complex).ravel())
-    ring = _unit_ring(n_theta)
+    ring = _unit_ring(positive_finite(n_theta, "n_theta"))
 
     norms = _resolvent_norms(pencil, [r * w for r in radii for w in ring])
     norms = norms.reshape(radii.size, n_theta)
@@ -432,9 +432,7 @@ def laurent_coefficients(pencil, lambda0, radius, n_coeffs=4, n_quad=256,
     cluster of them and stay clear of the rest.
     """
     lam0 = complex(lambda0)
-    r = float(radius)
-    if not 0 < r < math.inf:
-        raise ConfigError("radius must be positive and finite")
+    r = positive_finite(float(radius), "radius")
     if n_coeffs < 1:
         raise ConfigError("n_coeffs must be at least 1")
     M = int(n_quad)
@@ -526,10 +524,8 @@ def t_infinity_estimate(pencil, radius, n_samples=256, eigenvalues=None):
     plus (multiplicity at 0) * ln(radius), where |eig| <= 1e-8 counts as 0.
     Nondecreasing in the radius.
     """
-    r = float(radius)
-    if not 0 < r < math.inf:
-        raise ConfigError("radius must be positive and finite")
-    ring = r * _unit_ring(n_samples)
+    r = positive_finite(float(radius), "radius")
+    ring = r * _unit_ring(positive_finite(n_samples, "n_samples"))
 
     norms = _resolvent_norms(pencil, ring)
     good = [max(math.log(x), 0.0) for x in norms[~np.isnan(norms)]]
@@ -538,7 +534,7 @@ def t_infinity_estimate(pencil, radius, n_samples=256, eigenvalues=None):
         raise MaskedSampleError(
             f"{masked} of {len(norms)} circle samples sit near poles"
         )
-    avg = float(np.mean(good)) if good else 0.0
+    avg = float(np.mean(good))
 
     mods = np.abs(np.asarray([] if eigenvalues is None else eigenvalues, dtype=complex).ravel())
     n_zero = int(np.sum(mods <= 1e-8))

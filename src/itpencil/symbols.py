@@ -32,9 +32,23 @@ _ROOT_TOL = 1e-10
 _ELLIPTIC_TOL = 1e-9  # a sampled minimum at or below this fails a check
 
 
+def positive_finite(value, name):
+    """value, if it is a positive finite number; else a ConfigError naming the argument."""
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be positive and finite")
+    return value
+
+
 class PencilKind(Enum):
     HELMHOLTZ = "helmholtz"
     SCHRODINGER = "schrodinger"
+
+    @classmethod
+    def checked(cls, kind):
+        """kind, if it is a PencilKind (its value string is not one); else a ConfigError."""
+        if not isinstance(kind, cls):
+            raise ConfigError(f"unknown pencil kind: {kind!r} (kind must be a PencilKind)")
+        return kind
 
 
 @dataclass(frozen=True)
@@ -51,6 +65,15 @@ class BoundaryPair:
         if self.m1 == self.m2:
             raise ConfigError("boundary trace orders must differ")
 
+    @classmethod
+    def of(cls, bc):
+        """bc itself if it is a BoundaryPair, else the pair of a two-element tuple or list."""
+        if isinstance(bc, cls):
+            return bc
+        if isinstance(bc, (tuple, list)) and len(bc) == 2:
+            return cls(*bc)
+        raise ConfigError(f"a boundary pair is a BoundaryPair or two trace orders, got {bc!r}")
+
 
 @dataclass(frozen=True)
 class SymbolPoint:
@@ -61,10 +84,9 @@ class SymbolPoint:
     lam: complex
 
     def __post_init__(self):
-        if self.q_val <= 0.0:
-            raise ConfigError("q must be positive")
-        if self.xi_sq < 0.0:
-            raise ConfigError("xi_sq must be nonnegative")
+        positive_finite(self.q_val, "q")
+        if not 0.0 <= self.xi_sq < math.inf:
+            raise ConfigError("xi_sq must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -114,11 +136,9 @@ def _symbol_values(kind, q, xi_sq, lam):
     q = np.asarray(q, dtype=float)
     xi_sq = np.asarray(xi_sq, dtype=float)
     lam = np.asarray(lam, dtype=complex)
-    if kind is PencilKind.HELMHOLTZ:
+    if PencilKind.checked(kind) is PencilKind.HELMHOLTZ:
         return q * xi_sq**2 + lam * (1.0 + 2.0 * q) * xi_sq + lam**2 * (1.0 + q)
-    if kind is PencilKind.SCHRODINGER:
-        return q * (xi_sq + lam) ** 2
-    raise ConfigError(f"unknown pencil kind: {kind!r}")
+    return q * (xi_sq + lam) ** 2
 
 
 def principal_symbol(kind, point):
@@ -133,13 +153,11 @@ def condition1_roots(kind, q_val, xi_sq):
     avoiding that axis keeps the symbol bounded away from zero.
     """
     SymbolPoint(q_val, xi_sq, 0j)  # validates q and xi_sq
-    if kind is PencilKind.HELMHOLTZ:
+    if PencilKind.checked(kind) is PencilKind.HELMHOLTZ:
         # factorization q xi^4 + lam (1+2q) xi^2 + lam^2 (1+q)
         #   = (xi^2 + lam) (q xi^2 + lam (1+q))
         return (-xi_sq, -q_val / (1.0 + q_val) * xi_sq)
-    if kind is PencilKind.SCHRODINGER:
-        return (-xi_sq, -xi_sq)
-    raise ConfigError(f"unknown pencil kind: {kind!r}")
+    return (-xi_sq, -xi_sq)
 
 
 def _lattice(n, dim, seed):
@@ -214,11 +232,9 @@ def _decaying_pair(kind, q, xi_prime_sq, lam):
     """Decaying roots (r2, r4) of the half-line ODE, as arrays (see characteristic_roots)."""
     lam = np.asarray(lam, dtype=complex)
     r2 = -np.sqrt(lam + xi_prime_sq)
-    if kind is PencilKind.HELMHOLTZ:
+    if PencilKind.checked(kind) is PencilKind.HELMHOLTZ:
         return r2, -np.sqrt(lam * (1.0 + 1.0 / q) + xi_prime_sq)
-    if kind is PencilKind.SCHRODINGER:
-        return r2, r2
-    raise ConfigError(f"unknown pencil kind: {kind!r}")
+    return r2, r2
 
 
 def characteristic_roots(kind, q_val, xi_prime_sq, lam):
@@ -240,17 +256,18 @@ def characteristic_roots(kind, q_val, xi_prime_sq, lam):
     return CharacteristicRoots(r1=-r2, r2=r2, r3=-r4, r4=r4)
 
 
-def _decaying_rows(kind, q, xi_prime_sq, m_values, lam):
-    """Boundary rows (r2^m, h_{m-1}(r2, r4)), one per trace order m, as arrays.
+def _decaying_rows(kind, q, xi_prime_sq, bc, lam):
+    """Boundary rows (r2^m, h_{m-1}(r2, r4)), one per trace order m of bc, as arrays.
 
     The m-th traces at t = 0 of e^{r2 t} and of the divided difference
     (e^{r4 t} - e^{r2 t}) / (r4 - r2), h_{m-1} = sum_{j<m} r2^j r4^{m-1-j}
     with h_{-1} = 0.  At r4 = r2 (the Schroedinger form, and lam = 0) the
     second is the confluent m r^{m-1}, with no branch and no subtraction.
     """
+    bc = BoundaryPair.of(bc)
     r2, r4 = _decaying_pair(kind, q, xi_prime_sq, lam)
     rows = []
-    for m in m_values:
+    for m in (bc.m1, bc.m2):
         a, h = np.ones_like(r2), np.zeros_like(r2)
         for _ in range(m):
             a, h = a * r2, h * r4 + a
@@ -267,12 +284,10 @@ def lopatinsky_determinant(kind, bc, q_val, xi_prime_sq, lam):
     repeated root (the Schroedinger form, and lam = 0 in both forms) it is
     the confluent determinant on e^{r t}, t e^{r t}.
     """
-    if not isinstance(bc, BoundaryPair):
-        bc = BoundaryPair(*bc)
     SymbolPoint(q_val, xi_prime_sq, lam)  # validates q and xi'^2
     if abs(lam) + xi_prime_sq == 0.0:
         raise DegenerateInputError("(xi', lam) = (0, 0) is excluded")
-    (a1, b1), (a2, b2) = _decaying_rows(kind, q_val, xi_prime_sq, (bc.m1, bc.m2), lam)
+    (a1, b1), (a2, b2) = _decaying_rows(kind, q_val, xi_prime_sq, bc, lam)
     return complex(a1 * b2 - a2 * b1)
 
 
@@ -285,10 +300,8 @@ def check_condition2(kind, bc, q_range, cone, samples=2000, seed=0):
     determinant at the minimizer.  The slice xi_sq + |lam| = 1 never holds
     (xi', lam) = (0, 0), so the whole scan is one array pass.
     """
-    if not isinstance(bc, BoundaryPair):
-        bc = BoundaryPair(*bc)
     qs, xi_sq, lam = _cone_samples(q_range, cone, samples, seed)
-    (a1, b1), (a2, b2) = _decaying_rows(kind, qs, xi_sq, (bc.m1, bc.m2), lam)
+    (a1, b1), (a2, b2) = _decaying_rows(kind, qs, xi_sq, bc, lam)
     raw = a1 * b2 - a2 * b1
     scale = np.hypot(np.abs(a1), np.abs(b1)) * np.hypot(np.abs(a2), np.abs(b2))
     return _report(qs, xi_sq, lam, np.abs(raw) / np.maximum(scale, 1e-300), raw)

@@ -13,6 +13,7 @@ from itpencil import (
     linearize,
     discretize,
     make_grid,
+    solve_spectrum,
 )
 from itpencil.exceptions import ConfigError, SingularPencilError
 
@@ -39,6 +40,16 @@ def test_make_grid_symmetry():
 def test_make_grid_rejects_small():
     with pytest.raises(ValueError):
         make_grid(0.0, 1.0, 7)
+
+
+@pytest.mark.parametrize("a,b", [(0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan), (np.nan, 1.0)])
+def test_make_grid_rejects_an_end_that_is_not_finite(a, b):
+    # an infinite end once gave a RuntimeWarning and weights summing to inf, and
+    # solve_spectrum then blamed q ("q must be finite everywhere")
+    with pytest.raises(ConfigError, match="need b > a, both finite"):
+        make_grid(a, b, 16)
+    with pytest.raises(ConfigError, match="need b > a, both finite"):
+        solve_spectrum(MediumProfile.constant(H, 1.3), a, b, 16, (0, 1))
 
 
 def _smooth_members(pencil):

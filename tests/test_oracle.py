@@ -666,6 +666,47 @@ def test_find_roots_match_mpmath_newton(kind, bc):
             assert abs(r - complex(z)) / abs(complex(z)) < 1e-10
 
 
+def test_hankel_nodes_of_a_singular_leading_block_is_none():
+    # H0 = [[3, 0, 0], [0, 0, 0], [0, 0, 1]] has rank 2, but its leading
+    # 2x2 block [[3, 0], [0, 0]] is singular, so the node pencil cannot be solved
+    assert oracle._hankel_nodes(np.array([3.0, 0.0, 0.0, 0.0, 1.0, 0.0])) is None
+
+
+def test_newton_polish_stops_where_the_derivative_vanishes():
+    # f = z^2 + 1 has f(h) = f(-h) at z = 0, so the central difference is exactly 0
+    assert oracle._newton_polish(lambda z: z**2 + 1.0, 0.0) == (0j, np.inf)
+
+
+def test_moment_roots_refuse_two_nodes_that_polish_to_one_root(monkeypatch):
+    def f(z):
+        return z**2 - 0.25
+
+    rect = (-1.0, 1.0, -1.0, 1.0)
+    vals = f(oracle._rect_boundary(rect, oracle._PTS_PER_SIDE))
+    found = oracle._moment_roots(f, rect, 2, vals, False)
+    assert sorted(round(r.real, 12) for r, _m, _s in found) == [-0.5, 0.5]
+    # both nodes (in box coordinates, radius sqrt 2) sit near the zero at 0.5
+    monkeypatch.setattr(oracle, "_hankel_nodes", lambda s: (np.array([0.35, 0.36]), np.array([1, 1])))
+    assert oracle._moment_roots(f, rect, 2, vals, False) is None
+
+
+def test_clear_winding_of_a_box_with_a_zero_on_its_edge_is_none():
+    # the right edge's middle sample is exactly z = 1
+    assert oracle._clear_winding(lambda z: z - 1.0, (-1.0, 1.0, -1.0, 1.0), False) is None
+    assert oracle._clear_winding(lambda z: z - 0.5, (-1.0, 1.0, -1.0, 1.0), False)[0] == 1
+
+
+def test_centroid_keeps_the_root_when_its_circle_fails():
+    rect = (-10.0, 10.0, -10.0, 10.0)
+    # rho = 1 (half the distance to the zero at 2): the circle's first sample is
+    # exactly 1, a zero of f
+    assert oracle._centroid(lambda z: z * (z - 1.0), 0j, 1, [0j, 2.0 + 0j], rect, False) == 0j
+    # the circle |z - 0.1| = 1 winds once about the zero of z, not twice
+    root = 0.1 + 0j
+    assert oracle._centroid(lambda z: z, root, 2, [root, 2.1 + 0j], rect, False) == root
+    assert abs(oracle._centroid(lambda z: z, root, 1, [root, 2.1 + 0j], rect, False)) < 1e-12
+
+
 def test_winding_number_names_f_when_it_vanishes_on_the_contour():
     with pytest.raises(WindingNumberError, match="f vanishes on the contour"):
         winding_number(lambda z: z - 1.0, (1.0, 2.0, -1.0, 1.0))

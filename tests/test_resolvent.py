@@ -532,6 +532,40 @@ def test_failed_checks_raise_typed_errors(case):
         call()
 
 
+@pytest.fixture(scope="module")
+def h24_solution():
+    profile = MediumProfile.constant(PencilKind.HELMHOLTZ, 1.3)
+    return solve_spectrum(profile, 0.0, 1.0, 24, (0, 1))
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_a_sample_count_below_one_is_config_error(h24_solution, count):
+    # a count below 1 makes an empty ring, with no sample to average or take the
+    # max of: unchecked, t_infinity_estimate returned 0.0 and the others a bare ValueError
+    sol = h24_solution
+    wp = WeierstrassProduct(lambda_prime=sol.lambda_prime, zeros=sol.trusted_eigenvalues, p=1.0)
+    for name, call in (
+        ("n_samples", lambda: t_infinity_estimate(sol.pencil, 10.0, n_samples=count)),
+        ("n_theta", lambda: circle_growth_scan(sol.pencil, [8.0, 16.0], 1.0, n_theta=count)),
+        ("n_samples", lambda: carleman_check(sol.companion, wp, 5.0, n_samples=count)),
+    ):
+        with pytest.raises(ConfigError, match=f"^{name} must be positive and finite$"):
+            call()
+
+
+def test_block_inverse_check_raises_when_the_pencil_norm_exceeds_the_companion_norm(monkeypatch):
+    # ||T^-1|| <= ||(A - lam)^-1|| holds for every pencil; only a patched norm breaks it
+    monkeypatch.setattr(resolvent, "resolvent_norm", lambda pencil, lam: 1e300)
+    with pytest.raises(BoundViolationError, match=r"\|\|T\^-1\|\| = 1\.000000e\+300 exceeds"):
+        companion_block_inverse_check(_scalar(2.0, -3.0, 1.0), 0.4 + 0.3j)
+
+
+def test_laurent_raises_when_every_contour_coefficient_vanishes(monkeypatch):
+    monkeypatch.setattr(resolvent, "_checked_inverse", lambda M, *args: np.zeros_like(M))
+    with pytest.raises(QuadratureConvergenceError, match="all contour coefficients vanished"):
+        laurent_coefficients(_scalar(-1.0, 0.0, 1.0), 1.0, 0.5)
+
+
 @pytest.fixture
 def svd_calls(monkeypatch):
     """Counts np.linalg.svd calls made after the fixture is set up."""

@@ -266,6 +266,22 @@ def test_keldysh_rejects_a_broken_jordan_relation():
         keldysh_from_jordan(comp, [x0, x1], 1.0)
 
 
+def test_keldysh_rejects_a_chain_with_no_pencil_component():
+    # with A2 = 1e8 I the companion maps x0 = (0, e1) to 1e-8 of its size, inside the
+    # eigenvector tolerance at lambda0 = 0, but x0 has no pencil (u) component
+    n = 2
+    comp = linearize(DiscretePencil.from_matrices(np.eye(n), np.zeros((n, n)), 1e8 * np.eye(n)))
+    x0 = np.concatenate([np.zeros(n), np.eye(n)[0]]).astype(complex)
+    with pytest.raises(ValueError, match="chain has zero pencil component"):
+        keldysh_from_jordan(comp, [x0], 0.0)
+
+
+def test_cluster_of_a_point_far_from_every_cluster_is_none(h48):
+    assert h48.clusters
+    assert h48.cluster_of(h48.clusters[0].center) is h48.clusters[0]
+    assert h48.cluster_of(1e6 + 1e6j) is None
+
+
 def test_non_finite_eigenvalues_raise(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", lambda M: (np.array([np.nan, 1.0]), np.eye(2)))
     with pytest.raises(EigensolverError, match="non-finite"):

@@ -5,18 +5,23 @@ import pytest
 
 from itpencil import (
     BoundaryPair,
+    CharacteristicFunction,
     Cone,
+    MediumProfile,
     PencilKind,
     SymbolPoint,
+    assemble_pencil,
     characteristic_roots,
     check_condition1,
     check_condition2,
     condition1_roots,
     lopatinsky_determinant,
+    make_grid,
     principal_symbol,
+    solve_spectrum,
 )
 from itpencil.exceptions import ConfigError, DegenerateInputError
-from itpencil.symbols import _cone_samples
+from itpencil.symbols import _cone_samples, positive_finite
 
 H = PencilKind.HELMHOLTZ
 S = PencilKind.SCHRODINGER
@@ -235,3 +240,75 @@ def test_a_kind_given_as_its_string_is_config_error(call):
     # the symbol functions take a PencilKind; its value string is not one
     with pytest.raises(ConfigError, match="unknown pencil kind: 'helmholtz'"):
         call("helmholtz")
+
+
+def _bc_results(bc):
+    """Each library entry that takes a boundary pair, on bc, as arrays to compare by bit."""
+    profile = MediumProfile.constant(H, 1.3)
+    pen = assemble_pencil(profile, make_grid(0.0, 1.0, 16), bc)
+    sol = solve_spectrum(profile, 0.0, 1.0, 16, bc)
+    lams = np.array([-5.0, 2.0 + 3.0j, -40.0 - 1.0j])
+    return [
+        pen.A0, pen.A1, pen.A2, sol.eigenvalues, sol.trust_mask,
+        CharacteristicFunction(H, 1.3, 1.0, bc)(lams),
+        lopatinsky_determinant(H, bc, 1.3, 0.5, 1.0j),
+        check_condition2(S, bc, (0.5, 2.0), Cone(1.0, 2.2), samples=16).min_modulus,
+    ]
+
+
+@pytest.mark.parametrize("bc", [(0, 1), [0, 1], BoundaryPair(0, 1)], ids=["tuple", "list", "pair"])
+def test_a_boundary_pair_is_any_two_orders_or_a_boundary_pair(bc):
+    # a list, as a JSON config gives it, is taken as the tuple is, bit for bit
+    for got, want in zip(_bc_results(bc), _bc_results((0, 1))):
+        assert np.array_equal(got, want)
+    pair = BoundaryPair(2, 3)
+    assert BoundaryPair.of(pair) is pair
+    assert BoundaryPair.of([2, 3]) == BoundaryPair.of((2, 3)) == pair
+
+
+@pytest.mark.parametrize("bc", [np.array([0, 1]), (0, 1, 2), [1], "01", None],
+                         ids=["array", "three", "one", "string", "none"])
+def test_a_boundary_pair_of_another_type_is_config_error(bc):
+    profile = MediumProfile.constant(H, 1.3)
+    for call in (
+        lambda: BoundaryPair.of(bc),
+        lambda: assemble_pencil(profile, make_grid(0.0, 1.0, 16), bc),
+        lambda: solve_spectrum(profile, 0.0, 1.0, 16, bc),
+        lambda: CharacteristicFunction(H, 1.3, 1.0, bc),
+        lambda: lopatinsky_determinant(H, bc, 1.3, 0.5, 1.0j),
+        lambda: check_condition2(H, bc, (0.5, 2.0), Cone(1.0, 2.2), samples=16),
+    ):
+        with pytest.raises(ConfigError, match="a boundary pair is a BoundaryPair or two trace orders"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call,match", [
+    (lambda v: SymbolPoint(v, 1.0, 1.0j), "q must be positive and finite"),
+    (lambda v: SymbolPoint(1.0, v, 1.0j), "xi_sq must be nonnegative and finite"),
+    (lambda v: condition1_roots(H, v, 1.0), "q must be positive and finite"),
+    (lambda v: condition1_roots(H, 1.0, v), "xi_sq must be nonnegative and finite"),
+    (lambda v: characteristic_roots(H, v, 1.0, 1.0j), "q must be positive and finite"),
+    (lambda v: characteristic_roots(H, 1.0, v, 1.0j), "xi_sq must be nonnegative and finite"),
+    (lambda v: lopatinsky_determinant(H, (0, 1), v, 1.0, 1.0j), "q must be positive and finite"),
+    (lambda v: lopatinsky_determinant(H, (0, 1), 1.0, v, 1.0j), "xi_sq must be nonnegative and finite"),
+    (lambda v: CharacteristicFunction(H, v, 1.0, (0, 1)), "q must be positive and finite"),
+    (lambda v: CharacteristicFunction(H, 1.0, v, (0, 1)), "length must be positive and finite"),
+], ids=["SymbolPoint-q", "SymbolPoint-xi_sq", "condition1_roots-q", "condition1_roots-xi_sq",
+        "characteristic_roots-q", "characteristic_roots-xi_sq", "lopatinsky_determinant-q",
+        "lopatinsky_determinant-xi_sq", "CharacteristicFunction-q", "CharacteristicFunction-length"])
+def test_a_nan_or_infinite_argument_is_config_error(call, match, bad):
+    # NaN and inf pass a bare "<= 0" test: unchecked, condition1_roots(H, nan, 1) returns
+    # (-1, nan) and a census on CharacteristicFunction(H, nan, ...) fails late
+    with pytest.raises(ConfigError, match=match):
+        call(bad)
+
+
+def test_the_argument_rules_name_what_they_reject():
+    assert positive_finite(2.5, "radius") == 2.5
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="^radius must be positive and finite$"):
+            positive_finite(bad, "radius")
+    assert PencilKind.checked(S) is S
+    with pytest.raises(ConfigError, match=r"^unknown pencil kind: 2 \(kind must be a PencilKind\)$"):
+        PencilKind.checked(2)
